@@ -21,10 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import diffcore as dc
 from . import evalkit, ingest, labeler, sampler, trainer
 from .model import (
     Model,
     ModelConfig,
+    ModelError,
     WindowBatch,
     compute_scalers,
     load_checkpoint,
@@ -334,7 +336,8 @@ def cmd_eval(args) -> int:
         for i in range(0, len(windows), 256):
             chunk = windows[i : i + 256]
             batch = WindowBatch.from_windows(chunk)
-            fp = model.forward(batch, rng=None)
+            with dc.no_grad():
+                fp = model.forward(batch, rng=None)
             for j, w in enumerate(chunk):
                 b = fp.bundle(j, model.config)
                 bundles.append(b)
@@ -562,6 +565,7 @@ def main(argv=None) -> int:
             sampler.SamplerError,
             labeler.LabelerError,
             trainer.TrainerError,
+            ModelError,
         )
         if isinstance(e, known):
             print(f"error: {e}", file=sys.stderr)

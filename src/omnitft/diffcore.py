@@ -7,9 +7,15 @@ finite-difference checks are meaningful; float32 is available for inference.
 
 Subgradient conventions are fixed for determinism: relu'(0) = 0, and
 reduce_max / reduce_min route their gradient to the first extremal index.
+
+Inference passes run under `no_grad()`, which records no parents and no
+closures, so nothing is kept alive for a backward pass that never comes.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 
@@ -120,10 +126,27 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = contextvars.ContextVar("diffcore_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: outputs carry their data only.
+
+    For forward passes that are never differentiated (validation, eval).
+    The previous mode is restored on exit, also when the block raises.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
 def _make(data, parents, vjp) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
@@ -174,8 +197,11 @@ class Tape:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                    # an owned copy: a VJP may hand one array to several
+                    # parents (add passes g through to both operands)
+                    parent.grad = np.array(g, dtype=parent.data.dtype)
+                else:
+                    parent.grad += g
 
 
 def backward(loss: Tensor):
@@ -244,6 +270,10 @@ def matmul(a, b) -> Tensor:
 
     def vjp(g):
         ad, bd = a.data, b.data
+        if bd.ndim == 2 and ad.ndim >= 3:
+            # a weight shared across batch dims: fold them into one GEMM
+            k, n = bd.shape
+            return g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, n)
         if ad.ndim == 1:
             ad = ad[None, :]
         if bd.ndim == 1:
@@ -398,14 +428,27 @@ def reduce_min(a, axis=None, keepdims: bool = False) -> Tensor:
     return _reduce_extremum(a, axis, keepdims, np.argmin, np.min)
 
 
+def _is_basic_index(key) -> bool:
+    """True for int/slice keys, which select every element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+        for k in parts
+    )
+
+
 def tslice(a, key) -> Tensor:
     """Indexing, both basic slices and integer-array gathers (embedding rows)."""
     a = as_tensor(a)
     out = a.data[key]
+    basic = _is_basic_index(key)
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)  # accumulates over repeated gather indices
+        if basic:
+            full[key] = g
+        else:
+            np.add.at(full, key, g)  # accumulates over repeated gather indices
         return (full,)
 
     return _make(out, (a,), vjp)
@@ -458,6 +501,72 @@ def l2_norm_rows(a) -> Tensor:
     return _make(out, (a,), vjp)
 
 
+def lstm_layer(xp, h0, c0, w_h) -> Tensor:
+    """One LSTM layer over a whole sequence, as a single node.
+
+    xp: (B, T, 4d) input projections x_t @ W_x + b, gate blocks in the order
+    input, forget, cell, output; h0, c0: (B, d) initial state; w_h: (d, 4d)
+    recurrent weight. Returns (B, T, 2d) with h_t in [..., :d] and c_t in
+    [..., d:]. The VJP is hand-written backpropagation through time, with
+    the recurrent weight's gradient taken as one GEMM over all steps.
+    """
+    xp, h0, c0, w_h = (as_tensor(t) for t in (xp, h0, c0, w_h))
+    if xp.ndim != 3 or xp.shape[-1] % 4:
+        raise ShapeMismatch(f"lstm_layer input projections {xp.shape}, need (B, T, 4d)")
+    B, T, four_d = xp.shape
+    d = four_d // 4
+    if w_h.shape != (d, four_d) or h0.shape != (B, d) or c0.shape != (B, d):
+        raise ShapeMismatch(
+            f"lstm_layer state {h0.shape}/{c0.shape}, weight {w_h.shape} for input {xp.shape}"
+        )
+    w = w_h.data
+    dtype = np.result_type(xp.data, h0.data, c0.data, w)
+    out = np.empty((B, T, 2 * d), dtype=dtype)
+    gates = np.empty((B, T, 4, d), dtype=dtype)  # activated i, f, g, o
+    h, c = h0.data, c0.data
+    for t in range(T):
+        z = (xp.data[:, t] + h @ w).reshape(B, 4, d)
+        act = gates[:, t]
+        act[...] = 1.0 / (1.0 + np.exp(-z))
+        act[:, 2] = np.tanh(z[:, 2])
+        c = act[:, 1] * c + act[:, 0] * act[:, 2]
+        h = act[:, 3] * np.tanh(c)
+        out[:, t, :d] = h
+        out[:, t, d:] = c
+
+    def vjp(g):
+        i, f, gg, o = (gates[:, :, k] for k in range(4))
+        hs, cs = out[..., :d], out[..., d:]
+        c_prev = np.concatenate([c0.data[:, None], cs[:, :-1]], axis=1)
+        h_prev = np.concatenate([h0.data[:, None], hs[:, :-1]], axis=1)
+        tc = np.tanh(cs)
+        # local derivatives: dz_{i,f,g} = dc * k_{i,f,g}, dz_o = dh * k_o,
+        # dc += dh * k_c, all precomputed for every step at once
+        k = np.stack(
+            [gg * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - gg * gg),
+             tc * o * (1.0 - o)],
+            axis=2,
+        )
+        k_c = o * (1.0 - tc * tc)
+        gh, gc = g[..., :d], g[..., d:]
+        dz = np.empty((B, T, 4, d), dtype=dtype)
+        dh = np.zeros((B, d), dtype=dtype)
+        dcell = np.zeros((B, d), dtype=dtype)
+        w_t = w.T
+        for t in reversed(range(T)):
+            dh = dh + gh[:, t]
+            dcell = dcell + gc[:, t] + dh * k_c[:, t]
+            dz[:, t, :3] = dcell[:, None] * k[:, t, :3]
+            dz[:, t, 3] = dh * k[:, t, 3]
+            dcell = dcell * f[:, t]
+            dh = dz[:, t].reshape(B, four_d) @ w_t
+        dz = dz.reshape(B, T, four_d)
+        gw = h_prev.reshape(-1, d).T @ dz.reshape(-1, four_d)
+        return dz, dh, dcell, gw
+
+    return _make(out, (xp, h0, c0, w_h), vjp)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference verification
 
@@ -485,14 +594,15 @@ def grad_check(f, x, eps: float = 1e-5, coords=None, rng=None, max_coords=None):
         coords = rng.choice(coords, size=max_coords, replace=False)
 
     worst = 0.0
-    for i in coords:
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f(x).data)
-        flat[i] = orig - eps
-        lo = float(f(x).data)
-        flat[i] = orig
-        numeric = (hi - lo) / (2.0 * eps)
-        rel = abs(analytic[i] - numeric) / (abs(numeric) + 1e-8)
-        worst = max(worst, rel)
+    with no_grad():  # the probes only need values
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = float(f(x).data)
+            flat[i] = orig - eps
+            lo = float(f(x).data)
+            flat[i] = orig
+            numeric = (hi - lo) / (2.0 * eps)
+            rel = abs(analytic[i] - numeric) / (abs(numeric) + 1e-8)
+            worst = max(worst, rel)
     return worst

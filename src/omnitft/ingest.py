@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labeler import STABLE, VOLATILE
-from .schema import DatasetSchema, validate_schema, FeatureSpec
+from .schema import DatasetSchema, FeatureSpec, SchemaError, validate_schema
 
 
 class IngestError(Exception):
@@ -113,6 +113,8 @@ def parse_events(csv_stream, schema: DatasetSchema) -> list:
             t = float(time_s)
         except ValueError:
             raise UnparsableValue(f"line {lineno}: time {time_s!r}") from None
+        if not math.isfinite(t):
+            raise UnparsableValue(f"line {lineno}: non-finite time {time_s!r}")
         if t < 0:
             raise NegativeTime(f"line {lineno}: time {t}")
         spec = names[feat]
@@ -121,13 +123,18 @@ def parse_events(csv_stream, schema: DatasetSchema) -> list:
                 value = float(int(float(raw)))
                 if not 0 <= value < spec.vocab_size:
                     raise UnparsableValue(f"line {lineno}: index {raw!r} outside vocab")
-            except ValueError:
-                value = float(spec.category_index(raw))
+            except (ValueError, OverflowError):  # a label, or nan/inf
+                try:
+                    value = float(spec.category_index(raw))
+                except SchemaError as e:
+                    raise UnparsableValue(f"line {lineno}: {e}") from None
         else:
             try:
                 value = float(raw)
             except ValueError:
                 raise UnparsableValue(f"line {lineno}: value {raw!r}") from None
+            if not math.isfinite(value):
+                raise UnparsableValue(f"line {lineno}: non-finite value {raw!r}")
         events.append(RawEvent(pid, t, feat, value))
     return events
 

@@ -377,28 +377,22 @@ class Model:
     # recurrent encoder/decoder
 
     def _lstm_pass(self, side: str, seq: Tensor, h0: list, c0: list):
-        """Run the stacked LSTM over (B, T, d); returns outputs and finals."""
+        """Run the stacked LSTM over (B, T, d); returns outputs and finals.
+
+        Layer by layer: one matmul projects the layer's whole input
+        sequence, one fused node runs the recurrence over it.
+        """
         d = self.config.hidden
-        T = seq.shape[1]
-        hs, cs = list(h0), list(c0)
-        outputs = []
-        for t in range(T):
-            x = seq[:, t, :]
-            for layer in range(self.config.lstm_layers):
-                z = (
-                    dc.matmul(x, self.params[f"lstm/{side}/l{layer}/x/w"])
-                    + dc.matmul(hs[layer], self.params[f"lstm/{side}/l{layer}/h/w"])
-                    + self.params[f"lstm/{side}/l{layer}/b"]
-                )
-                i_g = dc.sigmoid(z[:, 0 * d : 1 * d])
-                f_g = dc.sigmoid(z[:, 1 * d : 2 * d])
-                g_g = dc.tanh(z[:, 2 * d : 3 * d])
-                o_g = dc.sigmoid(z[:, 3 * d : 4 * d])
-                cs[layer] = dc.mul(f_g, cs[layer]) + dc.mul(i_g, g_g)
-                hs[layer] = dc.mul(o_g, dc.tanh(cs[layer]))
-                x = hs[layer]
-            outputs.append(dc.reshape(x, (x.shape[0], 1, d)))
-        return dc.concat(outputs, axis=1), hs, cs
+        x = seq
+        hs, cs = [], []
+        for layer in range(self.config.lstm_layers):
+            name = f"lstm/{side}/l{layer}"
+            xp = dc.matmul(x, self.params[f"{name}/x/w"]) + self.params[f"{name}/b"]
+            states = dc.lstm_layer(xp, h0[layer], c0[layer], self.params[f"{name}/h/w"])
+            x = states[:, :, :d]
+            hs.append(states[:, -1, :d])
+            cs.append(states[:, -1, d:])
+        return x, hs, cs
 
     def encode_decode(self, fused_past: Tensor, fused_future: Tensor, ctx_h, ctx_c):
         """LSTM over the past, state handoff into the future, gated residual.
@@ -588,19 +582,31 @@ def save_checkpoint(path, model: Model):
 def load_checkpoint(path) -> Model:
     from .schema import schema_from_dict
 
+    def read_exactly(fh, n: int, what: str) -> bytes:
+        buf = fh.read(n)
+        if len(buf) != n:
+            raise ModelError(
+                f"checkpoint {path} is truncated: {what} has {len(buf)} of {n} bytes"
+            )
+        return buf
+
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ModelError(f"not a checkpoint file: {path}")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        version, header_len = struct.unpack("<II", read_exactly(fh, 8, "the version field"))
         if version != _CKPT_VERSION:
             raise ModelError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode())
+        raw = read_exactly(fh, header_len, "the header")
+        try:
+            header = json.loads(raw.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ModelError(f"checkpoint {path} has an unreadable header: {e}") from None
         params = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])
             n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
+            buf = read_exactly(fh, 8 * n, f"tensor {entry['name']}")
             params[entry["name"]] = Tensor(
                 np.frombuffer(buf, dtype="<f8").reshape(shape).copy(), requires_grad=True
             )

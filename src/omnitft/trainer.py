@@ -101,8 +101,9 @@ def total_objective(
     ce = pen.c_embed(model.embedding_tables(), fp.category_counts, weights.eps_embed)
 
     p_hs = pen.group_distribution_past(fp.w_hist, group_matrix, weights.eps_group)
-    p_fut = pen.group_distribution_future(fp.w_fut) if fp.w_fut is not None else None
-    cg = pen.c_group(p_hs, p_fut)
+    # the future side is always (0, 1, 0), entropy exactly 0: c_group's
+    # (h_past + 0) * 0.5 equals h_past * 0.5 bit for bit, so skip it
+    cg = pen.c_group(p_hs, None)
 
     if H >= 2:
         retro = pen.retro_mass(fp.abar, model.config.retro_window)
@@ -198,11 +199,12 @@ def evaluate_quantile_loss(model: Model, windows: list, batch_size: int = 256) -
     if not windows:
         return float("nan")
     total, n = 0.0, 0
-    for batch in _batches(windows, batch_size):
-        fp = model.forward(batch, rng=None)
-        lq = quantile_loss(fp.quantiles, batch.fut_target, model.config.quantiles)
-        total += float(lq.data) * batch.size
-        n += batch.size
+    with dc.no_grad():
+        for batch in _batches(windows, batch_size):
+            fp = model.forward(batch, rng=None)
+            lq = quantile_loss(fp.quantiles, batch.fut_target, model.config.quantiles)
+            total += float(lq.data) * batch.size
+            n += batch.size
     return total / n
 
 
@@ -255,10 +257,11 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
     # epoch 0: evaluation only, the pre-training baseline
     base_batches, single0 = _epoch_batches(pools, -1, config)
     rows = []
-    for batch in base_batches:
-        fp = model.forward(batch, rng=None)
-        _, br = total_objective(model, fp, batch, config.weights, gmat)
-        rows.append(br.as_row())
+    with dc.no_grad():
+        for batch in base_batches:
+            fp = model.forward(batch, rng=None)
+            _, br = total_objective(model, fp, batch, config.weights, gmat)
+            rows.append(br.as_row())
     base = np.mean(rows, axis=0)
     val0 = evaluate_quantile_loss(model, val_windows)
     history.append(

@@ -212,6 +212,35 @@ def test_eval_schema_mismatch_exits_2(synth_dir, tmp_path, capsys):
     assert "schema" in capsys.readouterr().err.lower()
 
 
+def test_train_non_finite_value_exits_2(synth_dir, tmp_path, capsys):
+    data = tmp_path / "nan_data"
+    data.mkdir()
+    lines = (synth_dir / "data.csv").read_text().splitlines()
+    pid, time_h, feature, _ = lines[5].split(",")
+    lines[5] = ",".join([pid, time_h, feature, "nan"])
+    (data / "data.csv").write_text("\n".join(lines) + "\n")
+    code = run(["train", "--data", str(data), "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "line 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["version", "truncated"])
+def test_eval_bad_checkpoint_exits_2(synth_dir, trained_dir, tmp_path, capsys, damage):
+    raw = bytearray((trained_dir / "checkpoint.bin").read_bytes())
+    if damage == "version":
+        raw[8:12] = (7).to_bytes(4, "little")
+    else:
+        raw = raw[: len(raw) // 2]
+    ckpt = tmp_path / "damaged.bin"
+    ckpt.write_bytes(bytes(raw))
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+                "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("version 7" if damage == "version" else "truncated") in err
+
+
 def test_label_threshold_counts(synth_dir, tmp_path):
     out = tmp_path / "lab"
     code = run(["label", "--data", str(synth_dir), "--schema",

@@ -201,3 +201,138 @@ def test_masked_fill_blocks_gradient():
 def test_float32_inference_mode():
     x = Tensor(np.ones(3), dtype=np.float32)
     assert dc.tanh(x).data.dtype == np.float32
+
+
+def _reference_lstm(xp, h0, c0, w_h):
+    """The fused layer's maths, step by step from the primitives above."""
+    d = h0.shape[-1]
+    h, c, steps = h0, c0, []
+    for t in range(xp.shape[1]):
+        z = xp[:, t, :] + dc.matmul(h, w_h)
+        i_g = dc.sigmoid(z[:, 0 * d : 1 * d])
+        f_g = dc.sigmoid(z[:, 1 * d : 2 * d])
+        g_g = dc.tanh(z[:, 2 * d : 3 * d])
+        o_g = dc.sigmoid(z[:, 3 * d : 4 * d])
+        c = dc.mul(f_g, c) + dc.mul(i_g, g_g)
+        h = dc.mul(o_g, dc.tanh(c))
+        steps.append(dc.reshape(dc.concat([h, c], axis=-1), (h.shape[0], 1, 2 * d)))
+    return dc.concat(steps, axis=1)
+
+
+def _lstm_inputs(rng, B=3, T=4, d=5):
+    return [
+        rng.normal(size=(B, T, 4 * d)),
+        rng.normal(size=(B, d)) * 0.5,
+        rng.normal(size=(B, d)) * 0.5,
+        rng.normal(size=(d, 4 * d)) * 0.5,
+    ]
+
+
+def test_lstm_layer_matches_stepwise_reference():
+    rng = np.random.default_rng(21)
+    arrays = _lstm_inputs(rng)
+    proj = rng.normal(size=(3, 4, 10))
+    fused = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    ref = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out_f = dc.lstm_layer(*fused)
+    out_r = _reference_lstm(*ref)
+    np.testing.assert_allclose(out_f.data, out_r.data, rtol=1e-12, atol=1e-14)
+    dc.backward(dc.reduce_sum(dc.mul(out_f, Tensor(proj))))
+    dc.backward(dc.reduce_sum(dc.mul(out_r, Tensor(proj))))
+    for a, b in zip(fused, ref):
+        np.testing.assert_allclose(a.grad, b.grad, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("which", ["xp", "h0", "c0", "w_h"])
+def test_lstm_layer_grad_check(which):
+    rng = np.random.default_rng(22)
+    arrays = _lstm_inputs(rng, B=2, T=3, d=4)
+    proj = Tensor(rng.normal(size=(2, 3, 8)))
+    pos = ["xp", "h0", "c0", "w_h"].index(which)
+
+    def f(x):
+        args = [Tensor(a) for a in arrays]
+        args[pos] = x
+        return dc.reduce_sum(dc.mul(dc.lstm_layer(*args), proj))
+
+    assert dc.grad_check(f, Tensor(arrays[pos].copy(), requires_grad=True)) < 1e-6
+
+
+def test_lstm_layer_shape_mismatch():
+    xp, h0, c0, w_h = (Tensor(a) for a in _lstm_inputs(np.random.default_rng(23)))
+    with pytest.raises(dc.ShapeMismatch):
+        dc.lstm_layer(xp, h0, c0, Tensor(np.ones((5, 12))))
+    with pytest.raises(dc.ShapeMismatch):
+        dc.lstm_layer(xp[:, :, :18], h0, c0, w_h)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5)], ids=["BTk", "BHTk"])
+def test_matmul_shared_weight_folded_grad_check(shape):
+    rng = np.random.default_rng(24)
+    a0 = rng.normal(size=shape)
+    w0 = rng.normal(size=(5, 3))
+    proj = Tensor(rng.normal(size=shape[:-1] + (3,)))
+    f = lambda x: dc.reduce_sum(dc.mul(dc.matmul(x, Tensor(w0)), proj))  # noqa: E731
+    g = lambda w: dc.reduce_sum(dc.mul(dc.matmul(Tensor(a0), w), proj))  # noqa: E731
+    assert dc.grad_check(f, Tensor(a0.copy(), requires_grad=True)) < 1e-6
+    assert dc.grad_check(g, Tensor(w0.copy(), requires_grad=True)) < 1e-6
+
+
+def test_aliased_operands_accumulate():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    dc.backward(dc.reduce_sum(x + x))
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    y = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    dc.backward(dc.reduce_sum(y * y))
+    np.testing.assert_array_equal(y.grad, [2.0, -4.0, 6.0])
+
+
+@pytest.mark.parametrize("add_first", [True, False])
+def test_pass_through_gradient_not_shared_between_parents(add_first):
+    # add hands one array to both operands; a later += into x must not leak into y
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = Tensor(np.ones(3), requires_grad=True)
+    terms = [dc.reduce_sum(x + y), dc.reduce_sum(dc.mul(x, 3.0))]
+    if not add_first:
+        terms.reverse()
+    dc.backward(terms[0] + terms[1])
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+    np.testing.assert_array_equal(y.grad, [1.0, 1.0, 1.0])
+
+
+def test_basic_index_grad_matches_scatter_add():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    dc.backward(dc.reduce_sum(dc.square(x[:, -1, 1:3])))
+    expect = np.zeros((2, 3, 4))
+    np.add.at(expect, (slice(None), -1, slice(1, 3)), 2.0 * x.data[:, -1, 1:3])
+    np.testing.assert_array_equal(x.grad, expect)
+
+
+def test_no_grad_records_nothing():
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    with dc.no_grad():
+        out = dc.tanh(dc.matmul(Tensor(np.ones((4, 3))), w))
+    assert out._parents == () and out._vjp is None and not out.requires_grad
+    built = dc.tanh(dc.matmul(Tensor(np.ones((4, 3))), w))
+    assert built.requires_grad and built._parents
+
+
+def test_no_grad_restores_mode_when_body_raises():
+    w = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with dc.no_grad():
+            raise RuntimeError("boom")
+    assert dc.square(w).requires_grad
+    with dc.no_grad():
+        with dc.no_grad():
+            pass
+        assert not dc.square(w).requires_grad
+
+
+def test_no_grad_loss_leaves_parameters_untouched():
+    params = [Tensor(np.full((2, 2), 0.5), requires_grad=True),
+              Tensor(np.zeros(2), requires_grad=True)]
+    with dc.no_grad():
+        loss = dc.reduce_sum(dc.matmul(Tensor(np.ones((3, 2))), params[0]) + params[1])
+    dc.backward(loss)
+    assert all(p.grad is None for p in params)

@@ -77,6 +77,17 @@ def test_parse_unparsable_value():
         parse_events(io.StringIO("patient_id,time_h,feature,value\np1,0,hr,high\n"), schema)
 
 
+@pytest.mark.parametrize(
+    "row", ["p1,0,hr,nan", "p1,0,hr,inf", "p1,0,hr,-inf", "p1,nan,hr,88", "p1,inf,hr,88",
+            "p1,0,race,nan", "p1,0,race,inf"],
+)
+def test_parse_non_finite_rejected(row):
+    schema = small_schema()
+    text = f"patient_id,time_h,feature,value\np1,0,hr,80\n{row}\n"
+    with pytest.raises(UnparsableValue, match="line 3"):
+        parse_events(io.StringIO(text), schema)
+
+
 def test_resample_bin_mean():
     schema = small_schema()
     events = [RawEvent("p1", 3 / 60, "hr", 88.0), RawEvent("p1", 7 / 60, "hr", 92.0)]

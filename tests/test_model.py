@@ -284,3 +284,29 @@ def test_checkpoint_round_trip(tmp_path, tiny_model, batch):
     assert p1.read_bytes() == p2.read_bytes()
     fp1, fp2 = tiny_model.forward(batch), m2.forward(batch)
     np.testing.assert_array_equal(fp1.quantiles.data, fp2.quantiles.data)
+
+
+def test_checkpoint_bad_magic(tmp_path):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(b"NOTACKPT" + bytes(16))
+    with pytest.raises(mod.ModelError, match="not a checkpoint"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_bad_version(tmp_path, tiny_model):
+    p = tmp_path / "v.bin"
+    save_checkpoint(p, tiny_model)
+    raw = bytearray(p.read_bytes())
+    raw[8:12] = (99).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(mod.ModelError, match="version 99"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("cut", [10, 40, -1], ids=["version", "header", "tensor"])
+def test_checkpoint_truncated(tmp_path, tiny_model, cut):
+    p = tmp_path / "t.bin"
+    save_checkpoint(p, tiny_model)
+    p.write_bytes(p.read_bytes()[:cut])
+    with pytest.raises(mod.ModelError, match="truncated"):
+        load_checkpoint(p)
