@@ -3,8 +3,7 @@
 Every command is deterministic given its inputs and seeds and writes a
 manifest.json into --out listing produced artifacts with sha256 digests.
 Exit codes: 0 success, 2 configuration or input error, 3 training diverged,
-1 unexpected failure. OMNITFT_THREADS caps per-patient parallelism during
-ingestion.
+1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ import argparse
 import csv
 import hashlib
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,14 +48,6 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def worker_count() -> int:
-    raw = os.environ.get("OMNITFT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -84,12 +75,53 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list, art
 # shared pipeline pieces
 
 
-def _parallel_map(fn, items):
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Ingest, split and volatility-cutoff settings of one training run.
+
+    `train` stores them in the checkpoint, so `eval` rebuilds the exact
+    train-time split; `label` reads them from its --delta-config file.
+    """
+
+    ratios: tuple = (7, 2, 1)  # train:val:test patient shares
+    split_seed: int = 0
+    max_gap_h: float = 6.0  # longest forward-filled gap
+    missing_threshold: float = 0.8  # patients missing more are dropped
+    delta: dict = field(default_factory=dict)  # target -> cutoff override
+
+    def __post_init__(self):
+        r, gap, miss = self.ratios, self.max_gap_h, self.missing_threshold
+        for ok, key, need in (
+            (isinstance(r, (list, tuple)) and len(r) == 3
+             and all(_is_number(v) and v >= 0 for v in r) and sum(r) > 0,
+             "ratios", "three non-negative numbers with a positive sum"),
+            (type(self.split_seed) is int and self.split_seed >= 0, "split_seed", "an integer >= 0"),
+            (_is_number(gap) and gap >= 0, "max_gap_h", "a number >= 0"),
+            (_is_number(miss) and 0 <= miss <= 1, "missing_threshold", "a number in [0, 1]"),
+            (isinstance(self.delta, dict) and all(map(_is_number, self.delta.values())),
+             "delta", "an object mapping target names to numbers"),
+        ):
+            if not ok:
+                raise CliError(f"{key} must be {need}, got {getattr(self, key)!r}")
+        object.__setattr__(self, "ratios", tuple(r))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "PipelineConfig":
+        """Read the pipeline keys of a training config; other keys are ignored."""
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+
+    def ingest(self, data_dir: Path, schema: DatasetSchema):
+        """data.csv -> (splits, data path, ingest report) under these settings."""
+        events, data_path = load_events(data_dir, schema)
+        splits, _, report = ingest.ingest_pipeline(
+            events, schema, seed=self.split_seed, ratios=self.ratios,
+            missing_threshold=self.missing_threshold, max_gap_h=self.max_gap_h,
+        )
+        return splits, data_path, report
 
 
 def load_events(data_dir: Path, schema: DatasetSchema):
@@ -141,7 +173,7 @@ def _load_train_config(path) -> dict:
 
 
 def resolve_configs(doc: dict):
-    """Split a training-config JSON into trainer/model configs and extras."""
+    """Split a training-config JSON into model, trainer and pipeline configs."""
     model_doc = dict(doc.get("model", {}))
     if "quantiles" in doc and "quantiles" not in model_doc:
         model_doc["quantiles"] = doc["quantiles"]
@@ -157,15 +189,7 @@ def resolve_configs(doc: dict):
         train_doc["weights"] = doc["weights"]
     train_doc.setdefault("quantiles", model_cfg.quantiles)
     train_cfg = trainer.train_config_from_dict(train_doc)
-    extras = {
-        "delta": doc.get("delta", {}),
-        "split_seed": int(doc.get("split_seed", 0)),
-        "ratios": tuple(doc.get("ratios", (7, 2, 1))),
-        "model_seed": int(doc.get("model_seed", 0)),
-        "max_gap_h": float(doc.get("max_gap_h", 6.0)),
-        "missing_threshold": float(doc.get("missing_threshold", 0.8)),
-    }
-    return model_cfg, train_cfg, extras
+    return model_cfg, train_cfg, PipelineConfig.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -213,48 +237,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _ingest_from_dir(data_dir: Path, schema: DatasetSchema, extras: dict):
-    events, data_path = load_events(data_dir, schema)
-    resample = lambda evs: ingest.resample_to_grid(evs, schema)  # noqa: E731
-    by_patient: dict = {}
-    for e in sorted(events, key=lambda e: (e.patient_id, e.time_h)):
-        by_patient.setdefault(e.patient_id, []).append(e)
-    resampled = _parallel_map(resample, list(by_patient.values()))
-    retained = ingest.filter_patients(resampled, schema, extras["missing_threshold"])
-    split = ingest.split_by_patient(
-        [s.patient_id for s in retained], extras["ratios"], extras["split_seed"]
-    )
-    by_id = {s.patient_id: s for s in retained}
-    stats = ingest.compute_train_stats([by_id[p] for p in split.ids("train")], schema)
-    splits = {}
-    trims = {}
-    for name in ("train", "val", "test"):
-        splits[name] = []
-        for pid in split.ids(name):
-            imp = ingest.impute(by_id[pid], schema, stats, extras["max_gap_h"])
-            splits[name].append(imp)
-            trims[pid] = imp.trimmed_steps
-    report = {
-        "n_input_patients": len(resampled),
-        "n_retained": len(retained),
-        "n_dropped": len(resampled) - len(retained),
-        "split_counts": {k: len(v) for k, v in splits.items()},
-        "medians": {k: stats.medians[k] for k in sorted(stats.medians)},
-        "trimmed_steps": trims,
-    }
-    return splits, stats, data_path, report
-
-
 def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schema = validate_schema(load_schema(args.schema))
     doc = _load_train_config(args.config)
-    model_cfg, train_cfg, extras = resolve_configs(doc)
+    model_cfg, train_cfg, pipeline = resolve_configs(doc)
+    model_seed = int(doc.get("model_seed", 0))
 
-    data_dir = Path(args.data)
-    splits, stats, data_path, ingest_report = _ingest_from_dir(data_dir, schema, extras)
-    pools, deltas = build_window_pools(splits, schema, extras["delta"])
+    splits, data_path, ingest_report = pipeline.ingest(Path(args.data), schema)
+    pools, deltas = build_window_pools(splits, schema, pipeline.delta)
 
     if args.dry_run:
         counts = {k: sum(len(v) for v in pools[k].values()) for k in pools}
@@ -262,7 +254,8 @@ def cmd_train(args) -> int:
         return EXIT_OK
 
     scalers = compute_scalers(splits["train"], schema)
-    model = Model(schema, model_cfg, seed=extras["model_seed"], scalers=scalers)
+    model = Model(schema, model_cfg, seed=model_seed, scalers=scalers,
+                  pipeline=asdict(pipeline))
     val_windows = [w for wins in pools["val"].values() for w in wins]
     result = trainer.train(model, pools["train"], val_windows, train_cfg)
 
@@ -278,7 +271,8 @@ def cmd_train(args) -> int:
                 "model": {**model_cfg.__dict__, "quantiles": list(model_cfg.quantiles)},
                 "train": trainer.train_config_to_dict(train_cfg),
                 "deltas": deltas,
-                "extras": {**extras, "ratios": list(extras["ratios"])},
+                "pipeline": asdict(pipeline),
+                "model_seed": model_seed,
             },
             fh,
             indent=2,
@@ -307,6 +301,8 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(args.checkpoint)
     schema = model.schema
+    pipeline = PipelineConfig.from_dict(model.pipeline or {})
+    lo, mid, hi = evalkit.quantile_columns(model.config.quantiles)
 
     data_dir = Path(args.data)
     schema_path = data_dir / "schema.json"
@@ -315,14 +311,8 @@ def cmd_eval(args) -> int:
         if disk != schema_to_dict(schema):
             raise SchemaMismatch("checkpoint schema differs from the data directory schema")
 
-    extras = {
-        "ratios": (7, 2, 1),
-        "split_seed": args.split_seed,
-        "max_gap_h": 6.0,
-        "missing_threshold": 0.8,
-    }
-    splits, _, data_path, _ = _ingest_from_dir(data_dir, schema, extras)
-    pools, _ = build_window_pools(splits, schema, {})
+    splits, data_path, _ = pipeline.ingest(data_dir, schema)
+    pools, _ = build_window_pools(splits, schema, pipeline.delta)
     eval_pools = pools[args.split]
 
     reports = []
@@ -342,11 +332,11 @@ def cmd_eval(args) -> int:
                 b = fp.bundle(j, model.config)
                 bundles.append(b)
                 q = b.quantiles_sorted
-                p10.extend(q[:, 0])
-                p50.extend(q[:, 1])
-                p90.extend(q[:, 2])
+                p10.extend(q[:, lo])
+                p50.extend(q[:, mid])
+                p90.extend(q[:, hi])
                 actual.extend(w.fut_target)
-                maes.append(evalkit.mae(q[:, 1], w.fut_target))
+                maes.append(evalkit.mae(q[:, mid], w.fut_target))
         reports.append(evalkit.compute_report(t_spec.name, p10, p50, p90, actual))
 
         table = evalkit.aggregate_importance(
@@ -362,7 +352,7 @@ def cmd_eval(args) -> int:
         w = windows[typical]
         tgt_col = [f.name for f in schema.past_features].index(t_spec.name)
         rows = evalkit.export_trajectories(
-            bundles[typical], w.enc_past[:, tgt_col], w.fut_target
+            bundles[typical], w.enc_past[:, tgt_col], w.fut_target, model.config.quantiles
         )
         traj_path = out / f"trajectory_{t_spec.name}.csv"
         with open(traj_path, "w", newline="") as fh:
@@ -379,7 +369,7 @@ def cmd_eval(args) -> int:
     _write_manifest(
         out,
         "eval",
-        {"checkpoint": str(args.checkpoint), "split": args.split, "split_seed": args.split_seed},
+        {"checkpoint": str(args.checkpoint), "split": args.split, "pipeline": asdict(pipeline)},
         inputs=[data_path, Path(args.checkpoint)],
         artifacts=[metrics_path, table_path] + artifacts,
     )
@@ -415,19 +405,10 @@ def cmd_label(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schema = validate_schema(load_schema(args.schema))
-    overrides = {}
-    if args.delta_config:
-        with open(args.delta_config) as fh:
-            overrides = json.load(fh).get("delta", {})
-    extras = {
-        "ratios": (7, 2, 1),
-        "split_seed": args.split_seed,
-        "max_gap_h": 6.0,
-        "missing_threshold": 0.8,
-    }
+    pipeline = PipelineConfig.from_dict(_load_train_config(args.delta_config))
     data_dir = Path(args.data)
-    splits, _, data_path, _ = _ingest_from_dir(data_dir, schema, extras)
-    pools, deltas = build_window_pools(splits, schema, overrides)
+    splits, data_path, _ = pipeline.ingest(data_dir, schema)
+    pools, deltas = build_window_pools(splits, schema, pipeline.delta)
 
     all_series = {s.patient_id: s for name in splits for s in splits[name]}
     hmm_steps: dict = {}
@@ -534,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--data", required=True)
     ep.add_argument("--out", required=True)
     ep.add_argument("--split", default="test", choices=["train", "val", "test"])
-    ep.add_argument("--split-seed", type=int, default=0)
     ep.set_defaults(func=cmd_eval)
 
     lp = sub.add_parser("label", help="emit per-window regime labels")
@@ -543,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--method", default="threshold", choices=["threshold", "hmm"])
     lp.add_argument("--delta-config", default=None)
     lp.add_argument("--out", required=True)
-    lp.add_argument("--split-seed", type=int, default=0)
     lp.set_defaults(func=cmd_label)
     return ap
 
@@ -565,6 +544,7 @@ def main(argv=None) -> int:
             sampler.SamplerError,
             labeler.LabelerError,
             trainer.TrainerError,
+            evalkit.EvalError,
             ModelError,
         )
         if isinstance(e, known):

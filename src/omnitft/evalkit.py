@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _NEAR_ZERO = 1e-8
+REPORTED_LEVELS = (0.1, 0.5, 0.9)  # the P10/P50/P90 tracks every report names
 
 
 class EvalError(Exception):
@@ -263,14 +264,24 @@ def select_typical_window(maes) -> int:
     return int(np.argmin(np.abs(maes - maes.mean())))
 
 
-def export_trajectories(bundle, history, actual_future) -> list:
+def quantile_columns(levels) -> tuple:
+    """Columns of the P10, P50 and P90 tracks in a strictly increasing level set."""
+    levels = list(levels)
+    missing = [q for q in REPORTED_LEVELS if q not in levels]
+    if missing:
+        raise EvalError(f"quantile set {levels} lacks the reported level(s) {missing}")
+    return tuple(levels.index(q) for q in REPORTED_LEVELS)
+
+
+def export_trajectories(bundle, history, actual_future, levels=REPORTED_LEVELS) -> list:
     """Plot-ready rows: encoder history then forecast vs actual future.
 
     Steps run -E+1..0 for history and 1..H for the horizon; quantile
-    columns use the sorted non-crossing view.
+    columns use the sorted non-crossing view, picked by level.
     """
     history = np.asarray(history, dtype=np.float64).ravel()
     actual_future = np.asarray(actual_future, dtype=np.float64).ravel()
+    lo, mid, hi = quantile_columns(levels)
     q = np.asarray(bundle.quantiles_sorted)
     E, H = history.size, actual_future.size
     rows = []
@@ -282,7 +293,7 @@ def export_trajectories(bundle, history, actual_future) -> list:
     for i in range(H):
         rows.append(
             {"t": i + 1, "history": "", "actual_future": float(actual_future[i]),
-             "p10": float(q[i, 0]), "p50": float(q[i, 1]), "p90": float(q[i, 2])}
+             "p10": float(q[i, lo]), "p50": float(q[i, mid]), "p90": float(q[i, hi])}
         )
     return rows
 

@@ -509,8 +509,10 @@ def ingest_pipeline(
 ):
     """events -> resample -> filter -> split -> impute (train-split medians).
 
-    Returns (splits, stats, report) where splits maps split name to a list of
-    imputed PatientSeries and report carries counts and trim statistics.
+    The one ingest path: train, eval and label all call it with the settings
+    of the run's `cli.PipelineConfig`, so they see the same split. Returns
+    (splits, stats, report): split name -> imputed PatientSeries list, the
+    train-split fallbacks, and counts plus trim statistics.
     """
     by_patient: dict = {}
     for e in sorted(events, key=lambda e: (e.patient_id, e.time_h)):

@@ -108,7 +108,7 @@ class SelectionWeights:
 
 @dataclass
 class ForecastBundle:
-    quantiles: np.ndarray  # (H, 3) raw P10/P50/P90 trajectory
+    quantiles: np.ndarray  # (H, n_q) raw trajectory, one column per level
     attention: np.ndarray  # (T, T) head-averaged causal surface
     selection: SelectionWeights
     decoder_states: np.ndarray  # (H, d)
@@ -178,10 +178,13 @@ class Model:
     """
 
     def __init__(self, schema: DatasetSchema, config: ModelConfig, seed: int = 0,
-                 params: dict | None = None, scalers: dict | None = None):
+                 params: dict | None = None, scalers: dict | None = None,
+                 pipeline: dict | None = None):
         self.schema = schema
         self.config = config
         self.scalers = dict(scalers) if scalers else {}
+        # the training run's `cli.PipelineConfig` as a dict; None: the defaults
+        self.pipeline = pipeline
         self.past_specs = schema.past_features
         self.future_specs = schema.future_features
         self.static_specs = schema.static_features
@@ -570,6 +573,8 @@ def save_checkpoint(path, model: Model):
         "scalers": {k: list(v) for k, v in sorted(model.scalers.items())},
         "tensors": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
     }
+    if model.pipeline is not None:
+        header["pipeline"] = model.pipeline
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -615,4 +620,5 @@ def load_checkpoint(path) -> Model:
     config = ModelConfig(**cfg)
     schema = schema_from_dict(header["schema"])
     scalers = {k: tuple(v) for k, v in header.get("scalers", {}).items()}
-    return Model(schema, config, params=params, scalers=scalers)
+    return Model(schema, config, params=params, scalers=scalers,
+                 pipeline=header.get("pipeline"))

@@ -1,13 +1,17 @@
 import json
 import csv
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omnitft import cli
-from omnitft.cli import main, resolve_configs
-from omnitft.ingest import synthetic_schema
-from omnitft.model import Model, ModelConfig, save_checkpoint
+from omnitft.cli import PipelineConfig, main, resolve_configs
+from omnitft.ingest import read_split_grids, synthetic_schema
+from omnitft.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from omnitft.schema import load_schema
 
 
@@ -84,6 +88,28 @@ def test_train_dry_run(synth_dir, tmp_path):
         "--out", str(tmp_path / "run"), "--dry-run",
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ratios", [7, 3]),
+    ("ratios", [0, 0, 0]),
+    ("ratios", [7, -1, 1]),
+    ("ratios", "721"),
+    ("split_seed", -1),
+    ("max_gap_h", -0.5),
+    ("missing_threshold", 1.5),
+    ("missing_threshold", -0.1),
+    ("delta", {"y": "high"}),
+])
+def test_train_bad_pipeline_setting_exits_2(synth_dir, tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    code = run([
+        "train", "--data", str(synth_dir), "--schema", str(synth_dir / "schema.json"),
+        "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--dry-run",
+    ])
+    assert code == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +189,8 @@ def test_eval_deterministic(synth_dir, trained_dir, tmp_path):
     assert (outs[0] / "metrics.json").read_bytes() == (outs[1] / "metrics.json").read_bytes()
 
 
-def test_eval_perfect_oracle_stub_zero_mae(tmp_path):
-    # constant-target data plus a zeroed model whose head bias hits it
-    out = tmp_path / "flat"
+def _flat_cohort(out):
+    """Twelve patients whose target is the constant 42."""
     schema = synthetic_schema(encoder_len=4, horizon_len=2)
     from omnitft.ingest import PatientSeries, write_events_csv
     from omnitft.schema import save_schema
@@ -184,21 +209,52 @@ def test_eval_perfect_oracle_stub_zero_mae(tmp_path):
     out.mkdir()
     write_events_csv(out / "data.csv", series, schema)
     save_schema(schema, out / "schema.json")
+    return schema
 
-    model = Model(schema, ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0), seed=0)
+
+def _oracle_eval(tmp_path, quantiles, head_bias):
+    """Eval a zeroed model, whose outputs are its head bias, on the flat cohort."""
+    data = tmp_path / "flat"
+    schema = _flat_cohort(data)
+    cfg = ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0, quantiles=quantiles)
+    model = Model(schema, cfg, seed=0)
     for p in model.params.values():
         p.data[:] = 0.0
-    model.params["head/b"].data[:] = 42.0
+    model.params["head/b"].data[:] = head_bias
     ckpt = tmp_path / "oracle.bin"
     save_checkpoint(ckpt, model)
-
     eval_out = tmp_path / "oracle_eval"
-    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(out),
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                 "--out", str(eval_out)])
+    return code, eval_out
+
+
+def test_eval_perfect_oracle_stub_zero_mae(tmp_path):
+    # constant-target data plus a zeroed model whose head bias hits it
+    code, eval_out = _oracle_eval(tmp_path, (0.1, 0.5, 0.9), 42.0)
     assert code == 0
     report = read_json(eval_out / "metrics.json")[0]
     assert report["mae"] == 0.0
     assert "0.00 (0.00)" in (eval_out / "metrics.txt").read_text()
+
+
+def test_eval_picks_quantile_columns_by_level(tmp_path):
+    # only the 0.5 column hits the target; 0.1 and 0.9 sit at 41 and 43
+    code, eval_out = _oracle_eval(
+        tmp_path, (0.05, 0.1, 0.5, 0.9, 0.95), np.array([40.0, 41.0, 42.0, 43.0, 44.0])
+    )
+    assert code == 0
+    report = read_json(eval_out / "metrics.json")[0]
+    assert report["mae"] == 0.0
+    assert report["p10_coverage"] == 0.0 and report["p90_coverage"] == 1.0
+    traj = [r for r in csv.DictReader(open(eval_out / "trajectory_y.csv")) if r["p50"]]
+    assert {(r["p10"], r["p50"], r["p90"]) for r in traj} == {("41.0", "42.0", "43.0")}
+
+
+def test_eval_quantile_set_without_reported_levels_exits_2(tmp_path, capsys):
+    code, _ = _oracle_eval(tmp_path, (0.05, 0.25, 0.5, 0.75, 0.95), 42.0)
+    assert code == 2
+    assert "[0.1, 0.9]" in capsys.readouterr().err
 
 
 def test_eval_schema_mismatch_exits_2(synth_dir, tmp_path, capsys):
@@ -277,10 +333,120 @@ def test_label_delta_override_honored(synth_dir, tmp_path):
     assert summary["deltas"]["y"] == 1e9
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("OMNITFT_THREADS", "4")
-    assert cli.worker_count() == 4
-    monkeypatch.setenv("OMNITFT_THREADS", "junk")
-    assert cli.worker_count() == 1
-    monkeypatch.delenv("OMNITFT_THREADS")
-    assert cli.worker_count() == 1
+# -- one pipeline config: eval and label reuse the train-time split -----------
+
+
+@pytest.fixture(scope="module")
+def resplit_dir(synth_dir, tmp_path_factory):
+    """A run trained on a non-default split; 14 patients give 8/4/2, not 11/2/1."""
+    out = tmp_path_factory.mktemp("resplit")
+    cfg = {
+        "lr": 3e-3, "batch": 32, "max_epochs": 1, "patience": 1, "seed": 0,
+        "ratios": [5, 3, 2], "split_seed": 4,
+        "model": {"hidden": 8, "heads": 2, "blocks": 1, "dropout": 0.0},
+    }
+    (out / "config.json").write_text(json.dumps(cfg))
+    code = run([
+        "train", "--data", str(synth_dir), "--schema", str(synth_dir / "schema.json"),
+        "--config", str(out / "config.json"), "--out", str(out),
+    ])
+    assert code == 0
+    return out
+
+
+def _test_split_points(run_dir, schema):
+    """Windows x horizon of the test grid the run wrote at train time."""
+    test = {"test": read_split_grids(run_dir, schema)["test"]}
+    pools, _ = cli.build_window_pools(test, schema, {})
+    return sum(len(w) for w in pools["test"].values()) * schema.horizon_len
+
+
+def test_eval_reuses_train_time_split(synth_dir, resplit_dir, tmp_path):
+    schema = load_schema(synth_dir / "schema.json")
+    assert len(read_split_grids(resplit_dir, schema)["test"]) == 2
+    code = run(["eval", "--checkpoint", str(resplit_dir / "checkpoint.bin"),
+                "--data", str(synth_dir), "--out", str(tmp_path / "e"), "--split", "test"])
+    assert code == 0
+    report = read_json(tmp_path / "e" / "metrics.json")[0]
+    assert report["n_points"] == _test_split_points(resplit_dir, schema)
+
+
+def test_label_with_training_config_reuses_cutoffs(synth_dir, resplit_dir, tmp_path):
+    out = tmp_path / "lab"
+    code = run(["label", "--data", str(synth_dir), "--schema",
+                str(synth_dir / "schema.json"), "--delta-config",
+                str(resplit_dir / "config.json"), "--out", str(out)])
+    assert code == 0
+    resolved = read_json(resplit_dir / "resolved_config.json")
+    assert read_json(out / "label_summary.json")["deltas"] == resolved["deltas"]
+
+
+def test_checkpoint_without_pipeline_evaluates_with_defaults(
+    synth_dir, trained_dir, resplit_dir, tmp_path
+):
+    model = load_checkpoint(resplit_dir / "checkpoint.bin")
+    assert model.pipeline["ratios"] == [5, 3, 2]
+    model.pipeline = None
+    ckpt = tmp_path / "no_pipeline.bin"
+    save_checkpoint(ckpt, model)
+    assert b'"pipeline"' not in ckpt.read_bytes()
+    assert load_checkpoint(ckpt).pipeline is None
+
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+                "--out", str(tmp_path / "e"), "--split", "test"])
+    assert code == 0
+    # trained_dir ran on the default config, so its grids hold the default split
+    report = read_json(tmp_path / "e" / "metrics.json")[0]
+    assert report["n_points"] == _test_split_points(trained_dir, model.schema)
+    assert report["n_points"] != _test_split_points(resplit_dir, model.schema)
+
+
+def test_pipeline_config_defaults_match_a_config_without_keys():
+    assert resolve_configs({})[2] == PipelineConfig()
+    assert PipelineConfig() == PipelineConfig(ratios=(7, 2, 1), split_seed=0, max_gap_h=6.0,
+                                              missing_threshold=0.8, delta={})
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _model_configs(draw):
+    hidden = draw(st.integers(1, 6))
+    levels = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5, unique=True))
+    return ModelConfig(
+        hidden=hidden, heads=draw(st.integers(1, hidden)), blocks=draw(st.integers(1, 2)),
+        dropout=draw(st.floats(0.0, 0.9)), quantiles=tuple(sorted(levels)),
+        lstm_layers=draw(st.integers(1, 2)), retro_window=draw(st.integers(1, 4)),
+        use_raw_decoder_state=draw(st.booleans()),
+    )
+
+
+_pipelines = st.builds(
+    PipelineConfig,
+    ratios=st.lists(st.integers(0, 9) | st.floats(0.0, 9.0), min_size=3, max_size=3).filter(
+        lambda r: sum(r) > 0
+    ),
+    split_seed=st.integers(0, 2**32 - 1),
+    max_gap_h=st.floats(0.0, 48.0),
+    missing_threshold=st.floats(0.0, 1.0),
+    delta=st.dictionaries(st.text(max_size=4), _finite, max_size=2),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_model_configs(), pipeline=_pipelines, seed=st.integers(0, 2**16))
+def test_checkpoint_round_trip_keeps_config_and_pipeline(config, pipeline, seed):
+    schema = synthetic_schema(encoder_len=3, horizon_len=2, site_vocab=3)
+    model = Model(schema, config, seed=seed, pipeline=asdict(pipeline))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.bin"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path)
+        save_checkpoint(Path(tmp) / "again.bin", loaded)
+        assert (Path(tmp) / "again.bin").read_bytes() == path.read_bytes()
+    assert loaded.config == config
+    assert PipelineConfig.from_dict(loaded.pipeline) == pipeline
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data)
