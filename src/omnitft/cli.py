@@ -31,6 +31,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
+from .penalties import PenaltyError, PenaltyWeights
 from .schema import DatasetSchema, load_schema, save_schema, schema_to_dict, validate_schema
 
 
@@ -169,24 +170,53 @@ def _load_train_config(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: the config must be a JSON object, got a {type(doc).__name__}")
+    return doc
+
+
+def _checked(cls, doc, prefix: str = "") -> dict:
+    """A copy of `doc` whose keys are fields of dataclass `cls` and whose
+    values have the type of each field's default; else exit 2 naming the key."""
+    if not isinstance(doc, dict):
+        raise CliError(f"{prefix[:-1]} must be a JSON object, got {doc!r}")
+    defaults, names = cls(), {f.name for f in fields(cls)}
+    for key, value in doc.items():
+        if key not in names:
+            raise CliError(f"unknown config key '{prefix}{key}'")
+        want = getattr(defaults, key)
+        if isinstance(want, bool):
+            ok, need = isinstance(value, bool), "true or false"
+        elif isinstance(want, int):
+            ok, need = type(value) is int, "an integer"
+        elif isinstance(want, float):
+            ok, need = _is_number(value), "a number"
+        elif isinstance(want, tuple):
+            ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+            need = "a list of numbers"
+        else:  # a nested section
+            ok, need = isinstance(value, dict), "an object"
+        if not ok:
+            raise CliError(f"{prefix}{key} must be {need}, got {value!r}")
+    return dict(doc)
 
 
 def resolve_configs(doc: dict):
     """Split a training-config JSON into model, trainer and pipeline configs."""
-    model_doc = dict(doc.get("model", {}))
+    model_doc = _checked(ModelConfig, doc.get("model", {}), "model.")
     if "quantiles" in doc and "quantiles" not in model_doc:
         model_doc["quantiles"] = doc["quantiles"]
     if "quantiles" in model_doc:
         model_doc["quantiles"] = tuple(model_doc["quantiles"])
-    model_cfg = ModelConfig(**model_doc)
-    train_doc = {
+    train_doc = _checked(trainer.TrainConfig, {
         k: doc[k]
-        for k in ("lr", "batch", "clip", "max_epochs", "patience", "seed", "quantiles")
+        for k in ("lr", "batch", "clip", "max_epochs", "patience", "seed", "quantiles", "weights")
         if k in doc
-    }
-    if "weights" in doc:
-        train_doc["weights"] = doc["weights"]
+    })
+    if "weights" in train_doc:
+        train_doc["weights"] = _checked(PenaltyWeights, train_doc["weights"], "weights.")
+    model_cfg = ModelConfig(**model_doc)  # after the checks: it reads the top-level quantiles
     train_doc.setdefault("quantiles", model_cfg.quantiles)
     train_cfg = trainer.train_config_from_dict(train_doc)
     return model_cfg, train_cfg, PipelineConfig.from_dict(doc)
@@ -243,7 +273,9 @@ def cmd_train(args) -> int:
     schema = validate_schema(load_schema(args.schema))
     doc = _load_train_config(args.config)
     model_cfg, train_cfg, pipeline = resolve_configs(doc)
-    model_seed = int(doc.get("model_seed", 0))
+    model_seed = doc.get("model_seed", 0)
+    if type(model_seed) is not int or model_seed < 0:
+        raise CliError(f"model_seed must be an integer >= 0, got {model_seed!r}")
 
     splits, data_path, ingest_report = pipeline.ingest(Path(args.data), schema)
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
@@ -546,6 +578,7 @@ def main(argv=None) -> int:
             trainer.TrainerError,
             evalkit.EvalError,
             ModelError,
+            PenaltyError,
         )
         if isinstance(e, known):
             print(f"error: {e}", file=sys.stderr)

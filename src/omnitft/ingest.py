@@ -1,11 +1,14 @@
 """Ingestion: long-format events to imputed per-patient grids, plus splits.
 
-The pipeline is resample -> filter -> split -> impute. Bin aggregation uses
-the mean for continuous features and the mode for categoricals. Imputation
-forward-fills temporal features across gaps of at most `max_gap_h` hours and
-falls back to the training-split median (mode for categoricals) beyond that;
-statics always take the median/mode fallback. Leading steps are trimmed up
-to the first step at which every feature is observed or median-fillable.
+The pipeline is resample -> filter -> split -> impute, each step a whole-array
+operation on one patient's (steps x features) grid. Resampling scatters the
+events onto the grid in one pass; bins take the mean for continuous features
+and the mode for categoricals. Imputation forward-fills temporal features
+across gaps of at most `max_gap_h` hours and falls back to the training-split
+median (mode for categoricals) beyond that. A static takes the patient's own
+first observation, and the fallback only when the patient never recorded it.
+Leading steps are trimmed up to the first step at which every feature is
+observed or median-fillable; the fill reads the whole untrimmed series.
 
 A regime-switching synthetic generator is included so the whole pipeline is
 testable without any clinical data source.
@@ -139,40 +142,46 @@ def parse_events(csv_stream, schema: DatasetSchema) -> list:
     return events
 
 
-def _bin_mode(values: list) -> float:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))  # tie -> smallest value
-    return best[0]
+def _bin_mode(values: np.ndarray, cells: np.ndarray):
+    """Mode of `values` within each cell id: (cells, modes), ties to the smallest.
+
+    `np.unique` sorts each cell's distinct values; ordering them by count
+    (descending) then value keeps the most frequent, smallest value first.
+    """
+    (cell, value), counts = np.unique(np.stack([cells, values]), axis=1, return_counts=True)
+    order = np.lexsort((value, -counts, cell))
+    first = np.flatnonzero(np.diff(cell[order], prepend=-1))
+    return cell[order][first].astype(np.int64), value[order][first]
 
 
 def resample_to_grid(events: list, schema: DatasetSchema) -> PatientSeries:
     """Bin one patient's events onto the schema grid (pre-imputation).
 
-    Continuous features take the bin mean, categoricals the bin mode; empty
-    bins stay masked out.
+    Each event lands in cell (step, feature) in one scatter: continuous cells
+    take the bin mean (bincount sums over counts), categoricals the bin mode;
+    empty bins stay masked out.
     """
     if not events:
         raise EmptyPatient("no events for patient")
     pid = events[0].patient_id
     step_h = schema.grid_step_min / 60.0
-    t_max = max(e.time_h for e in events)
-    n = int(math.floor(t_max / step_h)) + 1
+    col_of = {f.name: j for j, f in enumerate(schema.features)}
+    times, cols, vals = np.array([(e.time_h, col_of[e.feature], e.value) for e in events]).T
+    cols = cols.astype(np.int64)
+    # step index; the tolerance keeps a grid time t * step_h in step t
+    steps = np.floor(times / step_h + 1e-9).astype(np.int64)
+    n, n_feat = int(steps.max()) + 1, len(schema.features)
 
-    cols = {f.name: i for i, f in enumerate(schema.features)}
-    buckets: dict = {}
-    for e in events:
-        b = min(int(e.time_h // step_h), n - 1)
-        buckets.setdefault((b, cols[e.feature]), []).append(e.value)
-
-    values = np.zeros((n, len(schema.features)))
-    mask = np.zeros((n, len(schema.features)), dtype=bool)
-    for (b, j), vals in buckets.items():
-        spec = schema.features[j]
-        values[b, j] = _bin_mode(vals) if spec.is_categorical else float(np.mean(vals))
-        mask[b, j] = True
-    return PatientSeries(pid, values, mask)
+    cells = steps * n_feat + cols
+    counts = np.bincount(cells, minlength=n * n_feat)
+    mask = counts > 0
+    values = np.zeros(n * n_feat)
+    values[mask] = np.bincount(cells, weights=vals, minlength=n * n_feat)[mask] / counts[mask]
+    cat = np.array([f.is_categorical for f in schema.features])[cols]
+    if cat.any():
+        cat_cells, modes = _bin_mode(vals[cat], cells[cat])
+        values[cat_cells] = modes
+    return PatientSeries(pid, values.reshape(n, n_feat), mask.reshape(n, n_feat))
 
 
 def compute_train_stats(series_list: list, schema: DatasetSchema) -> TrainStats:
@@ -185,7 +194,7 @@ def compute_train_stats(series_list: list, schema: DatasetSchema) -> TrainStats:
         if pool.size == 0:
             continue
         if spec.is_categorical:
-            stats.medians[spec.name] = _bin_mode(list(pool))
+            stats.medians[spec.name] = float(_bin_mode(pool, np.zeros(pool.size))[1][0])
         else:
             stats.medians[spec.name] = float(np.median(pool))
     return stats
@@ -197,51 +206,38 @@ def impute(
     stats: TrainStats,
     max_gap_h: float = 6.0,
 ) -> PatientSeries:
-    """Fill a resampled series; observed cells keep their values bit-exactly."""
+    """Fill a resampled series; observed cells keep their values bit-exactly.
+
+    Every unobserved cell copies the value at a reference step of its own
+    column: the last observed step for temporal features (if at most
+    `max_gap_h` back), the first observed step for statics. Cells without
+    one take the training fallback. The whole series is filled first, then
+    the leading steps before every fallback-less feature has been observed
+    are trimmed.
+    """
     step_h = schema.grid_step_min / 60.0
     max_steps = int(math.floor(max_gap_h / step_h + 1e-9))
-    n = series.n_steps
-    values = series.values.copy()
-    mask = series.mask.copy()
+    values, mask = series.values, series.mask
+    names = [f.name for f in schema.features]
+    fallback = [stats.fallback(name) for name in names]
+    has_fallback = np.array([v is not None for v in fallback])
+    steps = np.arange(series.n_steps)[:, None]
+    last = np.maximum.accumulate(np.where(mask, steps, -1), axis=0)
+    first = np.where(mask.any(axis=0), mask.argmax(axis=0), -1)
+    static = np.array([f.role == "static" for f in schema.features])
+    ref = np.where(static, first, last)  # -1: nothing observed to copy
+    near = (ref >= 0) & (static | (steps - ref <= max_steps))
+    copied = values[np.maximum(ref, 0), np.arange(len(names))]
+    fill = np.array([0.0 if v is None else v for v in fallback])
+    filled = np.where(mask, values, np.where(near, copied, fill))
 
-    # leading trim: wait until every feature is observed or median-fillable
-    start = 0
-    first_obs = []
-    for j, spec in enumerate(schema.features):
-        obs = np.flatnonzero(mask[:, j])
-        if obs.size == 0 and stats.fallback(spec.name) is None:
-            raise AllMissingFeature(spec.name)
-        if stats.fallback(spec.name) is None:
-            first_obs.append(int(obs[0]))
-    if first_obs:
-        start = max(first_obs)
-    values, mask = values[start:], mask[start:]
-    n = n - start
-
-    for j, spec in enumerate(schema.features):
-        col, obs = values[:, j], mask[:, j]
-        fallback = stats.fallback(spec.name)
-        if spec.role == "static":
-            seen = np.flatnonzero(obs)
-            fill = col[seen[0]] if seen.size else fallback
-            out = np.full(n, fill)
-            out[obs] = col[obs]
-            values[:, j] = out
-            continue
-        last_seen = -1
-        for t in range(n):
-            if obs[t]:
-                last_seen = t
-                continue
-            if last_seen >= 0 and (t - last_seen) <= max_steps:
-                values[t, j] = values[last_seen, j]
-            elif fallback is not None:
-                values[t, j] = fallback
-            else:
-                # no median anywhere and beyond the forward-fill span
-                raise AllMissingFeature(spec.name)
-
-    return PatientSeries(series.patient_id, values, mask, imputed=True, trimmed_steps=start)
+    start = int(first[~has_fallback].max(initial=0))
+    stuck = ~(mask | near | has_fallback)[start:]
+    if stuck.any():
+        # no median, and never observed or beyond the forward-fill span
+        raise AllMissingFeature(names[np.argmax(stuck.any(axis=0))])
+    return PatientSeries(series.patient_id, filled[start:], mask[start:].copy(),
+                         imputed=True, trimmed_steps=start)
 
 
 def filter_patients(series_list: list, schema: DatasetSchema, threshold: float = 0.8) -> list:

@@ -156,10 +156,9 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
         gamma = alpha * beta
         gamma /= gamma.sum(axis=1, keepdims=True)
 
-        xi = np.zeros((2, 2))
-        for t in range(n - 1):
-            m = (alpha[t][:, None] * trans) * (b[t + 1] * beta[t + 1])[None, :] / scale[t + 1]
-            xi += m
+        # expected transition counts: xi_t(i, j) for every t at once, summed
+        xi = ((alpha[:-1, :, None] * trans) * (b[1:] * beta[1:])[:, None, :]
+              / scale[1:, None, None]).sum(axis=0)
 
         # M step
         init = gamma[0] / gamma[0].sum()

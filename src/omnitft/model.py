@@ -113,7 +113,6 @@ class ForecastBundle:
     selection: SelectionWeights
     decoder_states: np.ndarray  # (H, d)
     quantiles_sorted: np.ndarray = None  # non-crossing view, metrics only
-    sorted_applied: bool = True
 
     def __post_init__(self):
         if self.quantiles_sorted is None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROLES = ("static", "observed_past", "known_future", "target")
-GROUP_NAMES = ("unknown", "known", "observed")
 _ROLE_TO_GROUP = {"target": 0, "known_future": 1, "observed_past": 2}
 
 

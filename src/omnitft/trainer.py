@@ -49,6 +49,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.batch < 1 or self.patience < 1 or self.max_epochs < 1:
             raise TrainerError("lr > 0, batch >= 1, patience >= 1, max_epochs >= 1 required")
+        if self.seed < 0:
+            raise TrainerError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -112,6 +112,29 @@ def test_train_bad_pipeline_setting_exits_2(synth_dir, tmp_path, capsys, key, va
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,named", [
+    ([7, 2, 1], "JSON object"),
+    ({"model": {"hidden": "8"}}, "model.hidden"),
+    ({"model": {"hiddn": 8}}, "model.hiddn"),
+    ({"model": [8]}, "model"),
+    ({"lr": "x"}, "lr"),
+    ({"seed": -1}, "seed"),
+    ({"model_seed": "x"}, "model_seed"),
+    ({"quantiles": [0.1, "0.5"]}, "quantiles"),
+    ({"weights": {"lambda_embd": 1}}, "weights.lambda_embd"),
+    ({"weights": {"lambda_embed": -1}}, "lambda_embed"),
+])
+def test_train_malformed_config_exits_2(synth_dir, tmp_path, capsys, doc, named):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = run([
+        "train", "--data", str(synth_dir), "--schema", str(synth_dir / "schema.json"),
+        "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--dry-run",
+    ])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trained_dir(synth_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")

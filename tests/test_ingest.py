@@ -1,7 +1,11 @@
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnitft import ingest
 from omnitft.ingest import (
@@ -204,6 +208,40 @@ def test_impute_all_missing_feature():
         impute(series, schema, TrainStats({"hr": 70.0, "race": 0.0}), 6.0)
 
 
+def trim_case(age_step=0):
+    """hr everywhere, lactate (never median-fillable) from step 2, age once."""
+    schema = validate_schema(DatasetSchema(
+        features=(FeatureSpec("hr", "target"), FeatureSpec("lactate", "observed_past"),
+                  FeatureSpec("age", "static")),
+        grid_step_min=60.0, encoder_len=2, horizon_len=1,
+    ))
+    values = np.zeros((6, 3))
+    mask = np.zeros((6, 3), dtype=bool)
+    values[:, 0], mask[:, 0] = np.arange(80.0, 86.0), True
+    values[2:, 1], mask[2:, 1] = 1.5, True
+    values[age_step, 2], mask[age_step, 2] = 42.0, True
+    return schema, PatientSeries("p1", values, mask)
+
+
+@pytest.mark.parametrize("medians", [{"hr": 70.0, "age": 65.0}, {"hr": 70.0}])
+def test_impute_static_read_before_the_trim(medians):
+    schema, series = trim_case()
+    out = impute(series, schema, TrainStats(medians), 6.0)
+    assert out.trimmed_steps == 2
+    np.testing.assert_array_equal(out.values[:, schema.column("age")], [42.0] * 4)
+
+
+def test_impute_forward_fill_reads_before_the_trim():
+    schema, series = trim_case()
+    series.mask[2, 0] = False  # hr missing at the first kept step
+    out = impute(series, schema, TrainStats({"hr": 70.0, "age": 65.0}), 6.0)
+    assert out.values[0, schema.column("hr")] == 81.0  # step 1, one hour back
+    series.mask[:, 0] = False
+    series.mask[[0, 5], 0] = True  # hr has no median: a fill from step 0, not a raise
+    out = impute(series, schema, TrainStats({"age": 65.0}), 6.0)
+    np.testing.assert_array_equal(out.values[:, schema.column("hr")], [80.0] * 3 + [85.0])
+
+
 def test_filter_thresholds():
     schema = small_schema(step=60.0, E=4, H=2)
 
@@ -357,3 +395,127 @@ def test_pipeline_end_to_end():
         for s in lst:
             assert s.imputed
             assert np.isfinite(s.values).all()
+
+
+# ---------------------------------------------------------------------------
+# properties: imputation under random missingness, the event round trip
+
+
+PROP_SCHEMA = validate_schema(DatasetSchema(
+    features=(
+        FeatureSpec("hr", "target"),
+        FeatureSpec("lactate", "observed_past"),
+        FeatureSpec("tod", "known_future"),
+        FeatureSpec("race", "static", dtype="categorical", vocab=("a", "b", "c")),
+        FeatureSpec("age", "static"),
+    ),
+    grid_step_min=30.0, encoder_len=2, horizon_len=1,
+))
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def impute_cases(draw):
+    n = draw(st.integers(1, 10))
+    columns, observed, medians = [], [], {}
+    for spec in PROP_SCHEMA.features:
+        value = st.sampled_from([0.0, 1.0, 2.0]) if spec.is_categorical else _FINITE
+        if spec.role == "static":  # one value per patient, recorded at any steps
+            columns.append([draw(value)] * n)
+        else:
+            columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+        observed.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            medians[spec.name] = draw(value)
+    series = PatientSeries("p", np.array(columns).T, np.array(observed).T)
+    return series, TrainStats(medians), draw(st.floats(0.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(impute_cases())
+def test_impute_property(case):
+    series, stats, max_gap_h = case
+    values, mask = series.values.copy(), series.mask.copy()
+    max_steps = math.floor(max_gap_h / 0.5 + 1e-9)
+    fallback = [stats.fallback(f.name) for f in PROP_SCHEMA.features]
+    no_fallback = [j for j, fb in enumerate(fallback) if fb is None]
+    if any(not mask[:, j].any() for j in no_fallback):
+        with pytest.raises(AllMissingFeature):
+            impute(series, PROP_SCHEMA, stats, max_gap_h)
+        return
+    start = max([int(np.argmax(mask[:, j])) for j in no_fallback], default=0)
+    if any(not mask[max(t - max_steps, 0): t + 1, j].any()
+           for j in no_fallback if PROP_SCHEMA.features[j].role != "static"
+           for t in range(start, len(mask))):
+        with pytest.raises(AllMissingFeature):  # a kept cell with no usable value
+            impute(series, PROP_SCHEMA, stats, max_gap_h)
+        return
+    out = impute(series, PROP_SCHEMA, stats, max_gap_h)
+    assert out.trimmed_steps == start
+    assert np.isfinite(out.values).all()
+    np.testing.assert_array_equal(out.mask, mask[start:])
+    kept = values[start:]
+    assert out.values[out.mask].tobytes() == kept[out.mask].tobytes()  # bit-exact
+    for j, spec in enumerate(PROP_SCHEMA.features):
+        col = out.values[:, j]
+        if spec.role == "static":
+            seen = np.flatnonzero(mask[:, j])
+            assert (col == (values[seen[0], j] if seen.size else fallback[j])).all()
+            continue
+        for t in np.flatnonzero(~out.mask[:, j]):
+            prior = np.flatnonzero(mask[: start + t + 1, j])
+            if prior.size and start + t - prior[-1] <= max_steps:
+                assert col[t] == values[prior[-1], j]
+            else:
+                assert col[t] == fallback[j]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), grid_step_min=st.sampled_from([1.0, 5.0, 10.0, 15.0, 60.0, 90.0]))
+def test_event_round_trip_reproduces_the_grid(seed, grid_step_min):
+    schema = synthetic_schema(encoder_len=2, horizon_len=1, grid_step_min=grid_step_min)
+    series, _ = generate_synthetic(3, schema, seed=seed, min_steps=4, max_steps=30)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["patient_id", "time_h", "feature", "value"])
+    for s in series:
+        writer.writerows(ingest.series_to_events(s, schema))
+    events = parse_events(io.StringIO(text.getvalue()), schema)
+    temporal = np.array([f.role != "static" for f in schema.features])
+    for s in series:
+        grid = resample_to_grid([e for e in events if e.patient_id == s.patient_id], schema)
+        # statics are written once, at time 0
+        np.testing.assert_array_equal(grid.mask, temporal | (np.arange(s.n_steps)[:, None] == 0))
+        assert grid.values[grid.mask].tobytes() == s.values[grid.mask].tobytes()
+        filled = impute(grid, schema, compute_train_stats([grid], schema))
+        assert filled.values.tobytes() == s.values.tobytes()
+
+
+@st.composite
+def binned_events(draw):
+    events = []
+    for _ in range(draw(st.integers(1, 60))):
+        spec = draw(st.sampled_from(PROP_SCHEMA.features))
+        value = (draw(st.sampled_from([0.0, 1.0, 2.0])) if spec.is_categorical
+                 else draw(st.floats(0.0, 200.0)))
+        step, offset = draw(st.integers(0, 5)), draw(st.sampled_from([0.0, 0.1, 0.25, 0.49]))
+        events.append(RawEvent("p", step * 0.5 + offset, spec.name, value))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_events())
+def test_resample_matches_per_cell_oracle(events):
+    grid = resample_to_grid(events, PROP_SCHEMA)
+    cells = {}
+    for e in events:
+        cells.setdefault((int(e.time_h // 0.5), PROP_SCHEMA.column(e.feature)), []).append(e.value)
+    assert grid.n_steps == 1 + max(t for t, _ in cells)
+    assert set(zip(*np.nonzero(grid.mask))) == set(cells)
+    for (t, j), vals in cells.items():
+        if PROP_SCHEMA.features[j].is_categorical:
+            best = max(vals.count(v) for v in vals)
+            assert grid.values[t, j] == min(v for v in vals if vals.count(v) == best)
+        else:
+            assert grid.values[t, j] == pytest.approx(sum(vals) / len(vals), rel=1e-12)
+    assert (grid.values[~grid.mask] == 0.0).all()
