@@ -130,7 +130,10 @@ def load_events(data_dir: Path, schema: DatasetSchema):
     if not path.exists():
         raise CliError(f"no data.csv under {data_dir}")
     with open(path, newline="") as fh:
-        return ingest.parse_events(fh, schema), path
+        try:
+            return ingest.parse_events(fh, schema), path
+        except ingest.IngestError as e:  # parse errors name the line; add the file
+            raise type(e)(f"{path}: {e}") from None
 
 
 def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dict):
@@ -139,6 +142,12 @@ def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dic
     The volatility cutoff per target comes from the override table when
     given, otherwise from the 75th percentile of training-window scores.
     """
+    targets = [t.name for t in schema.target_features]
+    for key in delta_overrides:
+        if key not in targets:
+            raise CliError(
+                f"config key 'delta.{key}' is not a target feature (targets: {targets})"
+            )
     pools = {name: {} for name in splits}
     deltas = {}
     for t_spec in schema.target_features:
@@ -167,12 +176,19 @@ def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dic
 
 
 def _load_train_config(path) -> dict:
+    """A training-config JSON object whose top-level keys are all known."""
     if path is None:
         return {}
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: the config must be a JSON object, got a {type(doc).__name__}")
+    known = {"model", "model_seed"} | {
+        f.name for cls in (trainer.TrainConfig, PipelineConfig) for f in fields(cls)
+    }
+    for key in doc:
+        if key not in known:
+            raise CliError(f"{path}: unknown config key '{key}'")
     return doc
 
 
@@ -205,21 +221,14 @@ def _checked(cls, doc, prefix: str = "") -> dict:
 def resolve_configs(doc: dict):
     """Split a training-config JSON into model, trainer and pipeline configs."""
     model_doc = _checked(ModelConfig, doc.get("model", {}), "model.")
-    if "quantiles" in doc and "quantiles" not in model_doc:
-        model_doc["quantiles"] = doc["quantiles"]
     if "quantiles" in model_doc:
         model_doc["quantiles"] = tuple(model_doc["quantiles"])
-    train_doc = _checked(trainer.TrainConfig, {
-        k: doc[k]
-        for k in ("lr", "batch", "clip", "max_epochs", "patience", "seed", "quantiles", "weights")
-        if k in doc
-    })
+    train_keys = {f.name for f in fields(trainer.TrainConfig)}
+    train_doc = _checked(trainer.TrainConfig, {k: v for k, v in doc.items() if k in train_keys})
     if "weights" in train_doc:
         train_doc["weights"] = _checked(PenaltyWeights, train_doc["weights"], "weights.")
-    model_cfg = ModelConfig(**model_doc)  # after the checks: it reads the top-level quantiles
-    train_doc.setdefault("quantiles", model_cfg.quantiles)
-    train_cfg = trainer.train_config_from_dict(train_doc)
-    return model_cfg, train_cfg, PipelineConfig.from_dict(doc)
+    return (ModelConfig(**model_doc), trainer.train_config_from_dict(train_doc),
+            PipelineConfig.from_dict(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 A small tape-based engine in the micrograd style: every primitive records
 its parents and a vector-Jacobian closure on the output node, `backward`
-replays the tape in reverse topological order. Training runs in float64 so
-finite-difference checks are meaningful; float32 is available for inference.
+replays the tape in reverse topological order. Every tensor holds float64,
+so finite-difference checks are meaningful.
 
-Subgradient conventions are fixed for determinism: relu'(0) = 0, and
-reduce_max / reduce_min route their gradient to the first extremal index.
+The primitives fit the shapes the model uses: a weight shared across batch
+dims takes its matmul gradient as one GEMM, and `lstm_layer` runs a whole
+LSTM layer as one node. The relu subgradient at 0 is 0, for determinism.
 
 Inference passes run under `no_grad()`, which records no parents and no
 closures, so nothing is kept alive for a backward pass that never comes.
@@ -45,15 +46,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_spent")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is None:
-            # preserve float32 for inference-mode graphs, lift everything
-            # else to the float64 training dtype
-            if isinstance(data, np.ndarray) and data.dtype == np.float32:
-                dtype = np.float32
-            else:
-                dtype = np.float64
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -114,9 +108,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return tslice(self, key)
-
-    def backward(self):
-        backward(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -291,12 +282,6 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data < 0):
@@ -399,32 +384,6 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def _reduce_extremum(a, axis, keepdims, argfn, valfn):
-    a = as_tensor(a)
-    out = valfn(a.data, axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        if axis is None:
-            idx = np.unravel_index(argfn(a.data), a.data.shape)  # first extremum
-            full[idx] = g if np.ndim(g) == 0 else g.reshape(())
-        else:
-            idx = argfn(a.data, axis=axis)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            np.put_along_axis(full, np.expand_dims(idx, axis), gg, axis=axis)
-        return (full,)
-
-    return _make(out, (a,), vjp)
-
-
-def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce_extremum(a, axis, keepdims, np.argmax, np.max)
-
-
-def reduce_min(a, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce_extremum(a, axis, keepdims, np.argmin, np.min)
-
-
 def _is_basic_index(key) -> bool:
     """True for int/slice keys, which select every element at most once."""
     parts = key if isinstance(key, tuple) else (key,)
@@ -517,9 +476,8 @@ def lstm_layer(xp, h0, c0, w_h) -> Tensor:
             f"lstm_layer state {h0.shape}/{c0.shape}, weight {w_h.shape} for input {xp.shape}"
         )
     w = w_h.data
-    dtype = np.result_type(xp.data, h0.data, c0.data, w)
-    out = np.empty((B, T, 2 * d), dtype=dtype)
-    gates = np.empty((B, T, 4, d), dtype=dtype)  # activated i, f, g, o
+    out = np.empty((B, T, 2 * d))
+    gates = np.empty((B, T, 4, d))  # activated i, f, g, o
     h, c = h0.data, c0.data
     for t in range(T):
         z = (xp.data[:, t] + h @ w).reshape(B, 4, d)
@@ -546,9 +504,9 @@ def lstm_layer(xp, h0, c0, w_h) -> Tensor:
         )
         k_c = o * (1.0 - tc * tc)
         gh, gc = g[..., :d], g[..., d:]
-        dz = np.empty((B, T, 4, d), dtype=dtype)
-        dh = np.zeros((B, d), dtype=dtype)
-        dcell = np.zeros((B, d), dtype=dtype)
+        dz = np.empty((B, T, 4, d))
+        dh = np.zeros((B, d))
+        dcell = np.zeros((B, d))
         w_t = w.T
         for t in reversed(range(T)):
             dh = dh + gh[:, t]
@@ -568,13 +526,11 @@ def lstm_layer(xp, h0, c0, w_h) -> Tensor:
 # finite-difference verification
 
 
-def grad_check(f, x, eps: float = 1e-5, coords=None, rng=None, max_coords=None):
+def grad_check(f, x, eps: float = 1e-5):
     """Max relative error between analytic and central-difference gradients.
 
-    f maps a Tensor to a scalar Tensor. `coords` restricts the check to the
-    given flat indices; `max_coords` subsamples that many indices with `rng`
-    (all coordinates by default). Relative error per coordinate is
-    |analytic - numeric| / (|numeric| + 1e-8).
+    f maps a Tensor to a scalar Tensor; every coordinate of x is probed.
+    Relative error per coordinate is |analytic - numeric| / (|numeric| + 1e-8).
     """
     x = x if isinstance(x, Tensor) else Tensor(x, requires_grad=True)
     x.zero_grad()
@@ -583,16 +539,9 @@ def grad_check(f, x, eps: float = 1e-5, coords=None, rng=None, max_coords=None):
     analytic = x.grad.reshape(-1).copy()
 
     flat = x.data.reshape(-1)
-    if coords is None:
-        coords = np.arange(flat.size)
-    coords = np.asarray(coords)
-    if max_coords is not None and coords.size > max_coords:
-        rng = rng or np.random.default_rng(0)
-        coords = rng.choice(coords, size=max_coords, replace=False)
-
     worst = 0.0
     with no_grad():  # the probes only need values
-        for i in coords:
+        for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
             hi = float(f(x).data)

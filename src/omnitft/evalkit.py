@@ -231,8 +231,6 @@ def aggregate_importance(
     """
     if not run_bundles or not run_bundles[0]:
         raise EvalError("need at least one bundle")
-    if not isinstance(run_bundles[0], (list, tuple)):
-        run_bundles = [run_bundles]
     n = len(feature_names)
     per_run = np.stack([_run_scores(run, enc_len, n) for run in run_bundles])
     score = per_run.mean(axis=0)

@@ -109,6 +109,8 @@ def parse_events(csv_stream, schema: DatasetSchema) -> list:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
+        if len(row) != 4:
+            raise UnparsableValue(f"line {lineno}: expected 4 fields, got {len(row)}")
         pid, time_s, feat, raw = (c.strip() for c in row)
         if feat not in names:
             raise UnknownFeature(f"line {lineno}: {feat!r}")

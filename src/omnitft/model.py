@@ -46,8 +46,6 @@ class ModelConfig:
     quantiles: tuple = (0.1, 0.5, 0.9)
     lstm_layers: int = 2
     retro_window: int = 3
-    use_raw_decoder_state: bool = False  # expose the LSTM state instead of
-    # the post-attention representation as v_t
 
     def __post_init__(self):
         if self.hidden < 1 or self.heads < 1 or self.blocks < 1 or self.lstm_layers < 1:
@@ -464,19 +462,20 @@ class Model:
     # full pass
 
     def batch_category_counts(self, batch: WindowBatch) -> dict:
+        """Per-category counts in the batch, one array per embedding table.
+
+        A known-future feature is also a past feature and shares one table,
+        so its encoder-side and decoder-side steps are counted together.
+        """
         counts = {}
-        for spec in self.past_specs:
-            if spec.is_categorical:
-                j = [s.name for s in self.past_specs].index(spec.name)
-                counts[f"embed/{spec.name}/table"] = np.bincount(
-                    batch.enc_past[..., j].astype(int).ravel(), minlength=spec.vocab_size
-                )
-        for spec in self.future_specs:
-            if spec.is_categorical:
-                j = [s.name for s in self.future_specs].index(spec.name)
-                counts[f"embed/{spec.name}/table"] = np.bincount(
-                    batch.fut_known[..., j].astype(int).ravel(), minlength=spec.vocab_size
-                )
+        for specs, values in ((self.past_specs, batch.enc_past),
+                              (self.future_specs, batch.fut_known)):
+            for j, spec in enumerate(specs):
+                if spec.is_categorical:
+                    key = f"embed/{spec.name}/table"
+                    c = np.bincount(values[..., j].astype(int).ravel(),
+                                    minlength=spec.vocab_size)
+                    counts[key] = counts[key] + c if key in counts else c
         for j, spec in enumerate(self.static_specs):
             if spec.is_categorical:
                 counts[f"embed/static/{spec.name}/table"] = np.bincount(
@@ -523,17 +522,13 @@ class Model:
             w_fut = None
             fused_fut = Tensor(np.zeros((batch.size, H, self.config.hidden)))
 
-        seq, enc_out, dec_out = self.encode_decode(fused_past, fused_fut, ctx_h, ctx_c)
+        seq, enc_out, _ = self.encode_decode(fused_past, fused_fut, ctx_h, ctx_c)
         enriched = self.grn("enrich", seq, ctx=ctx_enr, rng=rng)
         features, heads, abar = self.causal_attention(enriched, rng=rng)
+        dec_repr, anchor = features[:, E:, :], features[:, E - 1, :]
 
-        if self.config.use_raw_decoder_state:
-            dec_repr = dec_out
-            anchor = enc_out[:, E - 1, :]
-        else:
-            dec_repr = features[:, E:, :]
-            anchor = features[:, E - 1, :]
-
+        # a slice of its own: sharing dec_repr's node would reorder the sums
+        # of the backward pass and change trained weights in the last bits
         quantiles = self.quantile_head(features[:, E:, :])
         # anchor outputs in each window's target frame
         t_names = [f.name for f in self.schema.target_features]
@@ -616,6 +611,8 @@ def load_checkpoint(path) -> Model:
             )
     cfg = header["config"]
     cfg["quantiles"] = tuple(cfg["quantiles"])
+    # a retired switch that older checkpoints still carry; it never moved the forecast
+    cfg.pop("use_raw_decoder_state", None)
     config = ModelConfig(**cfg)
     schema = schema_from_dict(header["schema"])
     scalers = {k: tuple(v) for k, v in header.get("scalers", {}).items()}

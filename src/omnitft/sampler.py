@@ -49,9 +49,8 @@ def enumerate_windows(
     schema: DatasetSchema,
     delta: float,
     target: str | None = None,
-    stride: int = 1,
 ) -> list:
-    """One labeled window per start index (stride 1 by default)."""
+    """One labeled window per start index."""
     targets = schema.target_features
     spec = schema.feature(target) if target else targets[0]
     if spec.role != "target":
@@ -69,7 +68,7 @@ def enumerate_windows(
     tgt_col = schema.column(spec.name)
 
     windows = []
-    for t in range(0, n - T + 1, stride):
+    for t in range(n - T + 1):
         fut_target = series.values[t + E : t + T, tgt_col].copy()
         score = fluctuation_score(fut_target)
         windows.append(

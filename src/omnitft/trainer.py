@@ -44,7 +44,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0  # drives dropout masks and epoch draws
     weights: PenaltyWeights = field(default_factory=PenaltyWeights)
-    quantiles: tuple = (0.1, 0.5, 0.9)
 
     def __post_init__(self):
         if self.lr <= 0 or self.batch < 1 or self.patience < 1 or self.max_epochs < 1:
@@ -237,8 +236,6 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
     into the model before returning. A non-finite loss aborts training and
     restores the best parameters seen so far.
     """
-    if tuple(config.quantiles) != tuple(model.config.quantiles):
-        raise TrainerError("train and model quantile sets differ")
     pools = train_pools if isinstance(train_pools, dict) else {"": list(train_pools)}
     if not any(pools.values()):
         raise TrainerError("no training windows")
@@ -358,15 +355,11 @@ def write_history_csv(path, history: list):
 
 
 def train_config_to_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["quantiles"] = list(config.quantiles)
-    return d
+    return asdict(config)
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
     doc = dict(doc)
     if "weights" in doc and isinstance(doc["weights"], dict):
         doc["weights"] = PenaltyWeights(**doc["weights"])
-    if "quantiles" in doc:
-        doc["quantiles"] = tuple(doc["quantiles"])
     return TrainConfig(**doc)

@@ -123,6 +123,9 @@ def test_train_bad_pipeline_setting_exits_2(synth_dir, tmp_path, capsys, key, va
     ({"quantiles": [0.1, "0.5"]}, "quantiles"),
     ({"weights": {"lambda_embd": 1}}, "weights.lambda_embd"),
     ({"weights": {"lambda_embed": -1}}, "lambda_embed"),
+    ({"model": {"quantiles": [0.1, "0.5"]}}, "model.quantiles"),
+    ({"bacth": 32, "max_epoch": 2}, "unknown config key 'bacth'"),
+    ({"delta": {"y": 1.0, "nope": 2.0}}, "delta.nope"),
 ])
 def test_train_malformed_config_exits_2(synth_dir, tmp_path, capsys, doc, named):
     cfg_path = tmp_path / "bad.json"
@@ -133,6 +136,16 @@ def test_train_malformed_config_exits_2(synth_dir, tmp_path, capsys, doc, named)
     ])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+def test_label_unknown_config_key_exits_2(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "delta.json"
+    cfg.write_text(json.dumps({"detla": {"y": 1.0}}))
+    code = run(["label", "--data", str(synth_dir), "--schema",
+                str(synth_dir / "schema.json"), "--delta-config", str(cfg),
+                "--out", str(tmp_path / "lab")])
+    assert code == 2
+    assert "unknown config key 'detla'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +317,18 @@ def test_train_non_finite_value_exits_2(synth_dir, tmp_path, capsys):
     assert "line 6" in capsys.readouterr().err
 
 
+def test_train_short_row_exits_2_naming_file_and_line(synth_dir, tmp_path, capsys):
+    data = tmp_path / "short_row"
+    data.mkdir()
+    lines = (synth_dir / "data.csv").read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:3])
+    (data / "data.csv").write_text("\n".join(lines) + "\n")
+    code = run(["train", "--data", str(data), "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "run"), "--dry-run"])
+    assert code == 2
+    assert f"{data / 'data.csv'}: line 6: expected 4 fields, got 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["version", "truncated"])
 def test_eval_bad_checkpoint_exits_2(synth_dir, trained_dir, tmp_path, capsys, damage):
     raw = bytearray((trained_dir / "checkpoint.bin").read_bytes())
@@ -441,7 +466,6 @@ def _model_configs(draw):
         hidden=hidden, heads=draw(st.integers(1, hidden)), blocks=draw(st.integers(1, 2)),
         dropout=draw(st.floats(0.0, 0.9)), quantiles=tuple(sorted(levels)),
         lstm_layers=draw(st.integers(1, 2)), retro_window=draw(st.integers(1, 4)),
-        use_raw_decoder_state=draw(st.booleans()),
     )
 
 

@@ -33,12 +33,6 @@ def test_l2_norm_rows_3_4_5():
     np.testing.assert_allclose(out.data, [5.0])
 
 
-def test_max_minus_min_composite():
-    v = Tensor([5.0, 3.0, 9.0, 4.0])
-    out = dc.sub(dc.reduce_max(v), dc.reduce_min(v))
-    assert out.item() == 6.0
-
-
 def test_square_grad():
     x = Tensor([3.0], requires_grad=True)
     dc.backward(dc.reduce_sum(dc.square(x)))
@@ -72,7 +66,6 @@ def test_grad_check_pinball_off_kink():
 
 
 smooth_unary = [
-    ("exp", dc.exp, lambda r, n: r.normal(size=n)),
     ("log", dc.log, lambda r, n: r.uniform(0.5, 3.0, size=n)),
     ("sqrt", dc.sqrt, lambda r, n: r.uniform(0.5, 3.0, size=n)),
     ("tanh", dc.tanh, lambda r, n: r.normal(size=n)),
@@ -145,12 +138,6 @@ def test_gather_accumulates_repeated_rows():
     np.testing.assert_allclose(t.grad[:, 0], [0, 2, 0, 1, 0])
 
 
-def test_reduce_max_ties_route_to_first():
-    x = Tensor([2.0, 7.0, 7.0, 1.0], requires_grad=True)
-    dc.backward(dc.reduce_max(x))
-    np.testing.assert_allclose(x.grad, [0, 1, 0, 0])
-
-
 def test_reduce_mean_axis_grad():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     dc.backward(dc.reduce_sum(dc.reduce_mean(x, axis=1)))
@@ -199,11 +186,6 @@ def test_masked_fill_blocks_gradient():
     mask = np.array([True, False, True, False])
     dc.backward(dc.reduce_sum(dc.masked_fill(x, mask, 0.0)))
     np.testing.assert_allclose(x.grad, [0, 1, 0, 1])
-
-
-def test_float32_inference_mode():
-    x = Tensor(np.ones(3), dtype=np.float32)
-    assert dc.tanh(x).data.dtype == np.float32
 
 
 def _reference_lstm(xp, h0, c0, w_h):

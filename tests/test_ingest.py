@@ -92,6 +92,14 @@ def test_parse_non_finite_rejected(row):
         parse_events(io.StringIO(text), schema)
 
 
+@pytest.mark.parametrize("row,k", [("p1,0,hr", 3), ("p1,0,hr,88,x", 5)])
+def test_parse_wrong_field_count_rejected(row, k):
+    schema = small_schema()
+    text = f"patient_id,time_h,feature,value\np1,0,hr,80\n{row}\n"
+    with pytest.raises(UnparsableValue, match=f"line 3: expected 4 fields, got {k}"):
+        parse_events(io.StringIO(text), schema)
+
+
 def test_resample_bin_mean():
     schema = small_schema()
     events = [RawEvent("p1", 3 / 60, "hr", 88.0), RawEvent("p1", 7 / 60, "hr", 92.0)]

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from omnitft.diffcore import Tensor
 from omnitft.ingest import generate_synthetic, synthetic_schema
 from omnitft.model import Model, ModelConfig, WindowBatch, load_checkpoint, save_checkpoint
 from omnitft.sampler import enumerate_windows
+from omnitft.schema import DatasetSchema, FeatureSpec, validate_schema
 
 E, H = 6, 4
 T = E + H
@@ -242,16 +246,21 @@ def test_category_counts(tiny_model, schema, batch):
     assert tid.sum() == batch.size and tid[0] == batch.size
 
 
-def test_raw_decoder_state_switch(schema, batch):
-    m1 = Model(schema, ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0), seed=3)
-    m2 = Model(
-        schema,
-        ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0, use_raw_decoder_state=True),
-        seed=3,
-    )
-    fp1, fp2 = m1.forward(batch), m2.forward(batch)
-    assert not np.allclose(fp1.decoder_states.data, fp2.decoder_states.data)
-    np.testing.assert_array_equal(fp1.quantiles.data, fp2.quantiles.data)
+def test_category_counts_sum_encoder_and_decoder_sides():
+    # a categorical known-future feature is also a past feature, with one table
+    schema = validate_schema(DatasetSchema(
+        features=(FeatureSpec("y", "target"),
+                  FeatureSpec("shift", "known_future", dtype="categorical", vocab_size=3)),
+        grid_step_min=60.0, encoder_len=4, horizon_len=2,
+    ))
+    m = Model(schema, ModelConfig(hidden=4, heads=1, blocks=1, dropout=0.0), seed=0)
+    # every encoder step in category 0, every decoder step in category 2
+    batch = WindowBatch(enc_past=np.zeros((2, 4, schema.n_past)),
+                        fut_known=np.full((2, 2, 1), 2.0),
+                        statics=np.zeros((2, 0)), target_idx=np.zeros(2, dtype=int),
+                        fut_target=np.zeros((2, 2)))
+    counts = m.batch_category_counts(batch)
+    np.testing.assert_array_equal(counts["embed/shift/table"], [8, 0, 4])
 
 
 def test_quantile_gradient_passes_grad_check(schema, windows):
@@ -284,6 +293,24 @@ def test_checkpoint_round_trip(tmp_path, tiny_model, batch):
     assert p1.read_bytes() == p2.read_bytes()
     fp1, fp2 = tiny_model.forward(batch), m2.forward(batch)
     np.testing.assert_array_equal(fp1.quantiles.data, fp2.quantiles.data)
+
+
+def test_checkpoint_with_retired_raw_decoder_key_loads(tmp_path, tiny_model, batch):
+    # checkpoints written before the switch was retired carry it in their config
+    plain = tmp_path / "plain.bin"
+    save_checkpoint(plain, tiny_model)
+    raw = plain.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    header["config"]["use_raw_decoder_state"] = True
+    old = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    legacy = tmp_path / "legacy.bin"
+    legacy.write_bytes(raw[:12] + struct.pack("<I", len(old)) + old + raw[16 + header_len:])
+
+    a, b = load_checkpoint(plain), load_checkpoint(legacy)
+    assert a.config == b.config
+    np.testing.assert_array_equal(a.forward(batch).quantiles.data,
+                                  b.forward(batch).quantiles.data)
 
 
 def test_checkpoint_bad_magic(tmp_path):

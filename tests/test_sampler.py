@@ -66,12 +66,6 @@ def test_window_slices_match_series():
     assert w.label == VOLATILE  # ramp fluctuation = 1 > 0.5
 
 
-def test_stride_option():
-    schema = flat_schema()
-    wins = enumerate_windows(series_of(schema, np.arange(12.0)), schema, 0.0, stride=2)
-    assert [w.start for w in wins] == [0, 2, 4, 6]
-
-
 def _labeled_pool(n_stable, n_volatile):
     schema = flat_schema()
     pool = []

@@ -31,7 +31,6 @@ def test_train_config_defaults_match_reference_setup():
     assert cfg.patience == 10
     w = cfg.weights
     assert (w.lambda_embed, w.lambda_group, w.lambda_shock) == (1e-3, 1e-2, 1e-1)
-    assert cfg.quantiles == (0.1, 0.5, 0.9)
 
 
 def test_pinball_hand_values():
