@@ -1,12 +1,14 @@
 """Ingestion: long-format events to imputed per-patient grids, plus splits.
 
-The pipeline is resample -> filter -> split -> impute, each step a whole-array
-operation on one patient's (steps x features) grid. Resampling scatters the
-events onto the grid in one pass; bins take the mean for continuous features
-and the mode for categoricals. Imputation forward-fills temporal features
-across gaps of at most `max_gap_h` hours and falls back to the training-split
-median (mode for categoricals) beyond that. A static takes the patient's own
-first observation, and the fallback only when the patient never recorded it.
+Events are parsed into one table (a structured array, a row per event) and
+grouped by patient with one stable sort. The pipeline is then resample ->
+filter -> split -> impute, each step a whole-array operation on one patient's
+(steps x features) grid. Resampling scatters the events onto the grid in one
+pass; bins take the mean for continuous features and the mode for
+categoricals. Imputation forward-fills temporal features across gaps of at
+most `max_gap_h` hours and falls back to the training-split median (mode for
+categoricals) beyond that. A static takes the patient's own first
+observation, and the fallback only when the patient never recorded it.
 Leading steps are trimmed up to the first step at which every feature is
 observed or median-fillable; the fill reads the whole untrimmed series.
 
@@ -54,12 +56,9 @@ class AllMissingFeature(IngestError):
     pass
 
 
-@dataclass(frozen=True)
-class RawEvent:
-    patient_id: str
-    time_h: float
-    feature: str
-    value: float  # categorical values are stored as their vocab index
+# One row per event: `column` is the feature's schema index, a categorical
+# `value` its vocab index; object ids are never truncated, as fixed width could.
+EVENT_DTYPE = np.dtype([("patient_id", object), ("time_h", "f8"), ("column", "i8"), ("value", "f8")])
 
 
 @dataclass
@@ -75,9 +74,6 @@ class PatientSeries:
     @property
     def n_steps(self) -> int:
         return self.values.shape[0]
-
-    def column(self, schema: DatasetSchema, name: str) -> np.ndarray:
-        return self.values[:, schema.column(name)]
 
 
 @dataclass
@@ -98,14 +94,14 @@ class TrainStats:
         return self.medians.get(name)
 
 
-def parse_events(csv_stream, schema: DatasetSchema) -> list:
-    """Parse long-format rows (patient_id,time_h,feature,value) into events."""
+def parse_events(csv_stream, schema: DatasetSchema) -> np.ndarray:
+    """Parse long-format rows (patient_id,time_h,feature,value) into the events table."""
     reader = csv.reader(csv_stream)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["patient_id", "time_h", "feature", "value"]:
         raise IngestError(f"unexpected CSV header: {header}")
-    names = {f.name: f for f in schema.features}
-    events = []
+    names = {f.name: (j, f) for j, f in enumerate(schema.features)}
+    rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -122,7 +118,7 @@ def parse_events(csv_stream, schema: DatasetSchema) -> list:
             raise UnparsableValue(f"line {lineno}: non-finite time {time_s!r}")
         if t < 0:
             raise NegativeTime(f"line {lineno}: time {t}")
-        spec = names[feat]
+        j, spec = names[feat]
         if spec.is_categorical:
             try:
                 value = float(int(float(raw)))
@@ -140,8 +136,8 @@ def parse_events(csv_stream, schema: DatasetSchema) -> list:
                 raise UnparsableValue(f"line {lineno}: value {raw!r}") from None
             if not math.isfinite(value):
                 raise UnparsableValue(f"line {lineno}: non-finite value {raw!r}")
-        events.append(RawEvent(pid, t, feat, value))
-    return events
+        rows.append((pid, t, j, value))
+    return np.array(rows, dtype=EVENT_DTYPE)
 
 
 def _bin_mode(values: np.ndarray, cells: np.ndarray):
@@ -156,20 +152,18 @@ def _bin_mode(values: np.ndarray, cells: np.ndarray):
     return cell[order][first].astype(np.int64), value[order][first]
 
 
-def resample_to_grid(events: list, schema: DatasetSchema) -> PatientSeries:
-    """Bin one patient's events onto the schema grid (pre-imputation).
+def resample_to_grid(events: np.ndarray, schema: DatasetSchema) -> PatientSeries:
+    """Bin one patient's rows of the events table onto the grid (pre-imputation).
 
     Each event lands in cell (step, feature) in one scatter: continuous cells
-    take the bin mean (bincount sums over counts), categoricals the bin mode;
-    empty bins stay masked out.
+    take the bin mean (bincount sums over counts, in row order), categoricals
+    the bin mode; empty bins stay masked out.
     """
-    if not events:
+    if not len(events):
         raise EmptyPatient("no events for patient")
-    pid = events[0].patient_id
+    pid = events["patient_id"][0]
     step_h = schema.grid_step_min / 60.0
-    col_of = {f.name: j for j, f in enumerate(schema.features)}
-    times, cols, vals = np.array([(e.time_h, col_of[e.feature], e.value) for e in events]).T
-    cols = cols.astype(np.int64)
+    times, cols, vals = events["time_h"], events["column"], events["value"]
     # step index; the tolerance keeps a grid time t * step_h in step t
     steps = np.floor(times / step_h + 1e-9).astype(np.int64)
     n, n_feat = int(steps.max()) + 1, len(schema.features)
@@ -498,25 +492,24 @@ def read_split_grids(out_dir, schema: DatasetSchema) -> dict:
 
 
 def ingest_pipeline(
-    events: list,
+    events: np.ndarray,
     schema: DatasetSchema,
     seed: int = 0,
     ratios=(7, 2, 1),
     missing_threshold: float = 0.8,
     max_gap_h: float = 6.0,
 ):
-    """events -> resample -> filter -> split -> impute (train-split medians).
+    """events table -> resample -> filter -> split -> impute (train-split medians).
 
     The one ingest path: train, eval and label all call it with the settings
-    of the run's `cli.PipelineConfig`, so they see the same split. Returns
-    (splits, stats, report): split name -> imputed PatientSeries list, the
-    train-split fallbacks, and counts plus trim statistics.
+    of the run's `cli.PipelineConfig`, so they see the same split. One stable
+    sort by (patient id, time) groups the events; same-time events keep their
+    file order. Returns (splits, stats, report): split name -> imputed
+    PatientSeries list, the train-split fallbacks, and counts plus trims.
     """
-    by_patient: dict = {}
-    for e in sorted(events, key=lambda e: (e.patient_id, e.time_h)):
-        by_patient.setdefault(e.patient_id, []).append(e)
-
-    resampled = [resample_to_grid(evs, schema) for evs in by_patient.values()]
+    _, code, sizes = np.unique(events["patient_id"], return_inverse=True, return_counts=True)
+    table = events[np.lexsort((events["time_h"], code))]
+    resampled = [resample_to_grid(table[e - n:e], schema) for n, e in zip(sizes, np.cumsum(sizes))]
     retained = filter_patients(resampled, schema, missing_threshold)
     split = split_by_patient([s.patient_id for s in retained], ratios, seed)
 

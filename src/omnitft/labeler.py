@@ -72,15 +72,15 @@ class HmmParams:
     stds: np.ndarray  # emission stds, shape (2,), floored > 0
     initial: np.ndarray  # shape (2,), on the simplex
     log_likelihoods: list  # per-iteration training log-likelihood
-    degenerate: bool = False  # constant diff signal, single effective regime
+    degenerate: bool = False  # single effective regime: constant signal, or a state EM emptied
 
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
         self.initial = np.asarray(self.initial, dtype=np.float64)
-        if np.any(np.abs(self.transition.sum(axis=1) - 1.0) > 1e-9):
-            raise LabelerError("transition rows must sum to 1")
+        if not np.all(np.abs(self.transition.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails too
+            raise LabelerError("transition rows must be finite and sum to 1")
         if np.any(self.stds <= 0):
             raise LabelerError("emission stds must be positive")
 
@@ -99,6 +99,8 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
     Initialized from a two-way split of |diff| at its median. Stops once the
     log-likelihood improves by less than `tol` or after `max_iter` rounds;
     the per-iteration log-likelihood sequence is recorded and non-decreasing.
+    A state no expected transition leaves (one collapsed onto the last sample)
+    stops the fit, flagged degenerate, with the parameters scored last.
     """
     x = np.asarray(diff_signal, dtype=np.float64)
     n = x.size
@@ -129,7 +131,7 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
     trans = np.array([[stay, 1 - stay], [1 - stay, stay]])
     init = np.array([0.5, 0.5])
 
-    lls: list = []
+    lls, degenerate = [], False
     for _ in range(max_iter):
         log_b = np.stack([_log_gauss(x, means[s], stds[s]) for s in (0, 1)], axis=1)
 
@@ -161,8 +163,12 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
               / scale[1:, None, None]).sum(axis=0)
 
         # M step
+        counts = xi.sum(axis=1, keepdims=True)  # expected transitions out of each state
+        if not (counts > 0).all():  # the row would be 0/0
+            degenerate = True
+            break
         init = gamma[0] / gamma[0].sum()
-        trans = xi / np.maximum(xi.sum(axis=1, keepdims=True), 1e-300)
+        trans = xi / np.maximum(counts, 1e-300)
         trans /= trans.sum(axis=1, keepdims=True)
         w = gamma.sum(axis=0)
         means = (gamma * x[:, None]).sum(axis=0) / w
@@ -178,7 +184,7 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
         stds=stds,
         initial=init,
         log_likelihoods=lls,
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 

@@ -329,6 +329,20 @@ def test_train_short_row_exits_2_naming_file_and_line(synth_dir, tmp_path, capsy
     assert f"{data / 'data.csv'}: line 6: expected 4 fields, got 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header,message", [
+    ("patient_id,time_h,feature,value", "error: need >= 10 patients, got 0"),
+    ("patient,time_h,feature,value", "data.csv: unexpected CSV header"),
+])
+def test_train_header_only_or_wrong_header_exits_2(synth_dir, tmp_path, capsys, header, message):
+    data = tmp_path / "header"
+    data.mkdir()
+    (data / "data.csv").write_text(header + "\n")
+    code = run(["train", "--data", str(data), "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "run"), "--dry-run"])
+    assert code == 2
+    assert message.replace("data.csv", str(data / "data.csv")) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["version", "truncated"])
 def test_eval_bad_checkpoint_exits_2(synth_dir, trained_dir, tmp_path, capsys, damage):
     raw = bytearray((trained_dir / "checkpoint.bin").read_bytes())

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from omnitft import ingest
 from omnitft.ingest import (
+    EVENT_DTYPE,
     AllMissingFeature,
     EmptyPatient,
     NegativeTime,
     PatientSeries,
-    RawEvent,
     TooFewPatients,
     TrainStats,
     UnknownFeature,
@@ -48,11 +48,17 @@ def small_schema(step=10.0, E=6, H=2):
     )
 
 
+def events_table(schema, *rows):
+    """The events table of (patient_id, time_h, feature name, value) rows."""
+    return np.array([(p, t, schema.column(f), v) for p, t, f, v in rows], dtype=EVENT_DTYPE)
+
+
 def test_parse_direct():
     schema = small_schema()
     rows = "patient_id,time_h,feature,value\np1,0.5,hr,88\n"
     events = parse_events(io.StringIO(rows), schema)
-    assert events == [RawEvent("p1", 0.5, "hr", 88.0)]
+    assert events.dtype == EVENT_DTYPE
+    assert events.tolist() == events_table(schema, ("p1", 0.5, "hr", 88.0)).tolist()
 
 
 def test_parse_negative_time():
@@ -66,7 +72,7 @@ def test_parse_vocab_lookup():
     events = parse_events(
         io.StringIO("patient_id,time_h,feature,value\np1,0,race,asian\n"), schema
     )
-    assert events[0].value == 0.0
+    assert events["value"][0] == 0.0
 
 
 def test_parse_unknown_feature():
@@ -100,9 +106,28 @@ def test_parse_wrong_field_count_rejected(row, k):
         parse_events(io.StringIO(text), schema)
 
 
+def test_parse_reports_the_first_bad_line():
+    schema = small_schema()
+    text = "patient_id,time_h,feature,value\np1,0,hr,80\np1,1,hr,x\np1,2,hr,81\np1,3,abc,1\n"
+    with pytest.raises(UnparsableValue, match="line 3: value 'x'"):
+        parse_events(io.StringIO(text), schema)
+
+
+@pytest.mark.parametrize("time_s,error,message", [
+    ("soon", UnparsableValue, "line 2: time 'soon'"),
+    ("inf", UnparsableValue, "line 2: non-finite time 'inf'"),
+    ("-1", NegativeTime, "line 2: time -1.0"),
+])
+def test_parse_bad_time_reported_before_non_finite_value(time_s, error, message):
+    text = f"patient_id,time_h,feature,value\np1,{time_s},hr,nan\n"
+    with pytest.raises(error) as info:
+        parse_events(io.StringIO(text), small_schema())
+    assert str(info.value) == message
+
+
 def test_resample_bin_mean():
     schema = small_schema()
-    events = [RawEvent("p1", 3 / 60, "hr", 88.0), RawEvent("p1", 7 / 60, "hr", 92.0)]
+    events = events_table(schema, ("p1", 3 / 60, "hr", 88.0), ("p1", 7 / 60, "hr", 92.0))
     s = resample_to_grid(events, schema)
     j = schema.column("hr")
     assert s.values[0, j] == 90.0
@@ -111,7 +136,7 @@ def test_resample_bin_mean():
 
 def test_resample_empty_bin_masked():
     schema = small_schema(step=120.0)
-    events = [RawEvent("p1", 0.0, "hr", 80.0), RawEvent("p1", 5.0, "hr", 90.0)]
+    events = events_table(schema, ("p1", 0.0, "hr", 80.0), ("p1", 5.0, "hr", 90.0))
     s = resample_to_grid(events, schema)
     j = schema.column("lactate")
     assert not s.mask[:, j].any()
@@ -121,25 +146,26 @@ def test_resample_empty_bin_masked():
 
 def test_resample_single_event_bin():
     schema = small_schema()
-    s = resample_to_grid([RawEvent("p1", 0.01, "hr", 77.0)], schema)
+    s = resample_to_grid(events_table(schema, ("p1", 0.01, "hr", 77.0)), schema)
     assert s.values[0, schema.column("hr")] == 77.0
 
 
 def test_resample_categorical_mode():
     schema = small_schema(step=60.0)
-    events = [
-        RawEvent("p1", 0.1, "race", 1.0),
-        RawEvent("p1", 0.2, "race", 0.0),
-        RawEvent("p1", 0.3, "race", 1.0),
-        RawEvent("p1", 0.9, "hr", 80.0),
-    ]
+    events = events_table(
+        schema,
+        ("p1", 0.1, "race", 1.0),
+        ("p1", 0.2, "race", 0.0),
+        ("p1", 0.3, "race", 1.0),
+        ("p1", 0.9, "hr", 80.0),
+    )
     s = resample_to_grid(events, schema)
     assert s.values[0, schema.column("race")] == 1.0
 
 
 def test_resample_empty_patient():
     with pytest.raises(EmptyPatient):
-        resample_to_grid([], small_schema())
+        resample_to_grid(events_table(small_schema()), small_schema())
 
 
 def grid_series(schema, hr, mask_hr):
@@ -390,19 +416,44 @@ def test_split_grid_files_round_trip(tmp_path):
 def test_pipeline_end_to_end():
     schema = synthetic_schema(encoder_len=6, horizon_len=2)
     series, _ = generate_synthetic(15, schema, shock_rate=0.2, seed=4, min_steps=20, max_steps=30)
-    events = []
+    rows = []
     for s in series:
         for pid, t, feat, val in ingest.series_to_events(s, schema):
             spec = schema.feature(feat)
             value = float(spec.category_index(val)) if spec.is_categorical else float(val)
-            events.append(RawEvent(pid, t, feat, value))
-    splits, stats, report = ingest.ingest_pipeline(events, schema, seed=0)
+            rows.append((pid, t, feat, value))
+    splits, stats, report = ingest.ingest_pipeline(events_table(schema, *rows), schema, seed=0)
     assert report["split_counts"]["train"] >= report["split_counts"]["val"]
     assert sum(report["split_counts"].values()) == report["n_retained"] == 15
     for name, lst in splits.items():
         for s in lst:
             assert s.imputed
             assert np.isfinite(s.values).all()
+
+
+def test_pipeline_grids_do_not_depend_on_row_order():
+    schema = synthetic_schema(encoder_len=2, horizon_len=1)
+    series, _ = generate_synthetic(10, schema, seed=3, min_steps=8, max_steps=10)
+    rows = [row for s in series for row in ingest.series_to_events(s, schema)]
+    # three events in one cell at one time: their file order fixes the float sum
+    at = rows.index(("p0003", 2.0, "y", repr(float(series[3].values[2, 0]))))
+    rows[at:at + 1] = [("p0003", 2.0, "y", v) for v in ("0.1", "0.2", "0.3")]
+    # patients interleaved and time running backwards; ties keep their file order
+    shuffled = sorted(rows, key=lambda r: -r[1])
+
+    def ingested(rows):
+        text = "patient_id,time_h,feature,value\n" + "".join(
+            f"{p},{t!r},{f},{v}\n" for p, t, f, v in rows)
+        splits, _, report = ingest.ingest_pipeline(parse_events(io.StringIO(text), schema), schema)
+        return report, {s.patient_id: s for v in splits.values() for s in v}
+
+    (report, by_id), (report_shuffled, by_id_shuffled) = ingested(rows), ingested(shuffled)
+    assert report_shuffled == report and by_id_shuffled.keys() == by_id.keys()
+    for pid, s in by_id.items():
+        assert by_id_shuffled[pid].values.tobytes() == s.values.tobytes()
+        assert by_id_shuffled[pid].mask.tobytes() == s.mask.tobytes()
+    p3 = by_id["p0003"]
+    assert p3.values[2 - p3.trimmed_steps, 0] == (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +542,7 @@ def test_event_round_trip_reproduces_the_grid(seed, grid_step_min):
     events = parse_events(io.StringIO(text.getvalue()), schema)
     temporal = np.array([f.role != "static" for f in schema.features])
     for s in series:
-        grid = resample_to_grid([e for e in events if e.patient_id == s.patient_id], schema)
+        grid = resample_to_grid(events[events["patient_id"] == s.patient_id], schema)
         # statics are written once, at time 0
         np.testing.assert_array_equal(grid.mask, temporal | (np.arange(s.n_steps)[:, None] == 0))
         assert grid.values[grid.mask].tobytes() == s.values[grid.mask].tobytes()
@@ -501,14 +552,14 @@ def test_event_round_trip_reproduces_the_grid(seed, grid_step_min):
 
 @st.composite
 def binned_events(draw):
-    events = []
+    rows = []
     for _ in range(draw(st.integers(1, 60))):
         spec = draw(st.sampled_from(PROP_SCHEMA.features))
         value = (draw(st.sampled_from([0.0, 1.0, 2.0])) if spec.is_categorical
                  else draw(st.floats(0.0, 200.0)))
         step, offset = draw(st.integers(0, 5)), draw(st.sampled_from([0.0, 0.1, 0.25, 0.49]))
-        events.append(RawEvent("p", step * 0.5 + offset, spec.name, value))
-    return events
+        rows.append(("p", step * 0.5 + offset, spec.name, value))
+    return events_table(PROP_SCHEMA, *rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -516,8 +567,8 @@ def binned_events(draw):
 def test_resample_matches_per_cell_oracle(events):
     grid = resample_to_grid(events, PROP_SCHEMA)
     cells = {}
-    for e in events:
-        cells.setdefault((int(e.time_h // 0.5), PROP_SCHEMA.column(e.feature)), []).append(e.value)
+    for _, time_h, j, value in events.tolist():
+        cells.setdefault((int(time_h // 0.5), j), []).append(value)
     assert grid.n_steps == 1 + max(t for t, _ in cells)
     assert set(zip(*np.nonzero(grid.mask))) == set(cells)
     for (t, j), vals in cells.items():

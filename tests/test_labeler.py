@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from omnitft import labeler
+from omnitft.ingest import generate_synthetic, synthetic_schema
 from omnitft.labeler import (
     STABLE,
     VOLATILE,
@@ -124,6 +125,28 @@ def test_hmm_degenerate_constant_signal():
     assert params.degenerate
     labels = hmm_decode(np.zeros(50), params)
     assert set(labels) == {STABLE}
+
+
+def test_hmm_state_with_no_outgoing_transitions_is_degenerate():
+    # p0058's volatile state collapses onto its last diff, leaving that
+    # state's transition row without expected counts
+    schema = synthetic_schema()
+    series, _ = generate_synthetic(100, schema, seed=8, min_steps=72, max_steps=72)
+    assert series[58].patient_id == "p0058"
+    diffs = np.diff(series[58].values[:, schema.column("y")])
+    params = hmm_fit(diffs, seed=0)
+    assert params.degenerate
+    assert len(params.log_likelihoods) < 50
+    for arr in (params.transition, params.means, params.stds, params.initial,
+                params.log_likelihoods):
+        assert np.isfinite(arr).all()
+    assert set(hmm_decode(diffs, params)) == {STABLE}
+
+
+def test_hmm_params_reject_non_finite_transition():
+    with pytest.raises(labeler.LabelerError, match="finite"):
+        labeler.HmmParams(np.full((2, 2), np.nan), np.zeros(2), np.ones(2),
+                          np.array([0.5, 0.5]), [])
 
 
 def test_hmm_decode_deterministic():
