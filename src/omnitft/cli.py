@@ -1,7 +1,8 @@
 """Command-line pipeline: synth | train | eval | label.
 
 Every command is deterministic given its inputs and seeds and writes a
-manifest.json into --out listing produced artifacts with sha256 digests.
+manifest.json into --out listing produced artifacts with sha256 digests
+(and, for train, the run's result).
 Exit codes: 0 success, 2 configuration or input error, 3 training diverged,
 1 unexpected failure.
 """
@@ -57,7 +58,8 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list, artifacts: list):
+def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list, artifacts: list,
+                    result: dict | None = None):
     manifest = {
         "command": command,
         "parameters": params,
@@ -65,6 +67,8 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list, art
         "artifacts": [{"path": str(p), "sha256": _digest(p)} for p in artifacts],
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
+    if result is not None:
+        manifest["result"] = result
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -326,6 +330,14 @@ def cmd_train(args) -> int:
         {"schema": str(args.schema), "config": str(args.config), "seed": train_cfg.seed},
         inputs=[data_path, Path(args.schema)],
         artifacts=[ckpt_path, hist_path, resolved_path] + [Path(p) for p in grid_paths],
+        result={
+            "best_epoch": result.best_epoch,
+            # null when no validation loss was finite (JSON has no Infinity)
+            "best_val": float(result.best_val) if math.isfinite(result.best_val) else None,
+            "stopped_epoch": result.stopped_epoch,
+            "diverged": result.diverged,
+            "single_class": result.single_class,
+        },
     )
     if result.diverged:
         print("training diverged; last good checkpoint written", file=sys.stderr)

@@ -6,8 +6,11 @@ replays the tape in reverse topological order. Every tensor holds float64,
 so finite-difference checks are meaningful.
 
 The primitives fit the shapes the model uses: a weight shared across batch
-dims takes its matmul gradient as one GEMM, and `lstm_layer` runs a whole
-LSTM layer as one node. The relu subgradient at 0 is 0, for determinism.
+dims takes its matmul gradient as one GEMM, `lstm_layer` runs a whole LSTM
+layer as one node, and `grn` and `gated_add_norm` run a gated residual
+network and a gated add-and-norm as one node each (hand-written VJPs; the
+forward repeats the composed primitives' numpy ops in order, so values are
+bit-identical). The relu subgradient at 0 is 0, for determinism.
 
 Inference passes run under `no_grad()`, which records no parents and no
 closures, so nothing is kept alive for a backward pass that never comes.
@@ -520,6 +523,102 @@ def lstm_layer(xp, h0, c0, w_h) -> Tensor:
         return dz, dh, dcell, gw
 
     return _make(out, (xp, h0, c0, w_h), vjp)
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+def _glu(h, gate, val):
+    """sigmoid(h @ Wg + bg) * (h @ Wv + bv); returns the product and its factors."""
+    sig = 1.0 / (1.0 + np.exp(-(h @ gate[0].data + gate[1].data)))
+    v = h @ val[0].data + val[1].data
+    return sig * v, sig, v
+
+
+def _glu_vjp(g, h, gate, val, sig, v):
+    """Gradients of `_glu` for (h, Wg, bg, Wv, bv) given the output's gradient."""
+    gz = _flat(g * v * sig * (1.0 - sig))
+    gv = _flat(g * sig)
+    hf = _flat(h)
+    gh = (gz @ gate[0].data.T + gv @ val[0].data.T).reshape(h.shape)
+    return gh, hf.T @ gz, gz.sum(axis=0), hf.T @ gv, gv.sum(axis=0)
+
+
+def _layernorm(s, ln):
+    """Layer norm over the last axis (Ba et al.); returns output, normed, sigma."""
+    centered = s - s.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    normed = centered / sigma
+    return normed * ln[0].data + ln[1].data, normed, sigma
+
+
+def _layernorm_vjp(g, ln, normed, sigma):
+    """Gradients of `_layernorm` for (s, gain, bias)."""
+    gn = g * ln[0].data
+    gc = (gn - normed * (gn * normed).mean(axis=-1, keepdims=True)) / sigma
+    gs = gc - gc.mean(axis=-1, keepdims=True)
+    return gs, _flat(g * normed).sum(axis=0), _flat(g).sum(axis=0)
+
+
+def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
+    """A gated residual network (Lim et al., TFT) as a single node:
+    LN(x' + GLU(keep * (ELU(x @ W1 + b1 + c @ Wc) @ W2 + b2))), x' = x or x @ skip.
+
+    fc1, fc2, gate, val: (weight, bias) pairs; ln: (gain, bias); skip: a
+    projection weight when the output width differs from x's; ctx: a
+    (context (B, d), weight) pair, its term shared by every step of a 3-D x;
+    keep: a constant dropout mask on the second dense layer's output.
+    """
+    x = as_tensor(x)
+    xd = x.data
+    h1 = xd @ fc1[0].data + fc1[1].data
+    if ctx is not None:
+        c = ctx[0].data @ ctx[1].data
+        h1 = h1 + (c[:, None, :] if xd.ndim == 3 else c)
+    neg = np.exp(np.minimum(h1, 0.0)) - 1.0
+    a = np.where(h1 > 0.0, h1, neg)  # ELU
+    h2 = a @ fc2[0].data + fc2[1].data
+    if keep is not None:
+        h2 = h2 * keep
+    gated, sig, v = _glu(h2, gate, val)
+    out, normed, sigma = _layernorm(gated + (xd if skip is None else xd @ skip.data), ln)
+    parents = [x, *fc1, *fc2, *gate, *val, *ln, *([] if skip is None else [skip]), *(ctx or ())]
+
+    def vjp(g):
+        gs, g_lng, g_lnb = _layernorm_vjp(g, ln, normed, sigma)
+        gh2, *g_glu = _glu_vjp(gs, h2, gate, val, sig, v)
+        if keep is not None:
+            gh2 = gh2 * keep
+        gh2, af, xf = _flat(gh2), _flat(a), _flat(xd)
+        gh1 = (gh2 @ fc2[0].data.T) * _flat(np.where(h1 > 0.0, 1.0, neg + 1.0))
+        gsf = _flat(gs)
+        gx = gh1 @ fc1[0].data.T + (gsf if skip is None else gsf @ skip.data.T)
+        grads = [gx.reshape(xd.shape), xf.T @ gh1, gh1.sum(axis=0),
+                 af.T @ gh2, gh2.sum(axis=0), *g_glu, g_lng, g_lnb]
+        grads += [] if skip is None else [xf.T @ gsf]
+        if ctx is not None:
+            gc = gh1.reshape(h1.shape)
+            gc = gc.sum(axis=1) if xd.ndim == 3 else gc
+            grads += [gc @ ctx[1].data.T, ctx[0].data.T @ gc]
+        return grads
+
+    return _make(out, parents, vjp)
+
+
+def gated_add_norm(h, gate, val, skip, ln) -> Tensor:
+    """LN(GLU(h) + skip) as a single node: the gate after the LSTM and each
+    attention block. gate, val: (weight, bias) pairs; ln: (gain, bias)."""
+    h, skip = as_tensor(h), as_tensor(skip)
+    gated, sig, v = _glu(h.data, gate, val)
+    out, normed, sigma = _layernorm(gated + skip.data, ln)
+
+    def vjp(g):
+        gs, g_lng, g_lnb = _layernorm_vjp(g, ln, normed, sigma)
+        gh, *g_glu = _glu_vjp(gs, h.data, gate, val, sig, v)
+        return [gh, *g_glu, gs, g_lng, g_lnb]
+
+    return _make(out, [h, *gate, *val, skip, *ln], vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ class HmmParams:
     stds: np.ndarray  # emission stds, shape (2,), floored > 0
     initial: np.ndarray  # shape (2,), on the simplex
     log_likelihoods: list  # per-iteration training log-likelihood
-    degenerate: bool = False  # single effective regime: constant signal, or a state EM emptied
+    degenerate: bool = False  # single effective regime: constant signal, or a state EM collapsed
 
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=np.float64)
@@ -99,8 +99,8 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
     Initialized from a two-way split of |diff| at its median. Stops once the
     log-likelihood improves by less than `tol` or after `max_iter` rounds;
     the per-iteration log-likelihood sequence is recorded and non-decreasing.
-    A state no expected transition leaves (one collapsed onto the last sample)
-    stops the fit, flagged degenerate, with the parameters scored last.
+    A collapsed state (no expected transition leaves it, or its std hits the
+    floor) stops the fit, flagged degenerate, with the parameters scored last.
     """
     x = np.asarray(diff_signal, dtype=np.float64)
     n = x.size
@@ -167,13 +167,16 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
         if not (counts > 0).all():  # the row would be 0/0
             degenerate = True
             break
+        w = gamma.sum(axis=0)
+        mu = (gamma * x[:, None]).sum(axis=0) / w
+        sd = np.sqrt((gamma * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / w)
+        if np.any(sd <= _SIGMA_FLOOR):  # a state collapsed onto one sample
+            degenerate = True
+            break
         init = gamma[0] / gamma[0].sum()
         trans = xi / np.maximum(counts, 1e-300)
         trans /= trans.sum(axis=1, keepdims=True)
-        w = gamma.sum(axis=0)
-        means = (gamma * x[:, None]).sum(axis=0) / w
-        var = (gamma * (x[:, None] - means[None, :]) ** 2).sum(axis=0) / w
-        stds = np.maximum(np.sqrt(var), _SIGMA_FLOOR)
+        means, stds = mu, sd
 
         if len(lls) >= 2 and lls[-1] - lls[-2] < tol:
             break

@@ -291,40 +291,38 @@ class Model:
     def _dense(self, name, x):
         return dc.matmul(x, self.params[f"{name}/w"]) + self.params[f"{name}/b"]
 
-    def _dropout(self, x, rng):
+    def _keep(self, shape, rng):
+        """Inverted-dropout keep mask, or None when dropout is off."""
         rate = self.config.dropout
         if rng is None or rate <= 0.0:
-            return x
-        keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-        return dc.mul(x, Tensor(keep))
+            return None
+        return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
 
-    def _layernorm(self, x, gamma_name, beta_name):
-        mu = dc.reduce_mean(x, axis=-1, keepdims=True)
-        centered = dc.sub(x, mu)
-        var = dc.reduce_mean(dc.square(centered), axis=-1, keepdims=True)
-        normed = dc.div(centered, dc.sqrt(var + 1e-5))
-        return dc.mul(normed, self.params[gamma_name]) + self.params[beta_name]
+    def _dropout(self, x, rng):
+        keep = self._keep(x.shape, rng)
+        return x if keep is None else dc.mul(x, Tensor(keep))
 
-    def _glu(self, prefix, x):
-        return dc.mul(dc.sigmoid(self._dense(f"{prefix}/gate", x)),
-                      self._dense(f"{prefix}/val", x))
+    def _wb(self, name):
+        return self.params[f"{name}/w"], self.params[f"{name}/b"]
+
+    def _ln(self, prefix):
+        return self.params[f"{prefix}/ln_g"], self.params[f"{prefix}/ln_b"]
+
+    def _gate_norm(self, prefix, h, skip):
+        """LN(GLU(h) + skip), with the gate, value and norm stored under prefix."""
+        return dc.gated_add_norm(h, self._wb(f"{prefix}/gate"), self._wb(f"{prefix}/val"),
+                                 skip, self._ln(prefix))
 
     def grn(self, prefix, x, ctx=None, rng=None):
         """dense -> ELU -> dense -> GLU, residual-added and layer-normalized."""
-        h = self._dense(f"{prefix}/fc1", x)
-        if ctx is not None:
-            c = dc.matmul(ctx, self.params[f"{prefix}/ctx/w"])
-            if len(x.shape) == 3:
-                c = dc.reshape(c, (c.shape[0], 1, c.shape[-1]))
-            h = h + c
-        h = dc.elu(h)
-        h = self._dense(f"{prefix}/fc2", h)
-        h = self._dropout(h, rng)
-        gated = self._glu(prefix, h)
-        skip = x
-        if f"{prefix}/skip/w" in self.params:
-            skip = dc.matmul(x, self.params[f"{prefix}/skip/w"])
-        return self._layernorm(gated + skip, f"{prefix}/ln_g", f"{prefix}/ln_b")
+        p = self.params
+        fc2 = self._wb(f"{prefix}/fc2")
+        return dc.grn(
+            x, self._wb(f"{prefix}/fc1"), fc2, self._wb(f"{prefix}/gate"),
+            self._wb(f"{prefix}/val"), self._ln(prefix), skip=p.get(f"{prefix}/skip/w"),
+            ctx=None if ctx is None else (ctx, p[f"{prefix}/ctx/w"]),
+            keep=self._keep(x.shape[:-1] + fc2[0].shape[1:], rng),
+        )
 
     # ------------------------------------------------------------------
     # embeddings
@@ -410,8 +408,7 @@ class Model:
 
         lstm_seq = dc.concat([enc_out, dec_out], axis=1)
         inputs_seq = dc.concat([fused_past, fused_future], axis=1)
-        gated = self._glu("post_lstm", lstm_seq)
-        seq = self._layernorm(gated + inputs_seq, "post_lstm/ln_g", "post_lstm/ln_b")
+        seq = self._gate_norm("post_lstm", lstm_seq, inputs_seq)
         return seq, enc_out, dec_out
 
     # ------------------------------------------------------------------
@@ -444,8 +441,7 @@ class Model:
                 ctx_sum = ctx if ctx_sum is None else ctx_sum + ctx
             mean_ctx = dc.mul(ctx_sum, 1.0 / cfg.heads)
             out = self._dropout(self._dense(f"attn/b{k}/out", mean_ctx), rng)
-            gated = self._glu(f"attn/b{k}", out)
-            x = self._layernorm(gated + x, f"attn/b{k}/ln_g", f"attn/b{k}/ln_b")
+            x = self._gate_norm(f"attn/b{k}", out, x)
             x = self.grn(f"attn/b{k}/grn", x, rng=rng)
 
         abar = heads[0]

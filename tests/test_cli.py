@@ -180,6 +180,19 @@ def test_train_artifacts(trained_dir):
     assert sum(ingest_manifest["split_counts"].values()) == ingest_manifest["n_retained"]
 
 
+def test_train_manifest_records_the_run_result(trained_dir):
+    result = read_json(trained_dir / "manifest.json")["result"]
+    assert set(result) == {"best_epoch", "best_val", "stopped_epoch", "diverged",
+                           "single_class"}
+    with open(trained_dir / "history.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    vals = [float(r["val_loss"]) for r in rows]
+    assert result["best_val"] == min(vals)
+    assert result["best_epoch"] == int(rows[vals.index(min(vals))]["epoch"])
+    assert result["stopped_epoch"] == int(rows[-1]["epoch"])
+    assert result["diverged"] is False and isinstance(result["single_class"], bool)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_diverged_exit_code(synth_dir, tmp_path):
     out = tmp_path / "boom"
@@ -195,6 +208,7 @@ def test_train_diverged_exit_code(synth_dir, tmp_path):
     ])
     assert code == 3
     assert (out / "checkpoint.bin").exists()  # last good parameters still land
+    assert read_json(out / "manifest.json")["result"]["diverged"] is True
 
 
 def test_eval_writes_metrics_and_exports(synth_dir, trained_dir, tmp_path):

@@ -251,6 +251,160 @@ def test_lstm_layer_shape_mismatch():
         dc.lstm_layer(xp[:, :, :18], h0, c0, w_h)
 
 
+def _reference_layernorm(s, gain, bias):
+    """The fused nodes' layer norm, step by step from the primitives."""
+    centered = dc.sub(s, dc.reduce_mean(s, axis=-1, keepdims=True))
+    var = dc.reduce_mean(dc.square(centered), axis=-1, keepdims=True)
+    return dc.mul(dc.div(centered, dc.sqrt(var + 1e-5)), gain) + bias
+
+
+def _reference_glu(h, gate, val):
+    return dc.mul(dc.sigmoid(dc.matmul(h, gate[0]) + gate[1]), dc.matmul(h, val[0]) + val[1])
+
+
+def _reference_grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None):
+    h = dc.matmul(x, fc1[0]) + fc1[1]
+    if ctx is not None:
+        c = dc.matmul(*ctx)
+        if x.ndim == 3:
+            c = dc.reshape(c, (c.shape[0], 1, c.shape[-1]))
+        h = h + c
+    h = dc.matmul(dc.elu(h), fc2[0]) + fc2[1]
+    if keep is not None:
+        h = dc.mul(h, Tensor(keep))
+    residual = x if skip is None else dc.matmul(x, skip)
+    return _reference_layernorm(_reference_glu(h, gate, val) + residual, *ln)
+
+
+def _reference_gated_add_norm(h, gate, val, skip, ln):
+    return _reference_layernorm(_reference_glu(h, gate, val) + skip, *ln)
+
+
+# (x shape, output width, with skip projection, with context, with dropout mask)
+GRN_CASES = {
+    "2d": ((3, 5), 5, False, False, False),
+    "2d-skip-ctx-keep": ((3, 6), 4, True, True, True),
+    "3d": ((2, 3, 5), 5, False, False, False),
+    "3d-ctx-keep": ((2, 3, 5), 5, False, True, True),
+    "3d-skip-ctx": ((2, 3, 6), 4, True, True, False),
+}
+
+
+def _grn_inputs(case, seed, d=4):
+    """Named input arrays of one GRN case, and its constant dropout mask."""
+    x_shape, d_out, with_skip, with_ctx, with_keep = GRN_CASES[case]
+    rng = np.random.default_rng(seed)
+    d_in = x_shape[-1]
+    arrays = {"x": rng.normal(size=x_shape)}
+    for name, n_in, n_out in (("fc1", d_in, d), ("fc2", d, d_out),
+                              ("gate", d_out, d_out), ("val", d_out, d_out)):
+        arrays[f"{name}/w"] = rng.normal(size=(n_in, n_out)) * 0.7
+        arrays[f"{name}/b"] = rng.normal(size=n_out) * 0.3
+    arrays["ln/g"] = 1.0 + 0.3 * rng.normal(size=d_out)
+    arrays["ln/b"] = 0.3 * rng.normal(size=d_out)
+    if with_skip:
+        arrays["skip/w"] = rng.normal(size=(d_in, d_out)) * 0.7
+    if with_ctx:
+        arrays["ctx"] = rng.normal(size=(x_shape[0], d))
+        arrays["ctx/w"] = rng.normal(size=(d, d)) * 0.7
+    keep = None
+    if with_keep:
+        keep = (rng.random(x_shape[:-1] + (d_out,)) >= 0.3) / 0.7
+    return arrays, keep
+
+
+def _grn_call(fn, t, keep):
+    """Call a GRN implementation on a dict of named tensors."""
+    return fn(
+        t["x"], (t["fc1/w"], t["fc1/b"]), (t["fc2/w"], t["fc2/b"]),
+        (t["gate/w"], t["gate/b"]), (t["val/w"], t["val/b"]), (t["ln/g"], t["ln/b"]),
+        skip=t.get("skip/w"), ctx=(t["ctx"], t["ctx/w"]) if "ctx" in t else None,
+        keep=keep,
+    )
+
+
+def _gan_inputs(shape, seed):
+    rng = np.random.default_rng(seed)
+    d = shape[-1]
+    return {
+        "h": rng.normal(size=shape), "skip": rng.normal(size=shape),
+        "gate/w": rng.normal(size=(d, d)) * 0.7, "gate/b": rng.normal(size=d) * 0.3,
+        "val/w": rng.normal(size=(d, d)) * 0.7, "val/b": rng.normal(size=d) * 0.3,
+        "ln/g": 1.0 + 0.3 * rng.normal(size=d), "ln/b": 0.3 * rng.normal(size=d),
+    }
+
+
+def _gan_call(fn, t):
+    return fn(t["h"], (t["gate/w"], t["gate/b"]), (t["val/w"], t["val/b"]), t["skip"],
+              (t["ln/g"], t["ln/b"]))
+
+
+def _assert_matches_reference(fused_fn, reference_fn, arrays, seed):
+    fused = {k: Tensor(a.copy(), requires_grad=True) for k, a in arrays.items()}
+    ref = {k: Tensor(a.copy(), requires_grad=True) for k, a in arrays.items()}
+    out_f, out_r = fused_fn(fused), reference_fn(ref)
+    np.testing.assert_array_equal(out_f.data, out_r.data)  # same numpy ops, same order
+    proj = Tensor(np.random.default_rng(seed).normal(size=out_f.shape))
+    dc.backward(dc.reduce_sum(dc.mul(out_f, proj)))
+    dc.backward(dc.reduce_sum(dc.mul(out_r, proj)))
+    for k in arrays:
+        np.testing.assert_allclose(fused[k].grad, ref[k].grad, rtol=1e-10, atol=1e-13,
+                                   err_msg=k)
+
+
+def _grad_check_errors(fn, arrays, out_shape, seed):
+    """Per input, dc.grad_check of <fn(inputs), proj>; returns {name: error}."""
+    proj = Tensor(np.random.default_rng(seed).normal(size=out_shape))
+    errors = {}
+    for name in arrays:
+        def f(x, name=name):
+            t = {k: Tensor(a) for k, a in arrays.items()}
+            t[name] = x
+            return dc.reduce_sum(dc.mul(fn(t), proj))
+
+        errors[name] = dc.grad_check(f, Tensor(arrays[name].copy(), requires_grad=True))
+    return errors
+
+
+@pytest.mark.parametrize("case", list(GRN_CASES))
+def test_grn_matches_stepwise_reference(case):
+    arrays, keep = _grn_inputs(case, seed=31)
+    _assert_matches_reference(lambda t: _grn_call(dc.grn, t, keep),
+                              lambda t: _grn_call(_reference_grn, t, keep), arrays, seed=32)
+
+
+@pytest.mark.parametrize("case", list(GRN_CASES))
+def test_grn_grad_check_every_input(case):
+    arrays, keep = _grn_inputs(case, seed=33)
+    out_shape = arrays["x"].shape[:-1] + (GRN_CASES[case][1],)
+    errors = _grad_check_errors(lambda t: _grn_call(dc.grn, t, keep), arrays, out_shape, 34)
+    assert max(errors.values()) < 1e-6, errors
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 3, 5)], ids=["2d", "3d"])
+def test_gated_add_norm_matches_stepwise_reference(shape):
+    _assert_matches_reference(lambda t: _gan_call(dc.gated_add_norm, t),
+                              lambda t: _gan_call(_reference_gated_add_norm, t),
+                              _gan_inputs(shape, seed=35), seed=36)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 3, 5)], ids=["2d", "3d"])
+def test_gated_add_norm_grad_check_every_input(shape):
+    errors = _grad_check_errors(lambda t: _gan_call(dc.gated_add_norm, t),
+                                _gan_inputs(shape, seed=37), shape, 38)
+    assert max(errors.values()) < 1e-6, errors
+
+
+def test_fused_nodes_build_no_graph_under_no_grad():
+    arrays, keep = _grn_inputs("3d-skip-ctx", seed=39)
+    t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+    with dc.no_grad():
+        out = _grn_call(dc.grn, t, keep)
+        gan = _gan_call(dc.gated_add_norm, {k: Tensor(a, requires_grad=True)
+                                            for k, a in _gan_inputs((3, 5), 40).items()})
+    assert out._parents == () and gan._parents == () and not out.requires_grad
+
+
 @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5)], ids=["BTk", "BHTk"])
 def test_matmul_shared_weight_folded_grad_check(shape):
     rng = np.random.default_rng(24)

@@ -143,6 +143,21 @@ def test_hmm_state_with_no_outgoing_transitions_is_degenerate():
     assert set(hmm_decode(diffs, params)) == {STABLE}
 
 
+@pytest.mark.parametrize("seed,patient", [(7, 23), (8, 60)])
+def test_hmm_state_collapsed_onto_one_sample_is_degenerate(seed, patient):
+    # one state's std falls to the floor on a single diff; argmax of the stds
+    # would then name the broad state volatile and label nearly every step so
+    schema = synthetic_schema()
+    series, _ = generate_synthetic(100, schema, seed=seed, min_steps=72, max_steps=72)
+    assert series[patient].patient_id == f"p{patient:04d}"
+    diffs = np.diff(series[patient].values[:, schema.column("y")])
+    params = hmm_fit(diffs, seed=0)
+    assert params.degenerate
+    assert np.all(params.stds > labeler._SIGMA_FLOOR)  # the parameters scored last
+    assert np.all(np.diff(params.log_likelihoods) >= -1e-9)
+    assert set(hmm_decode(diffs, params)) == {STABLE}
+
+
 def test_hmm_params_reject_non_finite_transition():
     with pytest.raises(labeler.LabelerError, match="finite"):
         labeler.HmmParams(np.full((2, 2), np.nan), np.zeros(2), np.ones(2),

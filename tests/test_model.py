@@ -9,8 +9,11 @@ from omnitft import model as mod
 from omnitft.diffcore import Tensor
 from omnitft.ingest import generate_synthetic, synthetic_schema
 from omnitft.model import Model, ModelConfig, WindowBatch, load_checkpoint, save_checkpoint
+from omnitft.penalties import PenaltyWeights
 from omnitft.sampler import enumerate_windows
-from omnitft.schema import DatasetSchema, FeatureSpec, validate_schema
+from omnitft.schema import DatasetSchema, FeatureSpec, build_group_assignment, validate_schema
+from omnitft.trainer import total_objective
+from test_acceptance import tiny_model_and_batch
 
 E, H = 6, 4
 T = E + H
@@ -123,8 +126,10 @@ def test_grn_gate_closed_passes_residual(tiny_model):
     x = Tensor(np.random.default_rng(0).normal(size=(3, 8)))
     m.params["enrich/gate/b"].data[:] = -60.0  # saturate the gate shut
     out = m.grn("enrich", x)
-    expect = m._layernorm(x, "enrich/ln_g", "enrich/ln_b")
-    np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    normed = centered / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + 1e-5)
+    expect = normed * m.params["enrich/ln_g"].data + m.params["enrich/ln_b"].data
+    np.testing.assert_allclose(out.data, expect, atol=1e-12)
     m.params["enrich/gate/b"].data[:] = 0.0
 
 
@@ -337,3 +342,49 @@ def test_checkpoint_truncated(tmp_path, tiny_model, cut):
     p.write_bytes(p.read_bytes()[:cut])
     with pytest.raises(mod.ModelError, match="truncated"):
         load_checkpoint(p)
+
+
+def test_directional_derivative_over_all_parameters():
+    # <grad L, v> against a central difference of the whole objective along one
+    # random direction v over every parameter at once; each seed keeps the
+    # better of two step sizes, since roundoff and truncation bite differently
+    weights = PenaltyWeights(lambda_embed=1.0, lambda_group=1.0, lambda_shock=1.0)
+    errors = {}
+    for seed in range(20):
+        schema, m, batch, rng = tiny_model_and_batch(seed)
+        gmat = build_group_assignment(schema).matrix
+
+        def loss():
+            return total_objective(m, m.forward(batch), batch, weights, gmat)[0]
+
+        dc.backward(loss())
+        base = {k: p.data.copy() for k, p in m.params.items()}
+        v = {k: rng.normal(size=p.shape) for k, p in m.params.items()}
+        analytic = sum(float(np.sum(p.grad * v[k])) for k, p in m.params.items())
+
+        def along(t):
+            for k, p in m.params.items():
+                p.data = base[k] + t * v[k]
+            with dc.no_grad():
+                return float(loss().data)
+
+        best = np.inf
+        for eps in (1e-5, 1e-4):
+            numeric = (along(eps) - along(-eps)) / (2.0 * eps)
+            best = min(best, abs(analytic - numeric) / abs(numeric))
+        errors[seed] = best
+    assert max(errors.values()) < 1e-5, errors
+
+
+def test_desk_train_step_tape_stays_small():
+    # each GRN and each gated add-and-norm is one node; composed from
+    # primitives, this step built 1055
+    schema = synthetic_schema()
+    series, _ = generate_synthetic(2, schema, seed=0, min_steps=48, max_steps=48)
+    wins = [w for s in series for w in enumerate_windows(s, schema, delta=2.0)]
+    m = Model(schema, ModelConfig(hidden=16, heads=2, blocks=2, dropout=0.1), seed=0)
+    batch = WindowBatch.from_windows(wins[:32])
+    fp = m.forward(batch, rng=np.random.default_rng(0))
+    loss, _ = total_objective(m, fp, batch, PenaltyWeights(),
+                              build_group_assignment(schema).matrix)
+    assert len(dc.Tape.from_root(loss).nodes) <= 600
