@@ -337,6 +337,7 @@ def cmd_train(args) -> int:
             "stopped_epoch": result.stopped_epoch,
             "diverged": result.diverged,
             "single_class": result.single_class,
+            "clip_frac": result.clip_frac,
         },
     )
     if result.diverged:

@@ -16,14 +16,16 @@ representations, and per-batch category counts.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .schema import DatasetSchema, FeatureSpec
+from .schema import DatasetSchema, FeatureSpec, SchemaError, schema_from_dict, schema_to_dict
 
 _CKPT_MAGIC = b"OTFTCKPT"
 _CKPT_VERSION = 1
@@ -554,8 +556,6 @@ class Model:
 
 def save_checkpoint(path, model: Model):
     """Byte-stable container: magic, version, JSON header, raw float64 data."""
-    from .schema import schema_to_dict
-
     names = list(model.params.keys())
     header = {
         "config": asdict(model.config),
@@ -575,42 +575,47 @@ def save_checkpoint(path, model: Model):
 
 
 def load_checkpoint(path) -> Model:
-    from .schema import schema_from_dict
+    """Read a checkpoint whole (no length field can ask for more than the file
+    holds); a damaged or malformed file raises ModelError naming it."""
+    raw = Path(path).read_bytes()
+    pos = len(_CKPT_MAGIC)
 
-    def read_exactly(fh, n: int, what: str) -> bytes:
-        buf = fh.read(n)
-        if len(buf) != n:
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if len(raw) - pos < n:
             raise ModelError(
-                f"checkpoint {path} is truncated: {what} has {len(buf)} of {n} bytes"
+                f"checkpoint {path} is truncated: {what} has {len(raw) - pos} of {n} bytes"
             )
-        return buf
+        pos += n
+        return raw[pos - n : pos]
 
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ModelError(f"not a checkpoint file: {path}")
-        version, header_len = struct.unpack("<II", read_exactly(fh, 8, "the version field"))
-        if version != _CKPT_VERSION:
-            raise ModelError(f"unsupported checkpoint version {version}")
-        raw = read_exactly(fh, header_len, "the header")
-        try:
-            header = json.loads(raw.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ModelError(f"checkpoint {path} has an unreadable header: {e}") from None
-        params = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = read_exactly(fh, 8 * n, f"tensor {entry['name']}")
-            params[entry["name"]] = Tensor(
-                np.frombuffer(buf, dtype="<f8").reshape(shape).copy(), requires_grad=True
-            )
-    cfg = header["config"]
-    cfg["quantiles"] = tuple(cfg["quantiles"])
-    # a retired switch that older checkpoints still carry; it never moved the forecast
-    cfg.pop("use_raw_decoder_state", None)
-    config = ModelConfig(**cfg)
-    schema = schema_from_dict(header["schema"])
-    scalers = {k: tuple(v) for k, v in header.get("scalers", {}).items()}
+    if raw[:pos] != _CKPT_MAGIC:
+        raise ModelError(f"not a checkpoint file: {path}")
+    version, header_len = struct.unpack("<II", take(8, "the version field"))
+    if version != _CKPT_VERSION:
+        raise ModelError(f"unsupported checkpoint version {version}")
+    text = take(header_len, "the header")
+    try:
+        header = json.loads(text.decode())
+        entries = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
+        if any(type(n) is not int or n < 0 for _, shape in entries for n in shape):
+            raise ValueError("a tensor shape is not a list of integers >= 0")
+        cfg = dict(header["config"])
+        cfg["quantiles"] = tuple(cfg["quantiles"])
+        # a retired switch that older checkpoints still carry; it never moved the forecast
+        cfg.pop("use_raw_decoder_state", None)
+        config = ModelConfig(**cfg)
+        schema = schema_from_dict(header["schema"])
+        scalers = {k: tuple(v) for k, v in header.get("scalers", {}).items()}
+    except (KeyError, TypeError, ValueError, ModelError, SchemaError) as e:
+        raise ModelError(
+            f"checkpoint {path} has a malformed header: {type(e).__name__}: {e}"
+        ) from None
+    params = {}
+    for name, shape in entries:
+        buf = take(8 * math.prod(shape), f"tensor {name}")
+        params[name] = Tensor(np.frombuffer(buf, "<f8").reshape(shape).copy(), requires_grad=True)
+    if pos != len(raw):
+        raise ModelError(f"checkpoint {path} has {len(raw) - pos} bytes after its last tensor")
     return Model(schema, config, params=params, scalers=scalers,
                  pipeline=header.get("pipeline"))

@@ -5,6 +5,11 @@ epochs draw class-balanced window samples, multiple targets interleave
 their batches round-robin, and early stopping tracks the validation
 quantile loss alone (the penalties shape training, the task metric picks
 the checkpoint).
+
+`train` keeps the parameters in one flat float64 vector and their gradients
+in another: every `model.params[name].data` and `.grad` becomes a view into
+them, so zeroing, clipping, the Adam update and the best-epoch snapshot are
+operations on whole vectors.
 """
 
 from __future__ import annotations
@@ -28,10 +33,6 @@ class TrainerError(Exception):
 
 
 class AllMasked(TrainerError):
-    pass
-
-
-class Diverged(TrainerError):
     pass
 
 
@@ -62,6 +63,9 @@ class ObjectiveBreakdown:
 
     def as_row(self) -> list:
         return [self.l_quantile, self.c_embed, self.c_group, self.c_shock, self.l_total]
+
+
+HISTORY_COLUMNS = ["epoch", "l_quantile", "c_embed", "c_group", "c_shock", "l_total", "val_loss"]
 
 
 def quantile_loss(pred: Tensor, actual, quantiles, mask=None) -> Tensor:
@@ -132,52 +136,56 @@ def total_objective(
     return total, breakdown
 
 
-def clip_gradients(grads: dict, max_norm: float = 1.0):
-    """Scale the whole gradient set so its global L2 norm is at most max_norm."""
-    sq = sum(float(np.sum(g * g)) for g in grads.values())
-    norm = float(np.sqrt(sq))
+def clip_gradients(grads: list, max_norm: float = 1.0):
+    """Scale the gradient arrays in place so their global L2 norm is at most
+    max_norm; returns (grads, the norm before clipping).
+
+    The squared norm adds one `np.sum` per array, in list order: one sum over
+    the flat vector would round differently, and desk training amplifies
+    last-bit differences.
+    """
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if norm <= max_norm or norm == 0.0:
         return grads, norm
     scale = max_norm / norm
-    return {k: g * scale for k, g in grads.items()}, norm
+    for g in grads:
+        g *= scale
+    return grads, norm
+
+
+# Adam updates this many elements at a time, so its four operand slices stay
+# in cache between its passes instead of streaming whole vectors from memory.
+_ADAM_CHUNK = 1 << 15
 
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def adam_step(
-    params: dict,
-    grads: dict,
+    theta: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """One bias-corrected Adam update, in place on the parameter tensors."""
+    """One bias-corrected Adam update of the flat vector `theta`, in place."""
     state.step += 1
-    t = state.step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
+    c1 = 1 - beta1**state.step
+    c2 = 1 - beta2**state.step
+    for i in range(0, theta.size, _ADAM_CHUNK):
+        s = slice(i, i + _ADAM_CHUNK)
+        g, m, v = grad[s], state.m[s], state.v[s]
         m *= beta1
         m += (1 - beta1) * g
         v *= beta2
         v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        theta[s] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 @dataclass
@@ -188,6 +196,7 @@ class TrainResult:
     stopped_epoch: int
     diverged: bool = False
     single_class: bool = False  # any epoch degraded to one regime class
+    clip_frac: float = 0.0  # share of optimiser steps whose gradient norm exceeded clip
 
 
 def _batches(windows: list, size: int):
@@ -242,16 +251,22 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
 
     gmat = build_group_assignment(model.schema).matrix
     dropout_rng = np.random.default_rng(config.seed) if model.config.dropout > 0 else None
-    state = AdamState()
-
-    def snapshot():
-        return {k: v.data.copy() for k, v in model.params.items()}
-
-    def restore(snap):
-        for k, v in model.params.items():
-            v.data = snap[k].copy()
-
+    # views into two flat vectors, bound here rather than in Model because
+    # callers may assign `p.data` on a model after building it
+    theta = np.concatenate([p.data.reshape(-1) for p in model.params.values()])
+    grad = np.zeros_like(theta)
+    i = 0
+    for p in model.params.values():
+        n, shape = p.size, p.shape
+        p.data, p.grad = theta[i : i + n].reshape(shape), grad[i : i + n].reshape(shape)
+        i += n
+    grads = [p.grad for p in model.params.values()]
+    state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     history: list = []
+
+    def record(epoch, rows, val):
+        means = map(float, np.mean(rows, axis=0))
+        history.append(dict(zip(HISTORY_COLUMNS, [epoch, *means, float(val)])))
 
     # epoch 0: evaluation only, the pre-training baseline
     base_batches, single0 = _epoch_batches(pools, -1, config)
@@ -261,35 +276,24 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
             fp = model.forward(batch, rng=None)
             _, br = total_objective(model, fp, batch, config.weights, gmat)
             rows.append(br.as_row())
-    base = np.mean(rows, axis=0)
     val0 = evaluate_quantile_loss(model, val_windows)
-    history.append(
-        {
-            "epoch": 0,
-            "l_quantile": float(base[0]),
-            "c_embed": float(base[1]),
-            "c_group": float(base[2]),
-            "c_shock": float(base[3]),
-            "l_total": float(base[4]),
-            "val_loss": float(val0),
-        }
-    )
+    record(0, rows, val0)
 
     best_val = val0 if np.isfinite(val0) else float("inf")
-    best_snap = snapshot()
+    best = theta.copy()
     best_epoch = 0
     bad_epochs = 0
     single_any = single0
     diverged = False
     stopped = 0
+    steps = clipped = 0
 
     for epoch in range(1, config.max_epochs + 1):
         batches, single = _epoch_batches(pools, epoch, config)
         single_any = single_any or single
         rows = []
         for batch in batches:
-            for p in model.params.values():
-                p.zero_grad()
+            grad.fill(0.0)
             fp = model.forward(batch, rng=dropout_rng)
             loss, br = total_objective(model, fp, batch, config.weights, gmat)
             if not np.isfinite(br.l_total):
@@ -297,33 +301,21 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
                 break
             rows.append(br.as_row())
             dc.backward(loss)
-            grads = {
-                k: p.grad for k, p in model.params.items() if p.grad is not None
-            }
-            grads, _ = clip_gradients(grads, config.clip)
-            adam_step(model.params, grads, state, config.lr)
+            _, norm = clip_gradients(grads, config.clip)
+            adam_step(theta, grad, state, config.lr)
+            steps += 1
+            clipped += norm > config.clip
         if diverged:
             stopped = epoch
             break
 
-        mean_row = np.mean(rows, axis=0)
         val = evaluate_quantile_loss(model, val_windows)
-        history.append(
-            {
-                "epoch": epoch,
-                "l_quantile": float(mean_row[0]),
-                "c_embed": float(mean_row[1]),
-                "c_group": float(mean_row[2]),
-                "c_shock": float(mean_row[3]),
-                "l_total": float(mean_row[4]),
-                "val_loss": float(val),
-            }
-        )
+        record(epoch, rows, val)
         stopped = epoch
 
         if np.isfinite(val) and val < best_val:
             best_val = val
-            best_snap = snapshot()
+            best = theta.copy()
             best_epoch = epoch
             bad_epochs = 0
         else:
@@ -331,7 +323,7 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
             if bad_epochs >= config.patience:
                 break
 
-    restore(best_snap)
+    theta[:] = best
     return TrainResult(
         history=history,
         best_epoch=best_epoch,
@@ -339,10 +331,8 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
         stopped_epoch=stopped,
         diverged=diverged,
         single_class=single_any,
+        clip_frac=clipped / steps if steps else 0.0,
     )
-
-
-HISTORY_COLUMNS = ["epoch", "l_quantile", "c_embed", "c_group", "c_shock", "l_total", "val_loss"]
 
 
 def write_history_csv(path, history: list):

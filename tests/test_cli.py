@@ -1,5 +1,6 @@
 import json
 import csv
+import struct
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -183,7 +184,8 @@ def test_train_artifacts(trained_dir):
 def test_train_manifest_records_the_run_result(trained_dir):
     result = read_json(trained_dir / "manifest.json")["result"]
     assert set(result) == {"best_epoch", "best_val", "stopped_epoch", "diverged",
-                           "single_class"}
+                           "single_class", "clip_frac"}
+    assert 0.0 <= result["clip_frac"] <= 1.0
     with open(trained_dir / "history.csv") as fh:
         rows = list(csv.DictReader(fh))
     vals = [float(r["val_loss"]) for r in rows]
@@ -371,6 +373,46 @@ def test_eval_bad_checkpoint_exits_2(synth_dir, trained_dir, tmp_path, capsys, d
     assert code == 2
     err = capsys.readouterr().err
     assert ("version 7" if damage == "version" else "truncated") in err
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    header = edit(json.loads(raw[16 : 16 + header_len]))
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:12] + struct.pack("<I", len(text)) + text + raw[16 + header_len :]
+
+
+def _drop_tensors(h):
+    del h["tensors"]
+    return h
+
+
+def _misspell_hidden(h):
+    h["config"]["hiden"] = h["config"].pop("hidden")
+    return h
+
+
+def _negative_shape(h):
+    h["tensors"][0]["shape"] = [-1]
+    return h
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda raw: raw + bytes(8), "has 8 bytes after its last tensor"),
+    (lambda raw: _rewrite_header(raw, _drop_tensors), "malformed header: KeyError: 'tensors'"),
+    (lambda raw: _rewrite_header(raw, _misspell_hidden), "unexpected keyword argument 'hiden'"),
+    (lambda raw: _rewrite_header(raw, lambda h: [h]), "malformed header: TypeError"),
+    (lambda raw: _rewrite_header(raw, _negative_shape), "not a list of integers >= 0"),
+], ids=["trailing-bytes", "no-tensors", "unknown-config-key", "list-header", "negative-shape"])
+def test_eval_malformed_checkpoint_exits_2_naming_it(synth_dir, trained_dir, tmp_path, capsys,
+                                                     damage, message):
+    ckpt = tmp_path / "malformed.bin"
+    ckpt.write_bytes(damage((trained_dir / "checkpoint.bin").read_bytes()))
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+                "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}" in err and message in err
 
 
 def test_label_threshold_counts(synth_dir, tmp_path):

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from omnitft import diffcore as dc
 from omnitft import trainer as tr
 from omnitft.diffcore import Tensor
 from omnitft.ingest import generate_synthetic, synthetic_schema
@@ -99,42 +100,60 @@ def test_breakdown_identity(tiny_setup):
 
 
 def test_clip_small_norm_unchanged():
-    grads = {"a": np.array([0.3, 0.4])}  # norm 0.5
-    out, norm = clip_gradients(grads, 1.0)
+    g = np.array([0.3, 0.4])  # norm 0.5
+    out, norm = clip_gradients([g.copy()], 1.0)
     assert norm == 0.5
-    np.testing.assert_array_equal(out["a"], grads["a"])
+    np.testing.assert_array_equal(out[0], g)
 
 
 def test_clip_scales_to_unit_norm():
-    grads = {"a": np.array([4.0, 0.0]), "b": np.zeros(2)}
+    grads = [np.array([4.0, 0.0]), np.zeros(2)]
     out, norm = clip_gradients(grads, 1.0)
     assert norm == 4.0
-    new_norm = np.sqrt(sum(np.sum(g * g) for g in out.values()))
+    new_norm = np.sqrt(sum(np.sum(g * g) for g in out))
     assert abs(new_norm - 1.0) <= 1e-9
 
 
 def test_clip_preserves_direction():
     rng = np.random.default_rng(0)
     g = rng.normal(size=17)
-    out, _ = clip_gradients({"a": g * 5}, 1.0)
-    cos = np.dot(out["a"], g) / (np.linalg.norm(out["a"]) * np.linalg.norm(g))
+    out, _ = clip_gradients([g * 5], 1.0)
+    cos = np.dot(out[0], g) / (np.linalg.norm(out[0]) * np.linalg.norm(g))
     assert np.isclose(cos, 1.0)
 
 
+def test_clip_norm_is_the_per_tensor_sum_and_scales_the_flat_vector():
+    rng = np.random.default_rng(3)
+    shapes = [(3, 5), (7,), (), (2, 2, 4), (31,)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    flat = rng.normal(size=sum(sizes)) * 10.0
+    before = flat.copy()
+    offsets = np.cumsum([0] + sizes)
+    views = [flat[i : i + n].reshape(s) for i, n, s in zip(offsets, sizes, shapes)]
+    copies = [v.copy() for v in views]
+    _, norm = clip_gradients(views, 1.0)
+    assert norm == float(np.sqrt(sum(float(np.sum(g * g)) for g in copies)))
+    np.testing.assert_array_equal(flat, before * (1.0 / norm))
+
+
+def _zero_state(n):
+    return AdamState(np.zeros(n), np.zeros(n))
+
+
 def test_adam_zero_grad_keeps_params():
-    params = {"a": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-    state = AdamState()
-    adam_step(params, {"a": np.zeros(2)}, state, lr=0.1)
-    np.testing.assert_array_equal(params["a"].data, [1.0, 2.0])
+    theta = np.array([1.0, 2.0])
+    state = _zero_state(2)
+    adam_step(theta, np.zeros(2), state, lr=0.1)
+    np.testing.assert_array_equal(theta, [1.0, 2.0])
     assert state.step == 1
 
 
 def test_adam_first_step_magnitude_is_lr():
     for g in (1e-4, 1.0, 250.0):
-        params = {"a": Tensor(np.array([0.0]), requires_grad=True)}
-        adam_step(params, {"a": np.array([g])}, AdamState(), lr=0.01)
+        theta = np.array([0.0])
+        adam_step(theta, np.array([g]), _zero_state(1), lr=0.01)
         # bias-corrected first step is lr * sign(g) up to the 1e-8 eps
-        assert abs(abs(params["a"].data[0]) - 0.01) < 1e-5
+        assert abs(abs(theta[0]) - 0.01) < 1e-5
 
 
 def test_adam_deterministic():
@@ -142,13 +161,75 @@ def test_adam_deterministic():
     g = [rng.normal(size=4) for _ in range(5)]
 
     def run():
-        params = {"a": Tensor(np.zeros(4), requires_grad=True)}
-        state = AdamState()
+        theta = np.zeros(4)
+        state = _zero_state(4)
         for gi in g:
-            adam_step(params, {"a": gi.copy()}, state, lr=0.05)
-        return params["a"].data.copy()
+            adam_step(theta, gi.copy(), state, lr=0.05)
+        return theta
 
     np.testing.assert_array_equal(run(), run())
+
+
+@pytest.mark.parametrize("n", [1, 1 << 15, (1 << 15) + 7, 3 * (1 << 15) + 1])
+def test_adam_step_matches_the_per_tensor_formula(n):
+    rng = np.random.default_rng(n)
+    theta = rng.normal(size=n)
+    state = _zero_state(n)
+    # the reference: the textbook update on each tensor, with its own moments
+    cuts = sorted({0, n, *rng.integers(0, n, size=3).tolist()})
+    ref = [theta[a:b].copy() for a, b in zip(cuts, cuts[1:])]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        grad = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3, size=n)
+        grad[rng.random(n) < 0.1] = 0.0
+        adam_step(theta, grad.copy(), state, lr)
+        for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            g = grad[a:b]
+            m[j] *= b1
+            m[j] += (1 - b1) * g
+            v[j] *= b2
+            v[j] += (1 - b2) * g * g
+            m_hat = m[j] / (1 - b1**t)
+            v_hat = v[j] / (1 - b2**t)
+            ref[j] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    assert state.step == 5
+    np.testing.assert_array_equal(theta, np.concatenate(ref))
+    np.testing.assert_array_equal(state.m, np.concatenate(m))
+    np.testing.assert_array_equal(state.v, np.concatenate(v))
+
+
+@pytest.mark.parametrize("width", [(16, 2, 2), (128, 6, 4)], ids=["desk", "reference"])
+def test_a_training_step_reaches_every_parameter(width):
+    # train updates every element of the flat vector; that matches skipping
+    # tensors without a gradient only because none goes without one
+    hidden, heads, blocks = width
+    schema = synthetic_schema(encoder_len=12, horizon_len=4)
+    series, _ = generate_synthetic(3, schema, shock_rate=0.3, seed=1,
+                                   min_steps=40, max_steps=40)
+    windows = [w for s in series for w in enumerate_windows(s, schema, delta=2.0)]
+    model = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=blocks,
+                                      dropout=0.1), seed=0)
+    batch = WindowBatch.from_windows(windows[::len(windows) // 8][:8])
+    fp = model.forward(batch, rng=np.random.default_rng(0))
+    loss, _ = total_objective(model, fp, batch, PenaltyWeights(),
+                              build_group_assignment(schema).matrix)
+    dc.backward(loss)
+    missing = [k for k, p in model.params.items() if p.grad is None]
+    assert missing == []
+
+
+def test_train_keeps_parameters_as_views_of_one_vector(tiny_setup):
+    schema, _, _, windows = tiny_setup
+    model = Model(schema, ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0), seed=6)
+    cfg = TrainConfig(lr=1e-2, batch=16, max_epochs=2, patience=2, seed=0)
+    result = train(model, windows[:16], windows[16:20], cfg)
+    params = list(model.params.values())
+    theta, grad = params[0].data.base, params[0].grad.base
+    assert theta.size == grad.size == sum(p.size for p in params)
+    assert all(p.data.base is theta and p.grad.base is grad for p in params)
+    assert 0.0 <= result.clip_frac <= 1.0
 
 
 def test_train_loss_decreases_and_history_complete(tiny_setup):
