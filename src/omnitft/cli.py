@@ -366,7 +366,8 @@ def cmd_eval(args) -> int:
             raise SchemaMismatch("checkpoint schema differs from the data directory schema")
 
     splits, data_path, _ = pipeline.ingest(data_dir, schema)
-    pools, _ = build_window_pools(splits, schema, pipeline.delta)
+    # eval reads no label or cutoff, so the other splits' windows are not needed
+    pools, _ = build_window_pools({args.split: splits[args.split]}, schema, pipeline.delta)
     eval_pools = pools[args.split]
 
     reports = []

@@ -439,14 +439,6 @@ def transpose(a, axes) -> Tensor:
     return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def swap_last(a) -> Tensor:
-    """Swap the last two axes, the matmul-transpose used by attention."""
-    a = as_tensor(a)
-    return _make(
-        np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),)
-    )
-
-
 def l2_norm_rows(a) -> Tensor:
     """Euclidean norm along the last axis. Subgradient 0 at exactly-zero rows."""
     a = as_tensor(a)

@@ -4,9 +4,11 @@ Per-variable embeddings feed variable-selection networks (one for the
 encoder side, one for the known-future side, one for statics), a static
 covariate encoder conditions everything, a 2-layer LSTM encoder/decoder
 captures local dynamics, and a stack of causal interpretable multi-head
-attention blocks (per-head queries/keys, one shared value projection, so
-the head-averaged surface is a meaningful attention map) models long-range
-structure. A shared dense head emits the P10/P50/P90 trajectory.
+attention blocks models long-range structure: H~ = A~ V W_V, where A~ is
+the mean over heads of softmax(Q W_Q^h (K W_K^h)^T / sqrt(d_qk)). The heads
+share one value projection, so A~ is a meaningful attention map, and one
+A~ @ V product per block forms the context. A shared dense head emits the
+P10/P50/P90 trajectory.
 
 Everything runs on diffcore tensors; a forward pass exposes every internal
 the regularizers consume: per-head attention, selection weights, decoder
@@ -15,6 +17,7 @@ representations, and per-batch category counts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -125,7 +128,7 @@ class ForwardPass:
 
     quantiles: Tensor  # (B, H, n_q)
     abar: Tensor  # (B, T, T)
-    head_attention: list  # per head, (B, T, T), final block
+    head_attention: Tensor  # (B, heads, T, T), final block
     w_hist: Tensor  # (B, E, n_past)
     w_fut: Tensor | None  # (B, H, n_future); None when no known covariates
     decoder_states: Tensor  # (B, H, d)
@@ -416,40 +419,32 @@ class Model:
     # ------------------------------------------------------------------
     # attention
 
-    def _causal_mask(self, T: int) -> np.ndarray:
-        return np.triu(np.ones((T, T), dtype=bool), k=1)
-
     def causal_attention(self, seq: Tensor, rng=None):
-        """Stacked causal interpretable attention; returns features, per-head
-        surfaces of the final block, and their head average."""
+        """Stacked causal interpretable attention (Lim et al., TFT).
+
+        Per block, H~ = A~ (x W_V) with A~ = (1/m) sum_h softmax(x W_Q^h
+        (x W_K^h)^T / sqrt(d_qk)) under a causal mask: every head's scores
+        are one batched (B, m, T, T) product, and one A~ @ V product forms
+        the context. Returns the features, the final block's per-head
+        surfaces (B, m, T, T) and their head average A~ (B, T, T).
+        """
         cfg = self.config
-        T = seq.shape[1]
-        mask = self._causal_mask(T)
-        scale = 1.0 / np.sqrt(cfg.head_dim)
+        B, T, _ = seq.shape
+        m, dqk = cfg.heads, cfg.head_dim
+        future = np.triu(np.ones((T, T), dtype=bool), k=1)
         x = seq
-        heads: list = []
         for k in range(cfg.blocks):
-            value = dc.matmul(x, self.params[f"attn/b{k}/v/w"])  # shared across heads
-            heads = []
-            ctx_sum = None
-            for m in range(cfg.heads):
-                q = dc.matmul(x, self.params[f"attn/b{k}/q{m}/w"])
-                key = dc.matmul(x, self.params[f"attn/b{k}/k{m}/w"])
-                scores = dc.mul(dc.matmul(q, dc.swap_last(key)), scale)
-                scores = dc.masked_fill(scores, mask, -np.inf)
-                attn = dc.softmax(scores, axis=-1)
-                heads.append(attn)
-                ctx = dc.matmul(attn, value)
-                ctx_sum = ctx if ctx_sum is None else ctx_sum + ctx
-            mean_ctx = dc.mul(ctx_sum, 1.0 / cfg.heads)
-            out = self._dropout(self._dense(f"attn/b{k}/out", mean_ctx), rng)
+            w_q = dc.concat([self.params[f"attn/b{k}/q{h}/w"] for h in range(m)], axis=1)
+            w_k = dc.concat([self.params[f"attn/b{k}/k{h}/w"] for h in range(m)], axis=1)
+            q = dc.transpose(dc.reshape(dc.matmul(x, w_q), (B, T, m, dqk)), (0, 2, 1, 3))
+            k_t = dc.transpose(dc.reshape(dc.matmul(x, w_k), (B, T, m, dqk)), (0, 2, 3, 1))
+            scores = dc.mul(dc.matmul(q, k_t), 1.0 / np.sqrt(dqk))
+            heads = dc.softmax(dc.masked_fill(scores, future, -np.inf), axis=-1)
+            abar = dc.reduce_mean(heads, axis=1)
+            ctx = dc.matmul(abar, dc.matmul(x, self.params[f"attn/b{k}/v/w"]))
+            out = self._dropout(self._dense(f"attn/b{k}/out", ctx), rng)
             x = self._gate_norm(f"attn/b{k}", out, x)
             x = self.grn(f"attn/b{k}/grn", x, rng=rng)
-
-        abar = heads[0]
-        for h in heads[1:]:
-            abar = abar + h
-        abar = dc.mul(abar, 1.0 / cfg.heads)
         return x, heads, abar
 
     def quantile_head(self, decoder_features: Tensor) -> Tensor:
@@ -611,6 +606,14 @@ def load_checkpoint(path) -> Model:
         raise ModelError(
             f"checkpoint {path} has a malformed header: {type(e).__name__}: {e}"
         ) from None
+    layout = [(n, p.shape) for n, p in Model(schema, config).params.items()]
+    for i, (have, want) in enumerate(itertools.zip_longest(entries, layout)):
+        if have != want:
+            got, need = ("missing" if e is None else f"{e[0]} {list(e[1])}" for e in (have, want))
+            raise ModelError(
+                f"checkpoint {path} does not fit the model its config and schema "
+                f"describe: tensor {i} is {got}, the model's is {need}"
+            )
     params = {}
     for name, shape in entries:
         buf = take(8 * math.prod(shape), f"tensor {name}")

@@ -228,6 +228,23 @@ def test_eval_writes_metrics_and_exports(synth_dir, trained_dir, tmp_path):
     assert len(traj) == 6 + 3  # encoder plus horizon rows
 
 
+@pytest.mark.parametrize("split", ["test", "train"])
+def test_eval_enumerates_windows_of_its_split_only(synth_dir, trained_dir, tmp_path,
+                                                  monkeypatch, split):
+    received = []
+
+    def recording(splits, *rest):
+        received.append(sorted(splits))
+        return build_window_pools(splits, *rest)
+
+    build_window_pools = cli.build_window_pools
+    monkeypatch.setattr(cli, "build_window_pools", recording)
+    code = run(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                "--data", str(synth_dir), "--out", str(tmp_path / "e"), "--split", split])
+    assert code == 0
+    assert received == [[split]]
+
+
 def test_eval_deterministic(synth_dir, trained_dir, tmp_path):
     outs = []
     for sub in ("e1", "e2"):
@@ -397,13 +414,36 @@ def _negative_shape(h):
     return h
 
 
+def _rename_first_tensor(h):
+    h["tensors"][0]["name"] = "embed/y/weight"
+    return h
+
+
+def _reshape_first_tensor(h):
+    h["tensors"][0]["shape"] = h["tensors"][0]["shape"] + [1]
+    return h
+
+
+def _drop_last_tensor(raw: bytes) -> bytes:
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    last = json.loads(raw[16 : 16 + header_len])["tensors"][-1]
+    raw = _rewrite_header(raw, lambda h: {**h, "tensors": h["tensors"][:-1]})
+    return raw[: len(raw) - 8 * int(np.prod(last["shape"]))]
+
+
 @pytest.mark.parametrize("damage,message", [
     (lambda raw: raw + bytes(8), "has 8 bytes after its last tensor"),
     (lambda raw: _rewrite_header(raw, _drop_tensors), "malformed header: KeyError: 'tensors'"),
     (lambda raw: _rewrite_header(raw, _misspell_hidden), "unexpected keyword argument 'hiden'"),
     (lambda raw: _rewrite_header(raw, lambda h: [h]), "malformed header: TypeError"),
     (lambda raw: _rewrite_header(raw, _negative_shape), "not a list of integers >= 0"),
-], ids=["trailing-bytes", "no-tensors", "unknown-config-key", "list-header", "negative-shape"])
+    (lambda raw: _rewrite_header(raw, _rename_first_tensor),
+     "tensor 0 is embed/y/weight [8], the model's is embed/y/w [8]"),
+    (lambda raw: _rewrite_header(raw, _reshape_first_tensor),
+     "tensor 0 is embed/y/w [8, 1], the model's is embed/y/w [8]"),
+    (_drop_last_tensor, "is missing, the model's is head/b [3]"),
+], ids=["trailing-bytes", "no-tensors", "unknown-config-key", "list-header", "negative-shape",
+        "renamed-tensor", "reshaped-tensor", "dropped-tensor"])
 def test_eval_malformed_checkpoint_exits_2_naming_it(synth_dir, trained_dir, tmp_path, capsys,
                                                      damage, message):
     ckpt = tmp_path / "malformed.bin"

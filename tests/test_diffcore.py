@@ -144,6 +144,18 @@ def test_reduce_mean_axis_grad():
     np.testing.assert_allclose(x.grad, 1 / 3)
 
 
+@pytest.mark.parametrize("axes", [(0, 2, 1, 3), (0, 2, 3, 1), (3, 1, 0, 2)])
+def test_transpose_grad_check_4d(axes):
+    # the permutations attention uses, and one that moves every axis; the last
+    # two are not their own inverse, so a VJP that reused `axes` would fail
+    rng = np.random.default_rng(13)
+    x0 = rng.normal(size=(2, 3, 4, 5))
+    proj = Tensor(rng.normal(size=x0.transpose(axes).shape))
+    f = lambda x: dc.reduce_sum(dc.mul(dc.transpose(x, axes), proj))  # noqa: E731
+    assert dc.transpose(Tensor(x0), axes).shape == x0.transpose(axes).shape
+    assert dc.grad_check(f, Tensor(x0.copy(), requires_grad=True)) < 1e-6
+
+
 def test_nonscalar_loss_raises():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(dc.NonScalarLoss):

@@ -167,17 +167,81 @@ def test_encoder_causal_wrt_future_inputs(tiny_model):
 def test_attention_invariants(tiny_model, batch):
     fp = tiny_model.forward(batch)
     abar = fp.abar.data
+    heads = fp.head_attention.data
+    assert heads.shape == (batch.size, tiny_model.config.heads, T, T)
     triu = np.triu_indices(T, k=1)
     assert np.all(abar[:, triu[0], triu[1]] == 0.0)
     np.testing.assert_allclose(abar.sum(-1), 1.0, atol=1e-9)
-    for h in fp.head_attention:
-        assert np.all(h.data[:, triu[0], triu[1]] == 0.0)
+    assert np.all(heads[..., triu[0], triu[1]] == 0.0)
+    np.testing.assert_allclose(heads.sum(-1), 1.0, atol=1e-9)
 
 
 def test_single_head_average_is_identity(schema, batch):
     m = Model(schema, ModelConfig(hidden=8, heads=1, blocks=2, dropout=0.0), seed=0)
     fp = m.forward(batch)
-    np.testing.assert_array_equal(fp.abar.data, fp.head_attention[0].data)
+    np.testing.assert_array_equal(fp.abar.data, fp.head_attention.data[:, 0])
+
+
+def _per_head_attention(m, seq, rng=None):
+    """Interpretable attention head by head, from primitives: each head's own
+    q, k, scores, mask, softmax and A_h @ V, the contexts averaged."""
+    cfg = m.config
+    T = seq.shape[1]
+    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
+    x = seq
+    for k in range(cfg.blocks):
+        value = dc.matmul(x, m.params[f"attn/b{k}/v/w"])
+        heads, ctx_sum = [], None
+        for h in range(cfg.heads):
+            q = dc.matmul(x, m.params[f"attn/b{k}/q{h}/w"])
+            key = dc.matmul(x, m.params[f"attn/b{k}/k{h}/w"])
+            scores = dc.mul(dc.matmul(q, dc.transpose(key, (0, 2, 1))),
+                            1.0 / np.sqrt(cfg.head_dim))
+            attn = dc.softmax(dc.masked_fill(scores, mask, -np.inf), axis=-1)
+            heads.append(attn)
+            ctx = dc.matmul(attn, value)
+            ctx_sum = ctx if ctx_sum is None else ctx_sum + ctx
+        out = m._dropout(m._dense(f"attn/b{k}/out", dc.mul(ctx_sum, 1.0 / cfg.heads)), rng)
+        x = m._gate_norm(f"attn/b{k}", out, x)
+        x = m.grn(f"attn/b{k}/grn", x, rng=rng)
+    abar = heads[0]
+    for a in heads[1:]:
+        abar = abar + a
+    return x, heads, dc.mul(abar, 1.0 / cfg.heads)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("hidden,heads", [(8, 1), (8, 2), (8, 3)])
+def test_causal_attention_matches_per_head_reference(schema, hidden, heads):
+    # 8 wide with 3 heads: head_dim 2, so the heads span 6 of the 8 columns
+    m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=2, dropout=0.2), seed=3)
+    rng = np.random.default_rng(5)
+    seq0 = rng.normal(size=(3, T, hidden))
+    probes = [rng.normal(size=s) for s in ((3, T, hidden), (3, heads, T, T), (3, T, T))]
+    results = []
+    for attend in (m.causal_attention, lambda s, rng: _per_head_attention(m, s, rng)):
+        for p in m.params.values():
+            p.zero_grad()
+        seq = Tensor(seq0.copy(), requires_grad=True)
+        feats, surfaces, abar = attend(seq, rng=np.random.default_rng(9))
+        if isinstance(surfaces, list):
+            surfaces = dc.concat([dc.reshape(a, (3, 1, T, T)) for a in surfaces], axis=1)
+        loss = sum(dc.reduce_sum(dc.mul(t, Tensor(w)))
+                   for t, w in zip((feats, surfaces, abar), probes))
+        dc.backward(loss)
+        grads = {k: p.grad.copy() for k, p in m.params.items() if k.startswith("attn/")}
+        results.append(([feats.data, surfaces.data, abar.data], grads, seq.grad))
+    (outs, grads, gseq), (ref_outs, ref_grads, ref_gseq) = results
+    assert outs[1].shape == (3, heads, T, T)
+    for got, want in zip(outs, ref_outs):
+        assert _rel(got, want) < 1e-12
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert _rel(grads[name], ref_grads[name]) < 1e-12, name
+    assert _rel(gseq, ref_gseq) < 1e-12
 
 
 def test_quantile_head_bias_only(schema, batch):
@@ -376,15 +440,27 @@ def test_directional_derivative_over_all_parameters():
     assert max(errors.values()) < 1e-5, errors
 
 
-def test_desk_train_step_tape_stays_small():
-    # each GRN and each gated add-and-norm is one node; composed from
-    # primitives, this step built 1055
+def _train_step_nodes(hidden, heads, blocks, dropout, batch_size):
     schema = synthetic_schema()
-    series, _ = generate_synthetic(2, schema, seed=0, min_steps=48, max_steps=48)
+    series, _ = generate_synthetic(4, schema, seed=0, min_steps=48, max_steps=48)
     wins = [w for s in series for w in enumerate_windows(s, schema, delta=2.0)]
-    m = Model(schema, ModelConfig(hidden=16, heads=2, blocks=2, dropout=0.1), seed=0)
-    batch = WindowBatch.from_windows(wins[:32])
+    m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=blocks,
+                                  dropout=dropout), seed=0)
+    batch = WindowBatch.from_windows(wins[:batch_size])
+    assert batch.size == batch_size
     fp = m.forward(batch, rng=np.random.default_rng(0))
     loss, _ = total_objective(m, fp, batch, PenaltyWeights(),
                               build_group_assignment(schema).matrix)
-    assert len(dc.Tape.from_root(loss).nodes) <= 600
+    return len(dc.Tape.from_root(loss).nodes)
+
+
+def test_desk_train_step_tape_stays_small():
+    # each GRN and each gated add-and-norm is one node; composed from
+    # primitives, this step built 1055; head by head, attention made it 535
+    assert _train_step_nodes(16, 2, 2, 0.1, 32) <= 520
+
+
+def test_reference_train_step_tape_stays_small():
+    # a block's heads share one batched score product and one A~ @ V product;
+    # head by head (8 nodes per head), this step built 833
+    assert _train_step_nodes(128, 6, 4, 0.3, 64) <= 700
