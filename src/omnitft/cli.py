@@ -369,6 +369,8 @@ def cmd_eval(args) -> int:
     # eval reads no label or cutoff, so the other splits' windows are not needed
     pools, _ = build_window_pools({args.split: splits[args.split]}, schema, pipeline.delta)
     eval_pools = pools[args.split]
+    if not any(eval_pools.values()):
+        raise CliError(f"the {args.split} split has no windows to evaluate")
 
     reports = []
     artifacts = []
@@ -384,7 +386,7 @@ def cmd_eval(args) -> int:
             with dc.no_grad():
                 fp = model.forward(batch, rng=None)
             for j, w in enumerate(chunk):
-                b = fp.bundle(j, model.config)
+                b = fp.bundle(j)
                 bundles.append(b)
                 q = b.quantiles_sorted
                 p10.extend(q[:, lo])

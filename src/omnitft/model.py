@@ -1,14 +1,15 @@
 """The forecasting network.
 
-Per-variable embeddings feed variable-selection networks (one for the
-encoder side, one for the known-future side, one for statics), a static
-covariate encoder conditions everything, a 2-layer LSTM encoder/decoder
-captures local dynamics, and a stack of causal interpretable multi-head
-attention blocks models long-range structure: H~ = A~ V W_V, where A~ is
-the mean over heads of softmax(Q W_Q^h (K W_K^h)^T / sqrt(d_qk)). The heads
-share one value projection, so A~ is a meaningful attention map, and one
-A~ @ V product per block forms the context. A shared dense head emits the
-P10/P50/P90 trajectory.
+Per-variable embeddings xi^(j) feed variable-selection networks (encoder
+side, known-future side, statics): v = softmax(GRN_v(Xi, c_s)) over
+Xi = concat(xi^(1), ..., xi^(N)) weighs the variables, and the selected
+input is sum_j v_j GRN_j(xi^(j)). A static covariate encoder conditions
+everything, a 2-layer LSTM encoder/decoder captures local dynamics, and a
+stack of causal interpretable multi-head attention blocks models long-range
+structure: H~ = A~ V W_V, where A~ is the mean over heads of
+softmax(Q W_Q^h (K W_K^h)^T / sqrt(d_qk)). The heads share one value
+projection, so A~ is a meaningful attention map, and one A~ @ V product per
+block forms the context. A shared dense head emits the P10/P50/P90 trajectory.
 
 Everything runs on diffcore tensors; a forward pass exposes every internal
 the regularizers consume: per-head attention, selection weights, decoder
@@ -136,7 +137,7 @@ class ForwardPass:
     category_counts: dict  # table name -> per-category batch counts
     enc_out: Tensor  # (B, E, d) LSTM-side encoder outputs
 
-    def bundle(self, i: int, config: ModelConfig) -> ForecastBundle:
+    def bundle(self, i: int) -> ForecastBundle:
         w_fut = (
             self.w_fut.data[i]
             if self.w_fut is not None
@@ -229,8 +230,8 @@ class Model:
                 p[f"embed/{name}/w"] = Tensor(rng.normal(0.0, 0.05, size=d), requires_grad=True)
                 p[f"embed/{name}/b"] = Tensor(np.zeros(d), requires_grad=True)
 
-        for spec in {**{s.name: s for s in self.past_specs},
-                     **{s.name: s for s in self.future_specs}}.values():
+        # known-future features are past features too and share their embedding
+        for spec in self.past_specs:
             embed(spec.name, spec)
         for spec in self.static_specs:
             embed(f"static/{spec.name}", spec)
@@ -346,31 +347,22 @@ class Model:
         v = Tensor(self._scale(spec.name, col)[..., None])
         return dc.mul(v, self.params[f"embed/{key}/w"]) + self.params[f"embed/{key}/b"]
 
-    def embed_inputs(self, values: np.ndarray, specs, key_prefix: str = "") -> Tensor:
-        """Per-variable embeddings, stacked: (..., n_vars, d)."""
-        cols = []
-        for j, spec in enumerate(specs):
-            e = self._embed_feature(f"{key_prefix}{spec.name}", spec, values[..., j])
-            cols.append(dc.reshape(e, e.shape[:-1] + (1, e.shape[-1])))
-        return dc.concat(cols, axis=-2)
+    def embed_inputs(self, values: np.ndarray, specs, key_prefix: str = "") -> list:
+        """One (..., d) embedding per variable, in spec order."""
+        return [self._embed_feature(f"{key_prefix}{spec.name}", spec, values[..., j])
+                for j, spec in enumerate(specs)]
 
     # ------------------------------------------------------------------
     # variable selection
 
-    def variable_select(self, side: str, emb: Tensor, ctx=None, rng=None):
-        """Simplex weights over variables plus the fused representation.
-
-        emb: (..., N, d). Returns (weights (..., N), fused (..., d)).
+    def variable_select(self, side: str, embs: list, ctx=None, rng=None):
+        """Simplex weights v over the N (..., d) embeddings xi^(j) in `embs`,
+        plus the fused sum_j v_j GRN_j(xi^(j)): (weights (..., N), fused (..., d)).
         """
-        n = emb.shape[-2]
-        flat = dc.reshape(emb, emb.shape[:-2] + (n * emb.shape[-1],))
-        logits = self.grn(f"vsn/{side}/sel", flat, ctx=ctx, rng=rng)
+        logits = self.grn(f"vsn/{side}/sel", dc.concat(embs, axis=-1), ctx=ctx, rng=rng)
         weights = dc.softmax(logits, axis=-1)
-        processed = []
-        for j in range(n):
-            vj = self.grn(f"vsn/{side}/var{j}", emb[..., j, :], rng=rng)
-            processed.append(dc.reshape(vj, vj.shape[:-1] + (1, vj.shape[-1])))
-        stacked = dc.concat(processed, axis=-2)  # (..., N, d)
+        processed = [self.grn(f"vsn/{side}/var{j}", e, rng=rng) for j, e in enumerate(embs)]
+        stacked = dc.reshape(dc.concat(processed, axis=-1), weights.shape + (-1,))  # (..., N, d)
         fused = dc.reduce_sum(
             dc.mul(stacked, dc.reshape(weights, weights.shape + (1,))), axis=-2
         )
@@ -486,19 +478,9 @@ class Model:
         """Full pass over a window batch; rng drives dropout (None = off)."""
         E = self.schema.encoder_len
 
-        static_embs = [
-            dc.reshape(e, e.shape[:-1] + (1, e.shape[-1]))
-            for e in (
-                [
-                    self._embed_feature(f"static/{s.name}", s, batch.statics[:, j])
-                    for j, s in enumerate(self.static_specs)
-                ]
-                + [self.params["embed/target_id/table"][batch.target_idx]]
-            )
-        ]
-        _, static_vec = self.variable_select(
-            "static", dc.concat(static_embs, axis=-2), rng=rng
-        )
+        static_embs = self.embed_inputs(batch.statics, self.static_specs, "static/")
+        static_embs.append(self.params["embed/target_id/table"][batch.target_idx])
+        _, static_vec = self.variable_select("static", static_embs, rng=rng)
         ctx_sel = self.grn("static_ctx/select", static_vec, rng=rng)
         ctx_enr = self.grn("static_ctx/enrich", static_vec, rng=rng)
         ctx_h = self.grn("static_ctx/h0", static_vec, rng=rng)

@@ -69,6 +69,7 @@ def enumerate_windows(
 
     windows = []
     for t in range(n - T + 1):
+        # a view of the grid; indexing with the column lists below already copies
         fut_target = series.values[t + E : t + T, tgt_col].copy()
         score = fluctuation_score(fut_target)
         windows.append(
@@ -77,10 +78,10 @@ def enumerate_windows(
                 start=t,
                 target_name=spec.name,
                 target_idx=target_idx,
-                enc_past=series.values[t : t + E, past_cols].copy(),
-                fut_known=series.values[t + E : t + T, fut_cols].copy(),
+                enc_past=series.values[t : t + E, past_cols],
+                fut_known=series.values[t + E : t + T, fut_cols],
                 fut_target=fut_target,
-                statics=series.values[t, static_cols].copy(),
+                statics=series.values[t, static_cols],
                 label=threshold_label(score, delta),
                 score=score,
             )

@@ -248,6 +248,9 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
     pools = train_pools if isinstance(train_pools, dict) else {"": list(train_pools)}
     if not any(pools.values()):
         raise TrainerError("no training windows")
+    if not val_windows:
+        # no validation loss would be finite, so the untrained epoch-0 model would win
+        raise TrainerError("no validation windows: early stopping needs a validation split")
 
     gmat = build_group_assignment(model.schema).matrix
     dropout_rng = np.random.default_rng(config.seed) if model.config.dropout > 0 else None

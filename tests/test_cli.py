@@ -213,6 +213,20 @@ def test_train_diverged_exit_code(synth_dir, tmp_path):
     assert read_json(out / "manifest.json")["result"]["diverged"] is True
 
 
+def test_train_without_validation_split_exits_2(synth_dir, tmp_path, capsys):
+    out = tmp_path / "noval"
+    cfg = {
+        "lr": 3e-3, "batch": 32, "max_epochs": 1, "patience": 1, "ratios": [8, 0, 2],
+        "model": {"hidden": 8, "heads": 2, "blocks": 1, "dropout": 0.0},
+    }
+    (tmp_path / "noval.json").write_text(json.dumps(cfg))
+    code = run(["train", "--data", str(synth_dir), "--schema", str(synth_dir / "schema.json"),
+                "--config", str(tmp_path / "noval.json"), "--out", str(out)])
+    assert code == 2
+    assert "no validation windows" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_eval_writes_metrics_and_exports(synth_dir, trained_dir, tmp_path):
     out = tmp_path / "eval"
     code = run([
@@ -537,6 +551,19 @@ def test_label_with_training_config_reuses_cutoffs(synth_dir, resplit_dir, tmp_p
     assert code == 0
     resolved = read_json(resplit_dir / "resolved_config.json")
     assert read_json(out / "label_summary.json")["deltas"] == resolved["deltas"]
+
+
+def test_eval_of_a_split_without_windows_exits_2(synth_dir, resplit_dir, tmp_path, capsys):
+    model = load_checkpoint(resplit_dir / "checkpoint.bin")
+    model.pipeline["ratios"] = [8, 0, 2]  # no patient in val
+    ckpt = tmp_path / "noval.bin"
+    save_checkpoint(ckpt, model)
+    out = tmp_path / "e"
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(synth_dir),
+                "--out", str(out), "--split", "val"])
+    assert code == 2
+    assert "the val split has no windows" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
 
 
 def test_checkpoint_without_pipeline_evaluates_with_defaults(

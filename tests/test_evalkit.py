@@ -234,7 +234,7 @@ def test_importance_of_constant_feature_below_uniform(trained_with_flatline):
     schema, model, eval_windows = trained_with_flatline
     batch = WindowBatch.from_windows(eval_windows)
     fp = model.forward(batch)
-    bundles = [fp.bundle(i, model.config) for i in range(batch.size)]
+    bundles = [fp.bundle(i) for i in range(batch.size)]
     names = [f.name for f in schema.past_features]
     table = aggregate_importance([bundles], names, schema.encoder_len)
     score = {r.feature: r.score for r in table.rows}

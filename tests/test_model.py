@@ -81,8 +81,9 @@ def test_embed_out_of_vocab(tiny_model, schema):
 
 
 def test_embed_inputs_shape(tiny_model, schema, batch):
-    emb = tiny_model.embed_inputs(batch.enc_past, schema.past_features)
-    assert emb.shape == (batch.size, E, schema.n_past, tiny_model.config.hidden)
+    embs = tiny_model.embed_inputs(batch.enc_past, schema.past_features)
+    assert len(embs) == schema.n_past
+    assert all(e.shape == (batch.size, E, tiny_model.config.hidden) for e in embs)
 
 
 def test_variable_select_simplex(tiny_model, schema, batch):
@@ -115,10 +116,65 @@ def test_variable_select_is_linear_mixture(tiny_model, schema, batch):
     # recompute the mixture by hand from the exposed weights and the same
     # per-variable transforms; zero-weight variables contribute nothing
     manual = np.zeros_like(fused.data)
-    for j in range(schema.n_past):
-        vj = m.grn(f"vsn/past/var{j}", emb[..., j, :])
+    for j, ej in enumerate(emb):
+        vj = m.grn(f"vsn/past/var{j}", ej)
         manual += w.data[..., j : j + 1] * vj.data
     np.testing.assert_allclose(manual, fused.data, atol=1e-12)
+
+
+def _stacked_select(m, side, embs, ctx=None, rng=None):
+    """Variable selection through one stacked (..., N, d) tensor: each
+    embedding reshaped to (..., 1, d) and concatenated, Xi a reshape of the
+    stack, and every xi^(j) sliced back out of it."""
+    emb = dc.concat([dc.reshape(e, e.shape[:-1] + (1, e.shape[-1])) for e in embs], axis=-2)
+    n = emb.shape[-2]
+    flat = dc.reshape(emb, emb.shape[:-2] + (n * emb.shape[-1],))
+    weights = dc.softmax(m.grn(f"vsn/{side}/sel", flat, ctx=ctx, rng=rng), axis=-1)
+    processed = []
+    for j in range(n):
+        vj = m.grn(f"vsn/{side}/var{j}", emb[..., j, :], rng=rng)
+        processed.append(dc.reshape(vj, vj.shape[:-1] + (1, vj.shape[-1])))
+    stacked = dc.concat(processed, axis=-2)
+    fused = dc.reduce_sum(dc.mul(stacked, dc.reshape(weights, weights.shape + (1,))), axis=-2)
+    return weights, fused
+
+
+@pytest.mark.parametrize("hidden,heads", [(16, 2), (128, 6)], ids=["desk", "reference"])
+def test_variable_select_matches_stack_then_slice(schema, batch, hidden, heads):
+    # all three selection networks in one objective, so the embeddings that the
+    # past and future sides share collect gradient from both, as in forward
+    m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=1, dropout=0.3), seed=4)
+    ctx = np.random.default_rng(6).normal(size=(batch.size, hidden))
+    sides = [("static", batch.statics, m.static_specs, "static/", False),
+             ("past", batch.enc_past, m.past_specs, "", True),
+             ("future", batch.fut_known, m.future_specs, "", True)]
+    results = []
+    for select in (m.variable_select, lambda *a, **kw: _stacked_select(m, *a, **kw)):
+        for p in m.params.values():
+            p.zero_grad()
+        c = Tensor(ctx.copy(), requires_grad=True)
+        drop = np.random.default_rng(9)
+        outs, loss = [], 0.0
+        for i, (side, values, specs, prefix, with_ctx) in enumerate(sides):
+            embs = m.embed_inputs(values, specs, prefix)
+            if side == "static":
+                embs.append(m.params["embed/target_id/table"][batch.target_idx])
+            w, fused = select(side, embs, ctx=c if with_ctx else None, rng=drop)
+            probe = np.random.default_rng(i)
+            for t in (w, fused):
+                loss = loss + dc.reduce_sum(dc.mul(t, Tensor(probe.normal(size=t.shape))))
+            outs += [w.data, fused.data]
+        dc.backward(loss)
+        grads = {k: p.grad.copy() for k, p in m.params.items()
+                 if k.startswith(("vsn/", "embed/"))}
+        results.append((outs, grads, c.grad))
+    (outs, grads, gctx), (ref_outs, ref_grads, ref_gctx) = results
+    for got, want in zip(outs, ref_outs, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+    np.testing.assert_array_equal(gctx, ref_gctx)
 
 
 def test_grn_gate_closed_passes_residual(tiny_model):
@@ -257,7 +313,7 @@ def test_quantile_head_bias_only(schema, batch):
 
 def test_sorted_view_is_monotone(tiny_model, batch):
     fp = tiny_model.forward(batch)
-    b = fp.bundle(0, tiny_model.config)
+    b = fp.bundle(0)
     q = b.quantiles_sorted
     assert np.all(q[:, 0] <= q[:, 1]) and np.all(q[:, 1] <= q[:, 2])
 
@@ -456,11 +512,13 @@ def _train_step_nodes(hidden, heads, blocks, dropout, batch_size):
 
 def test_desk_train_step_tape_stays_small():
     # each GRN and each gated add-and-norm is one node; composed from
-    # primitives, this step built 1055; head by head, attention made it 535
-    assert _train_step_nodes(16, 2, 2, 0.1, 32) <= 520
+    # primitives, this step built 1055; head by head, attention made it 535;
+    # stacking the embeddings and slicing them back out in selection, 520
+    assert _train_step_nodes(16, 2, 2, 0.1, 32) <= 490
 
 
 def test_reference_train_step_tape_stays_small():
     # a block's heads share one batched score product and one A~ @ V product;
-    # head by head (8 nodes per head), this step built 833
-    assert _train_step_nodes(128, 6, 4, 0.3, 64) <= 700
+    # head by head (8 nodes per head), this step built 833; the selection
+    # networks' stack-then-slice of the embeddings added 30 more, for 642
+    assert _train_step_nodes(128, 6, 4, 0.3, 64) <= 612

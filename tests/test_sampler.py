@@ -56,6 +56,18 @@ def test_too_short_series():
         enumerate_windows(series_of(schema, np.arange(5.0)), schema, delta=1.0)
 
 
+def test_window_arrays_do_not_alias_the_series_grid():
+    # windows outlive edits to the grid they were cut from
+    schema = synthetic_schema(encoder_len=4, horizon_len=2)
+    series, _ = generate_synthetic(1, schema, seed=2, min_steps=10, max_steps=10)
+    grid = series[0].values
+    wins = enumerate_windows(series[0], schema, delta=1.0)
+    assert len(wins) == 10 - 6 + 1
+    for w in wins:
+        for arr in (w.enc_past, w.fut_known, w.fut_target, w.statics):
+            assert not np.shares_memory(arr, grid)
+
+
 def test_window_slices_match_series():
     schema = flat_schema()
     y = np.arange(12.0)

@@ -232,6 +232,15 @@ def test_train_keeps_parameters_as_views_of_one_vector(tiny_setup):
     assert 0.0 <= result.clip_frac <= 1.0
 
 
+def test_train_without_validation_windows_raises(tiny_setup):
+    # early stopping would keep the epoch-0 snapshot: no val loss is ever finite
+    schema, _, _, windows = tiny_setup
+    model = Model(schema, ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0), seed=6)
+    cfg = TrainConfig(lr=1e-2, batch=16, max_epochs=1, patience=1, seed=0)
+    with pytest.raises(tr.TrainerError, match="no validation windows"):
+        train(model, windows[:16], [], cfg)
+
+
 def test_train_loss_decreases_and_history_complete(tiny_setup):
     schema, _, _, windows = tiny_setup
     model = Model(schema, ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0), seed=1)
