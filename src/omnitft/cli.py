@@ -292,6 +292,8 @@ def cmd_train(args) -> int:
 
     splits, data_path, ingest_report = pipeline.ingest(Path(args.data), schema)
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
+    val_windows = [w for wins in pools["val"].values() for w in wins]
+    trainer.check_windows(pools["train"], val_windows)
 
     if args.dry_run:
         counts = {k: sum(len(v) for v in pools[k].values()) for k in pools}
@@ -301,7 +303,6 @@ def cmd_train(args) -> int:
     scalers = compute_scalers(splits["train"], schema)
     model = Model(schema, model_cfg, seed=model_seed, scalers=scalers,
                   pipeline=asdict(pipeline))
-    val_windows = [w for wins in pools["val"].values() for w in wins]
     result = trainer.train(model, pools["train"], val_windows, train_cfg)
 
     ckpt_path = out / "checkpoint.bin"

@@ -5,6 +5,13 @@ its parents and a vector-Jacobian closure on the output node, `backward`
 replays the tape in reverse topological order. Every tensor holds float64,
 so finite-difference checks are meaningful.
 
+Backward consumes the graph: once a node's VJP has run, the node drops its
+closure and its parents, so the arrays it saved are freed during the walk,
+not when the caller drops the graph. A second backward through any node of
+a consumed graph raises `DoubleBackward`. Leaves keep their gradients, and
+so does an interior node the caller still holds. A VJP runs at most once, so
+the fused nodes may overwrite the arrays they saved.
+
 The primitives fit the shapes the model uses: a weight shared across batch
 dims takes its matmul gradient as one GEMM, `lstm_layer` runs a whole LSTM
 layer as one node, and `grn` and `gated_add_norm` run a gated residual
@@ -172,6 +179,8 @@ class Tape:
                 continue
             if id(node) in visited:
                 continue
+            if node._spent:
+                raise DoubleBackward("backward already ran through this node; rebuild the graph")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -180,29 +189,50 @@ class Tape:
         return cls(order)
 
     def run_backward(self, root: Tensor):
+        """Replay the tape in reverse, consuming it: once a node's VJP has run,
+        the node drops its closure and parents, so the arrays it saved and the
+        gradients of the nodes above it are freed as the walk goes."""
         root.grad = np.ones_like(root.data)
-        for node in reversed(self.nodes):
-            if node._vjp is None or node.grad is None:
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
+            vjp, parents = node._vjp, node._parents
+            if vjp is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                if parent.grad is None:
-                    # an owned copy: a VJP may hand one array to several
-                    # parents (add passes g through to both operands)
-                    parent.grad = np.array(g, dtype=parent.data.dtype)
-                else:
-                    parent.grad += g
+            node._vjp, node._parents, node._spent = None, (), True
+            if node.grad is not None:
+                _accumulate(parents, vjp(node.grad), node.grad)
+
+
+def _accumulate(parents, grads, own):
+    """Add a node's VJP outputs into its parents' gradients; `own` is the node's."""
+    stored = [own]
+    for parent, g in zip(parents, grads):
+        if g is None or not parent.requires_grad:
+            continue
+        if parent.grad is not None:
+            parent.grad += g
+            continue
+        # store g itself unless it is read-only or someone else may write
+        # into it: pass-throughs (add, reshape, ...) hand on views of `own`
+        if (not g.flags.writeable or g.dtype != parent.data.dtype
+                or any(np.may_share_memory(g, s) for s in stored)):
+            g = np.array(g, dtype=parent.data.dtype)
+        parent.grad = g
+        stored.append(g)
 
 
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into every requires_grad tensor."""
+    """Accumulate gradients of a scalar loss into every requires_grad tensor.
+
+    Backward consumes the graph below `loss`; a second backward through any
+    of its nodes raises `DoubleBackward`.
+    """
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
-    if loss._spent:
-        raise DoubleBackward("backward already ran on this node; rebuild the graph")
+    tape = Tape.from_root(loss)
     loss._spent = True
-    Tape.from_root(loss).run_backward(loss)
+    tape.run_backward(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +340,11 @@ def square(a) -> Tensor:
     return _make(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,))
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
     # relu'(0) = 0: the "under" branch, keeps kink handling deterministic
     return _make(out, (a,), lambda g: (g * (a.data > 0.0),))
-
-
-def elu(a, alpha: float = 1.0) -> Tensor:
-    a = as_tensor(a)
-    neg = np.exp(np.minimum(a.data, 0.0)) - 1.0
-    out = np.where(a.data > 0.0, a.data, alpha * neg)
-
-    def vjp(g):
-        return (g * np.where(a.data > 0.0, 1.0, alpha * (neg + 1.0)),)
-
-    return _make(out, (a,), vjp)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -523,34 +530,54 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 def _glu(h, gate, val):
     """sigmoid(h @ Wg + bg) * (h @ Wv + bv); returns the product and its factors."""
-    sig = 1.0 / (1.0 + np.exp(-(h @ gate[0].data + gate[1].data)))
-    v = h @ val[0].data + val[1].data
+    sig = h @ gate[0].data
+    sig += gate[1].data
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    v = h @ val[0].data
+    v += val[1].data
     return sig * v, sig, v
 
 
 def _glu_vjp(g, h, gate, val, sig, v):
-    """Gradients of `_glu` for (h, Wg, bg, Wv, bv) given the output's gradient."""
-    gz = _flat(g * v * sig * (1.0 - sig))
-    gv = _flat(g * sig)
-    hf = _flat(h)
-    gh = (gz @ gate[0].data.T + gv @ val[0].data.T).reshape(h.shape)
-    return gh, hf.T @ gz, gz.sum(axis=0), hf.T @ gv, gv.sum(axis=0)
+    """Gradients of `_glu` for (h, Wg, bg, Wv, bv) given the output's gradient.
+    Overwrites `sig` and `v`."""
+    gz = g * v
+    gz *= sig
+    gz *= np.subtract(1.0, sig, out=v)
+    gv = np.multiply(g, sig, out=sig)
+    gz, gv, hf = _flat(gz), _flat(gv), _flat(h)
+    gh = gz @ gate[0].data.T
+    gh += gv @ val[0].data.T
+    return gh.reshape(h.shape), hf.T @ gz, gz.sum(axis=0), hf.T @ gv, gv.sum(axis=0)
 
 
 def _layernorm(s, ln):
-    """Layer norm over the last axis (Ba et al.); returns output, normed, sigma."""
-    centered = s - s.mean(axis=-1, keepdims=True)
-    sigma = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
-    normed = centered / sigma
-    return normed * ln[0].data + ln[1].data, normed, sigma
+    """Layer norm over the last axis (Ba et al.), overwriting `s`; returns
+    output, normed, sigma."""
+    s -= s.mean(axis=-1, keepdims=True)
+    out = s * s
+    sigma = out.mean(axis=-1, keepdims=True)
+    sigma += 1e-5
+    np.sqrt(sigma, out=sigma)
+    normed = np.divide(s, sigma, out=s)
+    np.multiply(normed, ln[0].data, out=out)
+    out += ln[1].data
+    return out, normed, sigma
 
 
 def _layernorm_vjp(g, ln, normed, sigma):
-    """Gradients of `_layernorm` for (s, gain, bias)."""
+    """Gradients of `_layernorm` for (s, gain, bias). Overwrites `normed`."""
+    t = g * normed
+    g_gain = _flat(t).sum(axis=0)
     gn = g * ln[0].data
-    gc = (gn - normed * (gn * normed).mean(axis=-1, keepdims=True)) / sigma
-    gs = gc - gc.mean(axis=-1, keepdims=True)
-    return gs, _flat(g * normed).sum(axis=0), _flat(g).sum(axis=0)
+    normed *= np.multiply(gn, normed, out=t).mean(axis=-1, keepdims=True)
+    gn -= normed
+    gn /= sigma
+    gn -= gn.mean(axis=-1, keepdims=True)
+    return gn, g_gain, _flat(g).sum(axis=0)
 
 
 def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
@@ -564,33 +591,42 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
     """
     x = as_tensor(x)
     xd = x.data
-    h1 = xd @ fc1[0].data + fc1[1].data
+    h1 = xd @ fc1[0].data
+    h1 += fc1[1].data
     if ctx is not None:
         c = ctx[0].data @ ctx[1].data
-        h1 = h1 + (c[:, None, :] if xd.ndim == 3 else c)
-    neg = np.exp(np.minimum(h1, 0.0)) - 1.0
-    a = np.where(h1 > 0.0, h1, neg)  # ELU
-    h2 = a @ fc2[0].data + fc2[1].data
+        h1 += c[:, None, :] if xd.ndim == 3 else c
+    neg = np.minimum(h1, 0.0)
+    np.exp(neg, out=neg)
+    neg -= 1.0
+    a = np.maximum(h1, 0.0, out=h1)
+    a += neg  # ELU: neg is exactly 0 where h1 > 0
+    h2 = a @ fc2[0].data
+    h2 += fc2[1].data
     if keep is not None:
-        h2 = h2 * keep
-    gated, sig, v = _glu(h2, gate, val)
-    out, normed, sigma = _layernorm(gated + (xd if skip is None else xd @ skip.data), ln)
+        h2 *= keep
+    s, sig, v = _glu(h2, gate, val)
+    s += xd if skip is None else xd @ skip.data
+    out, normed, sigma = _layernorm(s, ln)
     parents = [x, *fc1, *fc2, *gate, *val, *ln, *([] if skip is None else [skip]), *(ctx or ())]
 
     def vjp(g):
         gs, g_lng, g_lnb = _layernorm_vjp(g, ln, normed, sigma)
         gh2, *g_glu = _glu_vjp(gs, h2, gate, val, sig, v)
         if keep is not None:
-            gh2 = gh2 * keep
+            gh2 *= keep
         gh2, af, xf = _flat(gh2), _flat(a), _flat(xd)
-        gh1 = (gh2 @ fc2[0].data.T) * _flat(np.where(h1 > 0.0, 1.0, neg + 1.0))
+        gh1 = gh2 @ fc2[0].data.T
+        np.add(neg, 1.0, out=neg)  # ELU': exactly 1 where h1 > 0
+        gh1 *= _flat(neg)
         gsf = _flat(gs)
-        gx = gh1 @ fc1[0].data.T + (gsf if skip is None else gsf @ skip.data.T)
+        gx = gh1 @ fc1[0].data.T
+        gx += gsf if skip is None else gsf @ skip.data.T
         grads = [gx.reshape(xd.shape), xf.T @ gh1, gh1.sum(axis=0),
                  af.T @ gh2, gh2.sum(axis=0), *g_glu, g_lng, g_lnb]
         grads += [] if skip is None else [xf.T @ gsf]
         if ctx is not None:
-            gc = gh1.reshape(h1.shape)
+            gc = gh1.reshape(a.shape)
             gc = gc.sum(axis=1) if xd.ndim == 3 else gc
             grads += [gc @ ctx[1].data.T, ctx[0].data.T @ gc]
         return grads
@@ -602,8 +638,9 @@ def gated_add_norm(h, gate, val, skip, ln) -> Tensor:
     """LN(GLU(h) + skip) as a single node: the gate after the LSTM and each
     attention block. gate, val: (weight, bias) pairs; ln: (gain, bias)."""
     h, skip = as_tensor(h), as_tensor(skip)
-    gated, sig, v = _glu(h.data, gate, val)
-    out, normed, sigma = _layernorm(gated + skip.data, ln)
+    s, sig, v = _glu(h.data, gate, val)
+    s += skip.data
+    out, normed, sigma = _layernorm(s, ln)
 
     def vjp(g):
         gs, g_lng, g_lnb = _layernorm_vjp(g, ln, normed, sigma)

@@ -236,6 +236,15 @@ def _epoch_batches(pools: dict, epoch: int, config: TrainConfig):
     return batches, single
 
 
+def check_windows(pools: dict, val_windows: list):
+    """Raise TrainerError unless `train` has windows to fit and to validate on."""
+    if not any(pools.values()):
+        raise TrainerError("no training windows")
+    if not val_windows:
+        # no validation loss would be finite, so the untrained epoch-0 model would win
+        raise TrainerError("no validation windows: early stopping needs a validation split")
+
+
 def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> TrainResult:
     """Optimize the composite objective with early stopping on validation
     pinball loss.
@@ -246,11 +255,7 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
     restores the best parameters seen so far.
     """
     pools = train_pools if isinstance(train_pools, dict) else {"": list(train_pools)}
-    if not any(pools.values()):
-        raise TrainerError("no training windows")
-    if not val_windows:
-        # no validation loss would be finite, so the untrained epoch-0 model would win
-        raise TrainerError("no validation windows: early stopping needs a validation split")
+    check_windows(pools, val_windows)
 
     gmat = build_group_assignment(model.schema).matrix
     dropout_rng = np.random.default_rng(config.seed) if model.config.dropout > 0 else None

@@ -227,6 +227,30 @@ def test_train_without_validation_split_exits_2(synth_dir, tmp_path, capsys):
     assert not (out / "checkpoint.bin").exists()
 
 
+# ratios that leave one split without patients: the remainder of the floors
+# goes to train, so an empty train split needs a zero share and no remainder
+EMPTY_SPLIT_RATIOS = {"train": ([0, 1, 1], "no training windows"),
+                      "val": ([8, 0, 2], "no validation windows")}
+
+
+# a real train without validation windows is test_train_without_validation_split_exits_2
+@pytest.mark.parametrize("split,dry_run", [("train", True), ("val", True), ("train", False)],
+                         ids=["dry-run-train", "dry-run-val", "train-train"])
+def test_train_with_an_empty_split_exits_2(synth_dir, tmp_path, capsys, split, dry_run):
+    ratios, message = EMPTY_SPLIT_RATIOS[split]
+    cfg = {"ratios": ratios, "max_epochs": 1,
+           "model": {"hidden": 8, "heads": 2, "blocks": 1, "dropout": 0.0}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(synth_dir), "--schema", str(synth_dir / "schema.json"),
+                "--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+               + ["--dry-run"] * dry_run)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "dry run ok" not in captured.out
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_eval_writes_metrics_and_exports(synth_dir, trained_dir, tmp_path):
     out = tmp_path / "eval"
     code = run([

@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -65,14 +66,34 @@ def test_grad_check_pinball_off_kink():
     assert err < 1e-6
 
 
+# Element-wise activations that the fused nodes compute inline; the stepwise
+# reference builders below compose them from these test-local primitives.
+
+
+def _tanh(a):
+    out = np.tanh(a.data)
+    return dc._make(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def _sigmoid(a):
+    out = 1.0 / (1.0 + np.exp(-a.data))
+    return dc._make(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def _elu(a):
+    neg = np.exp(np.minimum(a.data, 0.0)) - 1.0
+    out = np.where(a.data > 0.0, a.data, neg)
+    return dc._make(out, (a,), lambda g: (g * np.where(a.data > 0.0, 1.0, neg + 1.0),))
+
+
 smooth_unary = [
     ("log", dc.log, lambda r, n: r.uniform(0.5, 3.0, size=n)),
     ("sqrt", dc.sqrt, lambda r, n: r.uniform(0.5, 3.0, size=n)),
-    ("tanh", dc.tanh, lambda r, n: r.normal(size=n)),
-    ("sigmoid", dc.sigmoid, lambda r, n: r.normal(size=n)),
+    ("tanh", _tanh, lambda r, n: r.normal(size=n)),
+    ("sigmoid", _sigmoid, lambda r, n: r.normal(size=n)),
     ("square", dc.square, lambda r, n: r.normal(size=n)),
     ("softmax", dc.softmax, lambda r, n: r.normal(size=n)),
-    ("elu", dc.elu, lambda r, n: r.normal(size=n) + 0.05),
+    ("elu", _elu, lambda r, n: r.normal(size=n) + 0.05),
 ]
 
 
@@ -170,6 +191,75 @@ def test_double_backward_raises():
         dc.backward(loss)
 
 
+def test_backward_through_a_released_node_raises():
+    # a second graph over a consumed node would double-count x or drop a's path
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    a = dc.square(x)
+    dc.backward(dc.reduce_sum(a))
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    with pytest.raises(dc.DoubleBackward):
+        dc.backward(dc.reduce_sum(dc.mul(a, 3.0)))
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_releases_every_interior_node():
+    arrays, keep = _grn_inputs("2d-skip-ctx-keep", seed=41)
+    t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+    out = _grn_call(dc.grn, t, keep)
+    # weak references to the node's own work arrays (x's data and the mask
+    # belong to the caller)
+    own = ("neg", "a", "h2", "sig", "v", "normed", "sigma")
+    refs = {k: weakref.ref(c.cell_contents)
+            for k, c in zip(out._vjp.__code__.co_freevars, out._vjp.__closure__) if k in own}
+    assert len(refs) == len(own)
+    loss = dc.reduce_sum(dc.mul(dc.reshape(out, (-1,)) + 1.0, 2.0))
+    interior = [n for n in dc.Tape.from_root(loss).nodes if n._parents]
+    dc.backward(loss)
+    assert all(n._vjp is None and n._parents == () and n._spent for n in interior)
+    assert not any(leaf._spent for leaf in t.values())
+    assert [k for k, r in refs.items() if r() is not None] == []
+    np.testing.assert_array_equal(out.grad, 2.0)  # the VJP did not write into it
+
+
+@pytest.mark.parametrize("pass_through", ["add", "sub", "reshape", "transpose"])
+@pytest.mark.parametrize("held_first", [True, False])
+def test_held_interior_gradient_survives_later_accumulation(pass_through, held_first):
+    # y hands its own gradient straight through to p; p accumulates again later,
+    # which must not write into the gradient the caller reads from y
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    p = dc.mul(x, 2.0)
+    y = {"add": lambda: p + 0.0, "sub": lambda: p - 0.0,
+         "reshape": lambda: dc.reshape(p, (3, 2)),
+         "transpose": lambda: dc.transpose(p, (1, 0))}[pass_through]()
+    w = np.arange(1.0, 7.0).reshape(y.shape)
+    terms = [dc.reduce_sum(dc.mul(y, Tensor(w))), dc.reduce_sum(dc.mul(p, 5.0))]
+    if not held_first:
+        terms.reverse()
+    dc.backward(terms[0] + terms[1])
+    np.testing.assert_array_equal(y.grad, w)
+    gp = {"add": w, "sub": w, "reshape": w.reshape(2, 3), "transpose": w.T}[pass_through]
+    np.testing.assert_array_equal(p.grad, gp + 5.0)
+    np.testing.assert_array_equal(x.grad, 2.0 * (gp + 5.0))
+
+
+def test_leaf_and_bound_parameter_gradients_are_kept():
+    # leaves outlive the graph: a bound gradient buffer stays the same array,
+    # and a second graph over the same leaves accumulates exactly
+    arrays, keep = _grn_inputs("3d-ctx-keep", seed=42)
+    t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+    bound = {k: np.zeros_like(a) for k, a in arrays.items() if k != "x"}
+    for k, buf in bound.items():
+        t[k].grad = buf
+    proj = Tensor(np.random.default_rng(43).normal(size=arrays["x"].shape))
+    dc.backward(dc.reduce_sum(dc.mul(_grn_call(dc.grn, t, keep), proj)))
+    first = {k: v.grad.copy() for k, v in t.items()}
+    assert all(t[k].grad is buf for k, buf in bound.items())
+    dc.backward(dc.reduce_sum(dc.mul(_grn_call(dc.grn, t, keep), proj)))
+    for k, v in t.items():
+        np.testing.assert_array_equal(v.grad, 2.0 * first[k], err_msg=k)
+    assert all(t[k].grad is buf for k, buf in bound.items())
+
+
 def test_domain_errors():
     with pytest.raises(dc.DomainError):
         dc.log(Tensor([-1.0]))
@@ -206,12 +296,12 @@ def _reference_lstm(xp, h0, c0, w_h):
     h, c, steps = h0, c0, []
     for t in range(xp.shape[1]):
         z = xp[:, t, :] + dc.matmul(h, w_h)
-        i_g = dc.sigmoid(z[:, 0 * d : 1 * d])
-        f_g = dc.sigmoid(z[:, 1 * d : 2 * d])
-        g_g = dc.tanh(z[:, 2 * d : 3 * d])
-        o_g = dc.sigmoid(z[:, 3 * d : 4 * d])
+        i_g = _sigmoid(z[:, 0 * d : 1 * d])
+        f_g = _sigmoid(z[:, 1 * d : 2 * d])
+        g_g = _tanh(z[:, 2 * d : 3 * d])
+        o_g = _sigmoid(z[:, 3 * d : 4 * d])
         c = dc.mul(f_g, c) + dc.mul(i_g, g_g)
-        h = dc.mul(o_g, dc.tanh(c))
+        h = dc.mul(o_g, _tanh(c))
         steps.append(dc.reshape(dc.concat([h, c], axis=-1), (h.shape[0], 1, 2 * d)))
     return dc.concat(steps, axis=1)
 
@@ -271,7 +361,7 @@ def _reference_layernorm(s, gain, bias):
 
 
 def _reference_glu(h, gate, val):
-    return dc.mul(dc.sigmoid(dc.matmul(h, gate[0]) + gate[1]), dc.matmul(h, val[0]) + val[1])
+    return dc.mul(_sigmoid(dc.matmul(h, gate[0]) + gate[1]), dc.matmul(h, val[0]) + val[1])
 
 
 def _reference_grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None):
@@ -281,7 +371,7 @@ def _reference_grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None):
         if x.ndim == 3:
             c = dc.reshape(c, (c.shape[0], 1, c.shape[-1]))
         h = h + c
-    h = dc.matmul(dc.elu(h), fc2[0]) + fc2[1]
+    h = dc.matmul(_elu(h), fc2[0]) + fc2[1]
     if keep is not None:
         h = dc.mul(h, Tensor(keep))
     residual = x if skip is None else dc.matmul(x, skip)
@@ -451,6 +541,21 @@ def test_pass_through_gradient_not_shared_between_parents(add_first):
     np.testing.assert_array_equal(y.grad, [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("shared_first", [True, False])
+def test_one_fresh_gradient_for_two_parents_is_stored_once(shared_first):
+    # a VJP may return one newly made array for both parents; only one of
+    # them may keep it uncopied
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = Tensor(np.ones(3), requires_grad=True)
+    both = dc._make(x.data + y.data, (x, y), lambda g: (g * 1.0,) * 2)
+    terms = [dc.reduce_sum(both), dc.reduce_sum(dc.mul(x, 3.0))]
+    if not shared_first:
+        terms.reverse()
+    dc.backward(terms[0] + terms[1])
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+    np.testing.assert_array_equal(y.grad, [1.0, 1.0, 1.0])
+
+
 def test_basic_index_grad_matches_scatter_add():
     x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
     dc.backward(dc.reduce_sum(dc.square(x[:, -1, 1:3])))
@@ -462,9 +567,9 @@ def test_basic_index_grad_matches_scatter_add():
 def test_no_grad_records_nothing():
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     with dc.no_grad():
-        out = dc.tanh(dc.matmul(Tensor(np.ones((4, 3))), w))
+        out = _tanh(dc.matmul(Tensor(np.ones((4, 3))), w))
     assert out._parents == () and out._vjp is None and not out.requires_grad
-    built = dc.tanh(dc.matmul(Tensor(np.ones((4, 3))), w))
+    built = _tanh(dc.matmul(Tensor(np.ones((4, 3))), w))
     assert built.requires_grad and built._parents
 
 
