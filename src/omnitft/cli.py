@@ -33,7 +33,14 @@ from .model import (
     save_checkpoint,
 )
 from .penalties import PenaltyError, PenaltyWeights
-from .schema import DatasetSchema, load_schema, save_schema, schema_to_dict, validate_schema
+from .schema import (
+    DatasetSchema,
+    is_number,
+    load_schema,
+    save_schema,
+    schema_to_dict,
+    validate_schema,
+)
 
 
 class CliError(Exception):
@@ -80,10 +87,6 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list, art
 # shared pipeline pieces
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Ingest, split and volatility-cutoff settings of one training run.
@@ -102,12 +105,12 @@ class PipelineConfig:
         r, gap, miss = self.ratios, self.max_gap_h, self.missing_threshold
         for ok, key, need in (
             (isinstance(r, (list, tuple)) and len(r) == 3
-             and all(_is_number(v) and v >= 0 for v in r) and sum(r) > 0,
+             and all(is_number(v) and v >= 0 for v in r) and sum(r) > 0,
              "ratios", "three non-negative numbers with a positive sum"),
             (type(self.split_seed) is int and self.split_seed >= 0, "split_seed", "an integer >= 0"),
-            (_is_number(gap) and gap >= 0, "max_gap_h", "a number >= 0"),
-            (_is_number(miss) and 0 <= miss <= 1, "missing_threshold", "a number in [0, 1]"),
-            (isinstance(self.delta, dict) and all(map(_is_number, self.delta.values())),
+            (is_number(gap) and gap >= 0, "max_gap_h", "a number >= 0"),
+            (is_number(miss) and 0 <= miss <= 1, "missing_threshold", "a number in [0, 1]"),
+            (isinstance(self.delta, dict) and all(map(is_number, self.delta.values())),
              "delta", "an object mapping target names to numbers"),
         ):
             if not ok:
@@ -211,9 +214,9 @@ def _checked(cls, doc, prefix: str = "") -> dict:
         elif isinstance(want, int):
             ok, need = type(value) is int, "an integer"
         elif isinstance(want, float):
-            ok, need = _is_number(value), "a number"
+            ok, need = is_number(value), "a number"
         elif isinstance(want, tuple):
-            ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+            ok = isinstance(value, (list, tuple)) and all(map(is_number, value))
             need = "a list of numbers"
         else:  # a nested section
             ok, need = isinstance(value, dict), "an object"
@@ -473,14 +476,8 @@ def cmd_label(args) -> int:
     if args.method == "hmm":
         for t_spec in schema.target_features:
             col = schema.column(t_spec.name)
-            for pid, s in all_series.items():
-                y = s.values[:, col]
-                diffs = np.diff(y)
-                try:
-                    params = labeler.hmm_fit(diffs, seed=0)
-                    step_labels = [labeler.STABLE] + labeler.hmm_decode(diffs, params)
-                except labeler.LabelerError:
-                    step_labels = [labeler.STABLE] * s.n_steps
+            diffs = [np.diff(s.values[:, col]) for s in all_series.values()]
+            for pid, step_labels in zip(all_series, labeler.hmm_step_labels(diffs)):
                 hmm_steps[(t_spec.name, pid)] = step_labels
 
     truth_fn = _truth_window_labels(data_dir, schema)

@@ -5,6 +5,14 @@ max-minus-min fluctuation and thresholds it. The alternative fits a
 two-state Gaussian HMM to the step-to-step differences of the whole series
 and Viterbi-decodes a per-step state, naming the higher-variance state
 volatile.
+
+The HMM code is one batched core over a (rows, steps) array: Baum-Welch and
+Viterbi step through time once for all rows, and each row stops at its own
+convergence. `hmm_step_labels` labels a cohort by grouping its signals by
+length and running each group as one batch; rows are never padded, because
+numpy's pairwise sums block by row length and a padded row would round
+differently. `hmm_fit` and `hmm_decode` are one-row calls into the same core,
+and a row's result is the same bits whichever rows share its batch.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ STABLE = "stable"
 VOLATILE = "volatile"
 
 _SIGMA_FLOOR = 1e-6
+_MIN_DIFFS = 10  # shortest diff signal the HMM is fitted to
 
 
 class LabelerError(Exception):
@@ -89,8 +98,115 @@ class HmmParams:
         return int(np.argmax(self.stds))
 
 
-def _log_gauss(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    return -0.5 * ((x - mu) / sigma) ** 2 - math.log(sigma) - 0.5 * math.log(2 * math.pi)
+def _log_emissions(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """log N(x | mean_s, std_s) of both states: (rows, n) -> (rows, n, 2).
+
+    log(std) is taken with math.log, whose rounding can differ from np.log's
+    in the last bit; the fit's log-likelihoods are built on the former.
+    """
+    log_sd = np.array([[math.log(sd) for sd in row] for row in stds]).reshape(-1, 1, 2)
+    z = (x[:, :, None] - means[:, None, :]) / stds[:, None, :]
+    return -0.5 * z**2 - log_sd - 0.5 * math.log(2 * math.pi)
+
+
+def _median_split(x: np.ndarray, spread: float):
+    """Initial means and stds: low-|diff| samples seed state 0, high-|diff| samples state 1."""
+    absx = np.abs(x)
+    hard = (absx > np.median(absx)).astype(int)
+    means = [x[hard == s].mean() if np.any(hard == s) else 0.0 for s in (0, 1)]
+    stds = [max(x[hard == s].std(), _SIGMA_FLOOR) if np.any(hard == s) else spread for s in (0, 1)]
+    return means, stds
+
+
+def _baum_welch(x: np.ndarray, max_iter: int = 50, tol: float = 1e-6) -> list:
+    """Baum-Welch EM on every row of x (rows, n) at once; HmmParams fields per row.
+
+    Each E step runs scaled forward-backward (Rabiner 1989) over all active
+    rows together. A row leaves the active set on its own: once its
+    log-likelihood gains less than `tol`, or when its M step finds a state
+    collapsed (no expected transition leaves it, or its std hits the floor),
+    in which case it keeps the parameters scored last and is flagged
+    degenerate. A constant row is flagged without fitting. Every reduction
+    runs along one row, so a row's result does not depend on its batch.
+    """
+    rows, n = x.shape
+    spread = x.max(axis=1) - x.min(axis=1)
+    stay = 0.9
+    trans = np.tile(np.array([[stay, 1 - stay], [1 - stay, stay]]), (rows, 1, 1))
+    init = np.full((rows, 2), 0.5)
+    means, stds = np.empty((rows, 2)), np.empty((rows, 2))
+    degenerate = spread < 1e-12
+    for r in range(rows):
+        if degenerate[r]:  # constant signal: one effective regime, flag instead of fitting
+            trans[r], means[r], stds[r] = 0.5, x[r, 0], _SIGMA_FLOOR
+        else:
+            means[r], stds[r] = _median_split(x[r], spread[r])
+    lls = [[] for _ in range(rows)]
+
+    active = np.flatnonzero(~degenerate)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        xa, ta = x[active], trans[active]
+        log_b = _log_emissions(xa, means[active], stds[active])
+
+        # scaled forward-backward
+        alpha = np.zeros((active.size, n, 2))
+        scale = np.zeros((active.size, n))
+        b = np.exp(log_b - log_b.max(axis=2, keepdims=True))
+        corr = log_b.max(axis=2)  # per-step log scaling pulled out of b
+        alpha[:, 0] = init[active] * b[:, 0]
+        scale[:, 0] = alpha[:, 0].sum(axis=1)
+        alpha[:, 0] /= scale[:, 0, None]
+        for t in range(1, n):
+            alpha[:, t] = (alpha[:, t - 1, None, :] @ ta)[:, 0] * b[:, t]
+            scale[:, t] = alpha[:, t].sum(axis=1)
+            alpha[:, t] /= scale[:, t, None]
+        ll = np.log(scale).sum(axis=1) + corr.sum(axis=1)
+        for r, v in zip(active, ll):
+            lls[r].append(float(v))
+
+        beta = np.zeros((active.size, n, 2))
+        beta[:, -1] = 1.0
+        for t in range(n - 2, -1, -1):
+            nxt = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
+            beta[:, t] = (ta @ nxt)[:, :, 0] / scale[:, t + 1, None]
+
+        gamma = alpha * beta
+        gamma /= gamma.sum(axis=2, keepdims=True)
+
+        # expected transition counts: xi_t(i, j) for every t at once, summed
+        xi = ((alpha[:, :-1, :, None] * ta[:, None]) * (b[:, 1:] * beta[:, 1:])[:, :, None, :]
+              / scale[:, 1:, None, None]).sum(axis=1)
+
+        # M step, only on the rows where every state has outgoing transitions
+        counts = xi.sum(axis=2, keepdims=True)  # expected transitions out of each state
+        ok = (counts > 0).all(axis=(1, 2))  # elsewhere the row would be 0/0
+        degenerate[active[~ok]] = True
+        sel = np.flatnonzero(ok)
+        g = gamma[sel]
+        w = g.sum(axis=1)
+        mu = (g * xa[sel, :, None]).sum(axis=1) / w
+        sd = np.sqrt((g * (xa[sel, :, None] - mu[:, None, :]) ** 2).sum(axis=1) / w)
+        collapsed = (sd <= _SIGMA_FLOOR).any(axis=1)  # a state collapsed onto one sample
+        degenerate[active[sel[collapsed]]] = True
+
+        sel, keep = sel[~collapsed], ~collapsed
+        upd = active[sel]
+        g0 = gamma[sel, 0]
+        init[upd] = g0 / g0.sum(axis=1, keepdims=True)
+        tr = xi[sel] / np.maximum(counts[sel], 1e-300)
+        trans[upd] = tr / tr.sum(axis=2, keepdims=True)
+        means[upd], stds[upd] = mu[keep], sd[keep]
+
+        active = np.array([r for r in upd if len(lls[r]) < 2 or lls[r][-1] - lls[r][-2] >= tol],
+                          dtype=int)
+
+    return [
+        dict(transition=trans[r], means=means[r], stds=stds[r], initial=init[r],
+             log_likelihoods=lls[r], degenerate=bool(degenerate[r]))
+        for r in range(rows)
+    ]
 
 
 def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -> HmmParams:
@@ -101,94 +217,54 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
     the per-iteration log-likelihood sequence is recorded and non-decreasing.
     A collapsed state (no expected transition leaves it, or its std hits the
     floor) stops the fit, flagged degenerate, with the parameters scored last.
+
+    This is a one-row call into the batched core that `hmm_step_labels` runs
+    over each group of equal-length signals; the result is the same bits as
+    that row's result in any batch.
     """
     x = np.asarray(diff_signal, dtype=np.float64)
-    n = x.size
-    if n < 10:
-        raise LabelerError(f"need at least 10 diff samples, got {n}")
+    if x.size < _MIN_DIFFS:
+        raise LabelerError(f"need at least {_MIN_DIFFS} diff samples, got {x.size}")
+    return HmmParams(**_baum_welch(x.reshape(1, -1), max_iter, tol)[0])
 
-    spread = x.max() - x.min()
-    if spread < 1e-12:
-        # constant signal: one effective regime, flag instead of fitting
-        params = HmmParams(
-            transition=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            means=np.array([x[0], x[0]]),
-            stds=np.array([_SIGMA_FLOOR, _SIGMA_FLOOR]),
-            initial=np.array([0.5, 0.5]),
-            log_likelihoods=[],
-            degenerate=True,
-        )
-        return params
 
-    # init: low-|diff| samples seed state 0, high-|diff| samples state 1
-    absx = np.abs(x)
-    hard = (absx > np.median(absx)).astype(int)
-    means = np.array([x[hard == s].mean() if np.any(hard == s) else 0.0 for s in (0, 1)])
-    stds = np.array(
-        [max(x[hard == s].std(), _SIGMA_FLOOR) if np.any(hard == s) else spread for s in (0, 1)]
-    )
-    stay = 0.9
-    trans = np.array([[stay, 1 - stay], [1 - stay, stay]])
-    init = np.array([0.5, 0.5])
+def _decode(x: np.ndarray, params: list) -> list:
+    """Per-step labels of every row of x (rows, n), each under its own HmmParams.
 
-    lls, degenerate = [], False
-    for _ in range(max_iter):
-        log_b = np.stack([_log_gauss(x, means[s], stds[s]) for s in (0, 1)], axis=1)
+    The max-product recursion runs over all rows together; a degenerate fit
+    labels its row stable throughout.
+    """
+    labels = [[STABLE] * x.shape[1] for _ in params]
+    live = [i for i, p in enumerate(params) if not p.degenerate]
+    if not live:
+        return labels
+    rows, n = len(live), x.shape[1]
+    fits = [params[i] for i in live]
+    log_b = _log_emissions(x[live], np.array([p.means for p in fits]),
+                           np.array([p.stds for p in fits]))
+    log_t = np.log(np.maximum(np.array([p.transition for p in fits]), 1e-300))
+    log_pi = np.log(np.maximum(np.array([p.initial for p in fits]), 1e-300))
 
-        # scaled forward-backward
-        alpha = np.zeros((n, 2))
-        scale = np.zeros(n)
-        b = np.exp(log_b - log_b.max(axis=1, keepdims=True))
-        corr = log_b.max(axis=1)  # per-step log scaling pulled out of b
-        alpha[0] = init * b[0]
-        scale[0] = alpha[0].sum()
-        alpha[0] /= scale[0]
-        for t in range(1, n):
-            alpha[t] = (alpha[t - 1] @ trans) * b[t]
-            scale[t] = alpha[t].sum()
-            alpha[t] /= scale[t]
-        ll = float(np.log(scale).sum() + corr.sum())
-        lls.append(ll)
+    delta = np.zeros((rows, n, 2))
+    back = np.zeros((rows, n, 2), dtype=int)
+    delta[:, 0] = log_pi + log_b[:, 0]
+    for t in range(1, n):
+        cand = delta[:, t - 1, :, None] + log_t
+        back[:, t] = cand.argmax(axis=1)
+        delta[:, t] = cand.max(axis=1) + log_b[:, t]
 
-        beta = np.zeros((n, 2))
-        beta[-1] = 1.0
-        for t in range(n - 2, -1, -1):
-            beta[t] = trans @ (b[t + 1] * beta[t + 1]) / scale[t + 1]
+    path = np.zeros((rows, n), dtype=int)
+    path[:, -1] = delta[:, -1].argmax(axis=1)
+    # Each earlier step takes the best predecessor of state 0 at the next
+    # step, as this decoder always has. A true Viterbi backtrack would follow
+    # the decoded next state, back[:, t + 1, path[:, t + 1]]; that fix changes
+    # the labels, so it is left to its own change.
+    path[:, :-1] = back[:, 1:, 0]
 
-        gamma = alpha * beta
-        gamma /= gamma.sum(axis=1, keepdims=True)
-
-        # expected transition counts: xi_t(i, j) for every t at once, summed
-        xi = ((alpha[:-1, :, None] * trans) * (b[1:] * beta[1:])[:, None, :]
-              / scale[1:, None, None]).sum(axis=0)
-
-        # M step
-        counts = xi.sum(axis=1, keepdims=True)  # expected transitions out of each state
-        if not (counts > 0).all():  # the row would be 0/0
-            degenerate = True
-            break
-        w = gamma.sum(axis=0)
-        mu = (gamma * x[:, None]).sum(axis=0) / w
-        sd = np.sqrt((gamma * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / w)
-        if np.any(sd <= _SIGMA_FLOOR):  # a state collapsed onto one sample
-            degenerate = True
-            break
-        init = gamma[0] / gamma[0].sum()
-        trans = xi / np.maximum(counts, 1e-300)
-        trans /= trans.sum(axis=1, keepdims=True)
-        means, stds = mu, sd
-
-        if len(lls) >= 2 and lls[-1] - lls[-2] < tol:
-            break
-
-    return HmmParams(
-        transition=trans,
-        means=means,
-        stds=stds,
-        initial=init,
-        log_likelihoods=lls,
-        degenerate=degenerate,
-    )
+    for i, p, states in zip(live, fits, path):
+        vol = p.volatile_state
+        labels[i] = [VOLATILE if s == vol else STABLE for s in states]
+    return labels
 
 
 def hmm_decode(diff_signal, params: HmmParams) -> list:
@@ -198,29 +274,38 @@ def hmm_decode(diff_signal, params: HmmParams) -> list:
     compares y[t+1] to y[t]); callers prepend a stable label for y[0].
     """
     x = np.asarray(diff_signal, dtype=np.float64)
-    n = x.size
-    if params.degenerate:
-        return [STABLE] * n
+    return _decode(x.reshape(1, -1), [params])[0]
 
-    log_b = np.stack([_log_gauss(x, params.means[s], params.stds[s]) for s in (0, 1)], axis=1)
-    log_t = np.log(np.maximum(params.transition, 1e-300))
-    log_pi = np.log(np.maximum(params.initial, 1e-300))
 
-    delta = np.zeros((n, 2))
-    back = np.zeros((n, 2), dtype=int)
-    delta[0] = log_pi + log_b[0]
-    for t in range(1, n):
-        cand = delta[t - 1][:, None] + log_t
-        back[t] = cand.argmax(axis=0)
-        delta[t] = cand.max(axis=0) + log_b[t]
+def hmm_step_labels(signals) -> list:
+    """Per-step labels of every diff signal: stable for y[0], then hmm_decode's labels.
 
-    path = np.zeros(n, dtype=int)
-    path[-1] = delta[-1].argmax()
-    for t in range(n - 2, -1, -1):
-        path[t] = back[t + 1][path[t]]
-
-    vol = params.volatile_state
-    return [VOLATILE if s == vol else STABLE for s in path]
+    Signals of one length are fitted and decoded as one (rows, steps) batch,
+    never padded, so each gets the labels that hmm_fit and hmm_decode give it
+    alone. A signal that cannot be fitted (too few diffs, or a fit that
+    raises LabelerError) is stable throughout.
+    """
+    xs = [np.asarray(s, dtype=np.float64) for s in signals]
+    labels = [[STABLE] * (x.size + 1) for x in xs]
+    by_len: dict = {}
+    for i, x in enumerate(xs):
+        if x.size >= _MIN_DIFFS:
+            by_len.setdefault(x.size, []).append(i)
+    for group in by_len.values():
+        batch = np.stack([xs[i] for i in group])
+        fitted = []
+        for i, fields in zip(group, _baum_welch(batch)):
+            try:
+                fitted.append((i, HmmParams(**fields)))
+            except LabelerError:
+                continue
+        if not fitted:
+            continue
+        idx = [i for i, _ in fitted]
+        steps = _decode(np.stack([xs[i] for i in idx]), [p for _, p in fitted])
+        for i, path in zip(idx, steps):
+            labels[i] = [STABLE] + path
+    return labels
 
 
 def hmm_window_label(step_labels, enc_len: int, start: int, horizon: int) -> str:

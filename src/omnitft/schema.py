@@ -10,6 +10,7 @@ that the group-entropy penalty aggregates over.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,9 +206,56 @@ def schema_to_dict(schema: DatasetSchema) -> dict:
     }
 
 
+def is_number(v) -> bool:
+    """A finite int or float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# JSON key -> (required, test of its value, what the value must be)
+_INT = (lambda v: type(v) is int, "an integer")
+_STR = (lambda v: isinstance(v, str), "a string")
+_SCHEMA_KEYS = {
+    "features": (True, lambda v: isinstance(v, list), "a list of feature objects"),
+    "grid_step_min": (True, is_number, "a number"),
+    "encoder_len": (True, *_INT),
+    "horizon_len": (True, *_INT),
+}
+_FEATURE_KEYS = {
+    "name": (True, *_STR),
+    "role": (True, *_STR),
+    "dtype": (False, *_STR),
+    "unit": (False, *_STR),
+    "vocab_size": (False, *_INT),
+    "vocab": (False, lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+              "a list of strings"),
+}
+
+
+def _check_keys(doc, keys: dict, where: str):
+    """SchemaError naming the key unless `doc` is an object whose keys are
+    all known, present when required and of the right type."""
+    if not isinstance(doc, dict):
+        what = where or "the schema"
+        raise SchemaError(f"{what} must be a JSON object, got a {type(doc).__name__}")
+    prefix = f"{where}." if where else ""
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(f"unknown schema key '{prefix}{key}'")
+    for key, (required, ok, need) in keys.items():
+        if key not in doc:
+            if required:
+                raise SchemaError(f"schema key '{prefix}{key}' is missing")
+        elif not ok(doc[key]):
+            raise SchemaError(f"schema key '{prefix}{key}' must be {need}, got {doc[key]!r}")
+
+
 def schema_from_dict(doc: dict) -> DatasetSchema:
+    """The validated schema a JSON object describes; a missing, unknown or
+    mistyped key raises SchemaError naming it."""
+    _check_keys(doc, _SCHEMA_KEYS, "")
     feats = []
-    for d in doc["features"]:
+    for i, d in enumerate(doc["features"]):
+        _check_keys(d, _FEATURE_KEYS, f"features[{i}]")
         feats.append(
             FeatureSpec(
                 name=d["name"],
@@ -222,8 +270,8 @@ def schema_from_dict(doc: dict) -> DatasetSchema:
         DatasetSchema(
             features=tuple(feats),
             grid_step_min=float(doc["grid_step_min"]),
-            encoder_len=int(doc["encoder_len"]),
-            horizon_len=int(doc["horizon_len"]),
+            encoder_len=doc["encoder_len"],
+            horizon_len=doc["horizon_len"],
         )
     )
 
@@ -236,4 +284,8 @@ def save_schema(schema: DatasetSchema, path):
 
 def load_schema(path) -> DatasetSchema:
     with open(path) as fh:
-        return schema_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return schema_from_dict(doc)
+    except SchemaError as e:  # name the file too
+        raise type(e)(f"{path}: {e}") from None

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omnitft import cli
+from _hmm_oracle import oracle_step_labels
+from omnitft import cli, labeler
 from omnitft.cli import PipelineConfig, main, resolve_configs
 from omnitft.ingest import read_split_grids, synthetic_schema
 from omnitft.model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -137,6 +138,64 @@ def test_train_malformed_config_exits_2(synth_dir, tmp_path, capsys, doc, named)
     ])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+def _set(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _edit_feature(edit):
+    def apply(doc):
+        edit(doc["features"][0])
+        return doc
+    return apply
+
+
+# Every case exited 1 with a traceback, or passed silently, before schema.json
+# was checked key by key.
+BAD_SCHEMAS = {
+    "features-not-a-list": (lambda d: {**d, "features": {f["name"]: f for f in d["features"]}},
+                            "'features' must be a list"),
+    "json-list": (lambda d: d["features"], "the schema must be a JSON object, got a list"),
+    "feature-not-an-object": (lambda d: {**d, "features": ["y"] + d["features"][1:]},
+                              "features[0] must be a JSON object, got a str"),
+    "encoder-len-missing": (lambda d: {k: v for k, v in d.items() if k != "encoder_len"},
+                            "'encoder_len' is missing"),
+    "feature-name-missing": (_edit_feature(lambda f: f.pop("name")),
+                             "'features[0].name' is missing"),
+    "encoder-len-float": (_set("encoder_len", 1.5), "'encoder_len' must be an integer, got 1.5"),
+    "encoder-len-string": (_set("encoder_len", "12"), "'encoder_len' must be an integer"),
+    "grid-step-string": (_set("grid_step_min", "60"), "'grid_step_min' must be a number"),
+    "horizon-len-bool": (_set("horizon_len", True), "'horizon_len' must be an integer"),
+    "unknown-feature-key": (_edit_feature(lambda f: f.update(units="bpm")),
+                            "unknown schema key 'features[0].units'"),
+    "unknown-key": (_set("encoder", 12), "unknown schema key 'encoder'"),
+}
+
+
+def _bad_schema(synth_dir, tmp_path, case) -> Path:
+    edit, _ = BAD_SCHEMAS[case]
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(edit(read_json(synth_dir / "schema.json"))))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCHEMAS))
+def test_train_bad_schema_exits_2_naming_file_and_key(synth_dir, tmp_path, capsys, case):
+    schema = _bad_schema(synth_dir, tmp_path, case)
+    code = run(["train", "--data", str(synth_dir), "--schema", str(schema),
+                "--out", str(tmp_path / "run"), "--dry-run"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{schema}: " in err and BAD_SCHEMAS[case][1] in err
+
+
+def test_label_bad_schema_exits_2(synth_dir, tmp_path, capsys):
+    schema = _bad_schema(synth_dir, tmp_path, "encoder-len-float")
+    code = run(["label", "--data", str(synth_dir), "--schema", str(schema),
+                "--out", str(tmp_path / "lab")])
+    assert code == 2
+    assert f"{schema}: schema key 'encoder_len'" in capsys.readouterr().err
 
 
 def test_label_unknown_config_key_exits_2(synth_dir, tmp_path, capsys):
@@ -375,6 +434,17 @@ def test_eval_schema_mismatch_exits_2(synth_dir, tmp_path, capsys):
     assert "schema" in capsys.readouterr().err.lower()
 
 
+def test_eval_bad_data_dir_schema_exits_2(synth_dir, trained_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "data.csv").write_bytes((synth_dir / "data.csv").read_bytes())
+    _bad_schema(synth_dir, data, "json-list")
+    code = run(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                "--data", str(data), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"{data / 'schema.json'}: the schema must be a JSON object" in capsys.readouterr().err
+
+
 def test_train_non_finite_value_exits_2(synth_dir, tmp_path, capsys):
     data = tmp_path / "nan_data"
     data.mkdir()
@@ -462,6 +532,11 @@ def _reshape_first_tensor(h):
     return h
 
 
+def _float_encoder_len(h):
+    h["schema"]["encoder_len"] = 1.5
+    return h
+
+
 def _drop_last_tensor(raw: bytes) -> bytes:
     (header_len,) = struct.unpack("<I", raw[12:16])
     last = json.loads(raw[16 : 16 + header_len])["tensors"][-1]
@@ -480,8 +555,10 @@ def _drop_last_tensor(raw: bytes) -> bytes:
     (lambda raw: _rewrite_header(raw, _reshape_first_tensor),
      "tensor 0 is embed/y/w [8, 1], the model's is embed/y/w [8]"),
     (_drop_last_tensor, "is missing, the model's is head/b [3]"),
+    (lambda raw: _rewrite_header(raw, _float_encoder_len),
+     "schema key 'encoder_len' must be an integer, got 1.5"),
 ], ids=["trailing-bytes", "no-tensors", "unknown-config-key", "list-header", "negative-shape",
-        "renamed-tensor", "reshaped-tensor", "dropped-tensor"])
+        "renamed-tensor", "reshaped-tensor", "dropped-tensor", "float-encoder-len"])
 def test_eval_malformed_checkpoint_exits_2_naming_it(synth_dir, trained_dir, tmp_path, capsys,
                                                      damage, message):
     ckpt = tmp_path / "malformed.bin"
@@ -514,6 +591,30 @@ def test_label_hmm_reports_method_agreement(synth_dir, tmp_path):
     summary = read_json(out / "label_summary.json")
     assert "agreement_threshold_vs_hmm" in summary
     assert 0.0 <= summary["agreement_threshold_vs_hmm"] <= 1.0
+
+
+def test_label_hmm_on_mixed_lengths_equals_per_patient_fits(tmp_path):
+    # patients of 8 to 39 steps; the shortest have windows but too few diffs to fit
+    data, out = tmp_path / "syn", tmp_path / "lab"
+    assert run(["synth", "--patients", "20", "--seed", "5", "--out", str(data),
+                "--encoder-len", "6", "--horizon-len", "3",
+                "--min-steps", "8", "--max-steps", "40"]) == 0
+    assert run(["label", "--data", str(data), "--schema", str(data / "schema.json"),
+                "--method", "hmm", "--out", str(out)]) == 0
+    schema = load_schema(data / "schema.json")
+    splits, _, _ = PipelineConfig().ingest(data, schema)
+    col = schema.column("y")
+    steps = {s.patient_id: oracle_step_labels(np.diff(s.values[:, col]))
+             for name in splits for s in splits[name]}
+    with open(out / "window_labels.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    lengths = {len(steps[r["patient_id"]]) for r in rows}
+    assert min(lengths) < 11 and len(lengths) > 5
+    assert {r["label"] for r in rows} == {"stable", "volatile"}
+    for r in rows:
+        want = labeler.hmm_window_label(steps[r["patient_id"]], schema.encoder_len,
+                                        int(r["start"]), schema.horizon_len)
+        assert r["label"] == want, r
 
 
 def test_label_delta_override_honored(synth_dir, tmp_path):

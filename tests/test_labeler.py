@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _hmm_oracle import oracle_decode, oracle_fit, oracle_step_labels
 
 from omnitft import labeler
 from omnitft.ingest import generate_synthetic, synthetic_schema
@@ -188,3 +189,80 @@ def test_hmm_window_label():
     steps = [STABLE] * 10 + [VOLATILE] + [STABLE] * 10
     assert labeler.hmm_window_label(steps, enc_len=6, start=2, horizon=4) == VOLATILE
     assert labeler.hmm_window_label(steps, enc_len=6, start=9, horizon=4) == STABLE
+
+
+# ---------------------------------------------------------------------------
+# the batched HMM core against the per-patient fit it replaced
+
+
+def _assert_same_bits(got, want):
+    for name in ("transition", "means", "stds", "initial"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.log_likelihoods == want.log_likelihoods
+    assert got.degenerate == want.degenerate
+
+
+@pytest.fixture(scope="module")
+def mixed_signals():
+    """Diff signals of 71, 40 and 25 steps, a constant one, a too-short one
+    and the two kinds of degenerate fit, interleaved."""
+    schema = synthetic_schema()
+    col = schema.column("y")
+    seven, _ = generate_synthetic(100, schema, seed=7, min_steps=72, max_steps=72)
+    eight, _ = generate_synthetic(100, schema, seed=8, min_steps=72, max_steps=72)
+    rng = np.random.default_rng(12)
+    return [
+        np.diff(seven[0].values[:, col]),
+        _two_regime_diffs(40, rng)[0],
+        np.diff(eight[58].values[:, col]),  # a state left with no outgoing transitions
+        np.zeros(25),  # constant
+        np.diff(seven[1].values[:, col]),
+        rng.standard_normal(6),  # fewer than 10 diffs
+        _two_regime_diffs(25, rng)[0],
+        np.diff(seven[23].values[:, col]),  # a state's std collapses to the floor
+        _two_regime_diffs(40, rng)[0],
+        np.diff(seven[37].values[:, col]),  # np.log(std) would move its log-likelihood
+        _two_regime_diffs(25, rng)[0],
+    ]
+
+
+def test_mixed_signals_cover_every_kind_of_fit(mixed_signals):
+    assert sorted({x.size for x in mixed_signals}) == [6, 25, 40, 71]
+    assert oracle_fit(mixed_signals[2]).degenerate  # p0058 of seed 8
+    assert oracle_fit(mixed_signals[7]).degenerate  # p0023 of seed 7
+    assert oracle_fit(mixed_signals[3]).degenerate  # constant
+    assert not oracle_fit(mixed_signals[0]).degenerate
+
+
+def test_batched_fit_equals_per_patient_fit_bit_for_bit(mixed_signals):
+    by_len = {}
+    for x in mixed_signals:
+        if x.size >= 10:
+            by_len.setdefault(x.size, []).append(x)
+    for group in by_len.values():
+        fits = labeler._baum_welch(np.stack(group))
+        for x, fields in zip(group, fits):
+            want = oracle_fit(x)
+            _assert_same_bits(labeler.HmmParams(**fields), want)
+            _assert_same_bits(hmm_fit(x, seed=0), want)
+            assert hmm_decode(x, want) == oracle_decode(x, want)
+
+
+def test_step_labels_equal_per_patient_labels(mixed_signals):
+    got = labeler.hmm_step_labels(mixed_signals)
+    assert got == [oracle_step_labels(x) for x in mixed_signals]
+    assert got[5] == [STABLE] * 7  # too short to fit
+    assert any(VOLATILE in labels for labels in got)
+
+
+def test_row_result_does_not_depend_on_its_batch(mixed_signals):
+    group = np.stack([x for x in mixed_signals if x.size == 71])
+    alone = [labeler._baum_welch(row[None])[0] for row in group]
+    for fits in (labeler._baum_welch(group), labeler._baum_welch(group[::-1])[::-1]):
+        for got, want in zip(fits, alone):
+            _assert_same_bits(labeler.HmmParams(**got), labeler.HmmParams(**want))
+    whole = labeler.hmm_step_labels(mixed_signals)
+    for i in range(len(mixed_signals)):
+        assert labeler.hmm_step_labels([mixed_signals[i]]) == [whole[i]]
+    assert labeler.hmm_step_labels(mixed_signals[::-1]) == whole[::-1]
