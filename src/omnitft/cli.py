@@ -359,7 +359,10 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(args.checkpoint)
     schema = model.schema
-    pipeline = PipelineConfig.from_dict(model.pipeline or {})
+    try:  # train stores asdict(PipelineConfig), so any other key or type is malformed
+        pipeline = PipelineConfig(**({} if model.pipeline is None else model.pipeline))
+    except (CliError, TypeError) as e:
+        raise CliError(f"checkpoint {args.checkpoint} has a malformed pipeline: {e}") from None
     lo, mid, hi = evalkit.quantile_columns(model.config.quantiles)
 
     data_dir = Path(args.data)
@@ -382,38 +385,33 @@ def cmd_eval(args) -> int:
         windows = eval_pools.get(t_spec.name, [])
         if not windows:
             continue
-        p10, p50, p90, actual = [], [], [], []
-        bundles, maes = [], []
+        q, abar, w_hist = [], [], []
         for i in range(0, len(windows), 256):
-            chunk = windows[i : i + 256]
-            batch = WindowBatch.from_windows(chunk)
+            batch = WindowBatch.from_windows(windows[i : i + 256])
             with dc.no_grad():
                 fp = model.forward(batch, rng=None)
-            for j, w in enumerate(chunk):
-                b = fp.bundle(j)
-                bundles.append(b)
-                q = b.quantiles_sorted
-                p10.extend(q[:, lo])
-                p50.extend(q[:, mid])
-                p90.extend(q[:, hi])
-                actual.extend(w.fut_target)
-                maes.append(evalkit.mae(q[:, mid], w.fut_target))
-        reports.append(evalkit.compute_report(t_spec.name, p10, p50, p90, actual))
+            q.append(fp.quantiles.data)
+            abar.append(fp.abar.data)
+            w_hist.append(fp.w_hist.data)
+        q = np.sort(np.concatenate(q), axis=-1)  # (n, H, n_q), non-crossing
+        actual = np.stack([w.fut_target for w in windows])  # (n, H)
+        reports.append(evalkit.compute_report(
+            t_spec.name, q[..., lo], q[..., mid], q[..., hi], actual))
 
         table = evalkit.aggregate_importance(
-            [bundles], [f.name for f in schema.past_features],
-            schema.encoder_len, target=t_spec.name,
+            [(np.concatenate(abar), np.concatenate(w_hist))],
+            [f.name for f in schema.past_features], schema.encoder_len, target=t_spec.name,
         )
         imp_path = out / f"importance_{t_spec.name}.csv"
         with open(imp_path, "w", newline="") as fh:
             csv.writer(fh).writerows(table.to_csv_rows())
         artifacts.append(imp_path)
 
-        typical = evalkit.select_typical_window(maes)
+        typical = evalkit.select_typical_window(np.abs(q[..., mid] - actual).mean(axis=1))
         w = windows[typical]
         tgt_col = [f.name for f in schema.past_features].index(t_spec.name)
         rows = evalkit.export_trajectories(
-            bundles[typical], w.enc_past[:, tgt_col], w.fut_target, model.config.quantiles
+            q[typical], w.enc_past[:, tgt_col], w.fut_target, model.config.quantiles
         )
         traj_path = out / f"trajectory_{t_spec.name}.csv"
         with open(traj_path, "w", newline="") as fh:
@@ -446,8 +444,18 @@ def _truth_window_labels(data_dir: Path, schema: DatasetSchema):
     steps: dict = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        columns = ("patient_id", "step", "label")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CliError(f"{path}, line 1: no column(s) {missing}")
         for row in reader:
-            steps.setdefault(row["patient_id"], {})[int(row["step"])] = row["label"]
+            step, label = row["step"] or "", row["label"]
+            if not step.isdecimal() or label not in (labeler.STABLE, labeler.VOLATILE):
+                raise CliError(
+                    f"{path}, line {reader.line_num}: need an integer step >= 0 and a label "
+                    f"{labeler.STABLE} or {labeler.VOLATILE}, got {step!r}, {label!r}"
+                )
+            steps.setdefault(row["patient_id"], {})[int(step)] = label
     E, H = schema.encoder_len, schema.horizon_len
 
     def window_label(pid: str, start: int) -> str | None:

@@ -200,39 +200,37 @@ class ImportanceTable:
             yield [self.target, r.feature, repr(r.score), r.rank, repr(r.cv)]
 
 
-def _run_scores(bundles: list, enc_len: int, n_features: int) -> np.ndarray:
-    """Attention-mass-weighted mean selection score per feature, one run."""
-    acc = np.zeros(n_features)
-    for b in bundles:
-        abar = np.asarray(b.attention)
-        w = np.asarray(b.selection.historical)  # (E, N)
-        mass = abar[enc_len:, :enc_len].sum(axis=0)  # decoder rows onto encoder steps
-        total = mass.sum()
-        if total <= 0:
-            mass = np.full(enc_len, 1.0 / enc_len)
-        else:
-            mass = mass / total
-        acc += mass @ w
-    acc /= max(len(bundles), 1)
+def _run_scores(abar: np.ndarray, w_hist: np.ndarray, enc_len: int) -> np.ndarray:
+    """Attention-mass-weighted mean selection score per feature, one run.
+
+    abar (n, T, T) and w_hist (n, E, N) hold the run's n windows.
+    """
+    mass = abar[:, enc_len:, :enc_len].sum(axis=1)  # decoder rows onto encoder steps
+    total = mass.sum(axis=1, keepdims=True)
+    mass = np.divide(mass, total, out=np.full_like(mass, 1.0 / enc_len), where=total > 0)
+    # per-window (1, E) @ (E, N) products summed in window order round as a
+    # window-at-a-time loop does; an einsum over both axes rounds differently
+    acc = (mass[:, None, :] @ w_hist)[:, 0].sum(axis=0) / len(abar)
     s = acc.sum()
-    return acc / s if s > 0 else np.full(n_features, 1.0 / n_features)
+    return acc / s if s > 0 else np.full(acc.size, 1.0 / acc.size)
 
 
 def aggregate_importance(
-    run_bundles: list, feature_names: list, enc_len: int, target: str = ""
+    runs: list, feature_names: list, enc_len: int, target: str = ""
 ) -> ImportanceTable:
     """Composite feature importance across windows, and across runs if
     several runs are supplied.
 
-    run_bundles: list of runs, each a list of ForecastBundle. Scores are the
-    selection weights averaged under the attention mass decoder rows place
-    on each encoder step, normalized per target; cv is the across-run
-    std/mean of each feature's normalized score.
+    runs: one (abar, w_hist) array pair per run, the head-averaged attention
+    (n, T, T) and historical selection weights (n, E, N) of its n windows.
+    Scores are the selection weights averaged under the attention mass
+    decoder rows place on each encoder step, normalized per target; cv is the
+    across-run std/mean of each feature's normalized score.
     """
-    if not run_bundles or not run_bundles[0]:
-        raise EvalError("need at least one bundle")
+    if not runs or not all(len(abar) for abar, _ in runs):
+        raise EvalError("need at least one window in every run")
     n = len(feature_names)
-    per_run = np.stack([_run_scores(run, enc_len, n) for run in run_bundles])
+    per_run = np.stack([_run_scores(abar, w_hist, enc_len) for abar, w_hist in runs])
     score = per_run.mean(axis=0)
     score = score / score.sum()
     means = per_run.mean(axis=0)
@@ -245,7 +243,7 @@ def aggregate_importance(
             feature=feature_names[j],
             score=float(score[j]),
             rank=rank_pos,
-            cv=float(cvs[j]) if len(run_bundles) > 1 else 0.0,
+            cv=float(cvs[j]) if len(runs) > 1 else 0.0,
         )
     return ImportanceTable(target=target, rows=rows)
 
@@ -256,7 +254,7 @@ def aggregate_importance(
 
 def select_typical_window(maes) -> int:
     """Index of the window whose MAE sits nearest the cohort mean."""
-    maes = np.asarray(list(maes), dtype=np.float64)
+    maes = np.asarray(maes, dtype=np.float64)
     if maes.size == 0:
         raise EmptySeries("no windows")
     return int(np.argmin(np.abs(maes - maes.mean())))
@@ -271,16 +269,17 @@ def quantile_columns(levels) -> tuple:
     return tuple(levels.index(q) for q in REPORTED_LEVELS)
 
 
-def export_trajectories(bundle, history, actual_future, levels=REPORTED_LEVELS) -> list:
+def export_trajectories(q_sorted, history, actual_future, levels=REPORTED_LEVELS) -> list:
     """Plot-ready rows: encoder history then forecast vs actual future.
 
-    Steps run -E+1..0 for history and 1..H for the horizon; quantile
-    columns use the sorted non-crossing view, picked by level.
+    Steps run -E+1..0 for history and 1..H for the horizon. q_sorted is the
+    window's (H, n_q) sorted, non-crossing quantile view, whose columns are
+    picked by level.
     """
     history = np.asarray(history, dtype=np.float64).ravel()
     actual_future = np.asarray(actual_future, dtype=np.float64).ravel()
     lo, mid, hi = quantile_columns(levels)
-    q = np.asarray(bundle.quantiles_sorted)
+    q = np.asarray(q_sorted)
     E, H = history.size, actual_future.size
     rows = []
     for i in range(E):

@@ -255,11 +255,9 @@ def _decode(x: np.ndarray, params: list) -> list:
 
     path = np.zeros((rows, n), dtype=int)
     path[:, -1] = delta[:, -1].argmax(axis=1)
-    # Each earlier step takes the best predecessor of state 0 at the next
-    # step, as this decoder always has. A true Viterbi backtrack would follow
-    # the decoded next state, back[:, t + 1, path[:, t + 1]]; that fix changes
-    # the labels, so it is left to its own change.
-    path[:, :-1] = back[:, 1:, 0]
+    r = np.arange(rows)
+    for t in range(n - 2, -1, -1):  # each step takes the best predecessor of the next
+        path[:, t] = back[r, t + 1, path[:, t + 1]]
 
     for i, p, states in zip(live, fits, path):
         vol = p.volatile_state

@@ -1,7 +1,7 @@
 """The per-patient HMM fit and decoder as they were before the batched core.
 
-Tests compare the batched labeler against these bit for bit. They keep the
-old decoder's backtrack, which follows state 0 rather than the decoded state.
+Tests compare the batched labeler against these bit for bit. The decoder
+backtracks through the decoded states, as a Viterbi decoder does.
 """
 
 import math
@@ -83,7 +83,7 @@ def oracle_fit(diff_signal, max_iter=50, tol=1e-6):
 
 
 def oracle_decode(diff_signal, params):
-    """The per-patient decoder that the batched core replaced, as it was."""
+    """The per-patient decoder that the batched core replaced, its backtrack fixed."""
     x = np.asarray(diff_signal, dtype=np.float64)
     n = x.size
     if params.degenerate:
@@ -102,7 +102,7 @@ def oracle_decode(diff_signal, params):
     path = np.zeros(n, dtype=int)
     path[-1] = delta[-1].argmax()
     for t in range(n - 2, -1, -1):
-        path[t] = back[t + 1][path[t]]
+        path[t] = back[t + 1][path[t + 1]]
     vol = params.volatile_state
     return [VOLATILE if s == vol else STABLE for s in path]
 

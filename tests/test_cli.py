@@ -557,8 +557,15 @@ def _drop_last_tensor(raw: bytes) -> bytes:
     (_drop_last_tensor, "is missing, the model's is head/b [3]"),
     (lambda raw: _rewrite_header(raw, _float_encoder_len),
      "schema key 'encoder_len' must be an integer, got 1.5"),
+    (lambda raw: _rewrite_header(raw, lambda h: {**h, "pipeline": 5}),
+     "argument after ** must be a mapping, not int"),
+    (lambda raw: _rewrite_header(raw, lambda h: {**h, "pipeline": {"ratios": "abc"}}),
+     "malformed pipeline: ratios must be three non-negative numbers"),
+    (lambda raw: _rewrite_header(raw, lambda h: {**h, "pipeline": {"ratioz": [1, 1, 1]}}),
+     "unexpected keyword argument 'ratioz'"),
 ], ids=["trailing-bytes", "no-tensors", "unknown-config-key", "list-header", "negative-shape",
-        "renamed-tensor", "reshaped-tensor", "dropped-tensor", "float-encoder-len"])
+        "renamed-tensor", "reshaped-tensor", "dropped-tensor", "float-encoder-len",
+        "int-pipeline", "bad-pipeline-ratios", "misspelt-pipeline-key"])
 def test_eval_malformed_checkpoint_exits_2_naming_it(synth_dir, trained_dir, tmp_path, capsys,
                                                      damage, message):
     ckpt = tmp_path / "malformed.bin"
@@ -581,6 +588,28 @@ def test_label_threshold_counts(synth_dir, tmp_path):
     assert summary["counts"]["stable"] + summary["counts"]["volatile"] == n_rows
     assert summary["total_windows"] == n_rows
     assert "agreement_vs_truth" in summary
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:2] + ["p0000,x,stable"] + lines[3:], "line 3: need an integer step"),
+    (lambda lines: lines[:4] + ["p0000,3,calm"] + lines[5:], "line 5: need an integer step"),
+    (lambda lines: lines[:6] + ["p0000,5"] + lines[7:], "line 7: need an integer step"),
+    (lambda lines: [",".join(line.split(",")[::2]) for line in lines],  # drop the step column
+     "line 1: no column(s) ['step']"),
+], ids=["non-integer-step", "unknown-label", "short-row", "missing-column"])
+def test_label_malformed_truth_file_exits_2_naming_file_and_line(synth_dir, tmp_path, capsys,
+                                                                 edit, message):
+    data = tmp_path / "syn"
+    data.mkdir()
+    for name in ("data.csv", "schema.json"):
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+    lines = (synth_dir / "truth_labels.csv").read_text().splitlines()
+    (data / "truth_labels.csv").write_text("\n".join(edit(lines)) + "\n")
+    code = run(["label", "--data", str(data), "--schema", str(data / "schema.json"),
+                "--out", str(tmp_path / "lab")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{data / 'truth_labels.csv'}, {message}" in err
 
 
 def test_label_hmm_reports_method_agreement(synth_dir, tmp_path):

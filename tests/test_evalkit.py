@@ -143,25 +143,15 @@ def test_report_sentinel_for_near_zero_targets():
 # importance aggregation
 
 
-def _bundle(w_hist, abar, H=2):
-    from omnitft.model import ForecastBundle, SelectionWeights
-
-    E, N = w_hist.shape
-    return ForecastBundle(
-        quantiles=np.zeros((H, 3)),
-        attention=abar,
-        selection=SelectionWeights(w_hist, np.zeros((H, 0))),
-        decoder_states=np.zeros((H, 4)),
-    )
+def _causal_uniform(T):
+    abar = np.tril(np.ones((T, T)))
+    return abar / abar.sum(-1, keepdims=True)
 
 
 def test_importance_single_feature_is_one():
     E, H = 3, 2
-    T = E + H
-    abar = np.tril(np.ones((T, T)))
-    abar /= abar.sum(-1, keepdims=True)
-    b = _bundle(np.ones((E, 1)), abar, H)
-    table = aggregate_importance([[b]], ["only"], E)
+    abar = _causal_uniform(E + H)[None]
+    table = aggregate_importance([(abar, np.ones((1, E, 1)))], ["only"], E)
     assert table.rows[0].score == 1.0
     assert table.rows[0].rank == 1
 
@@ -170,13 +160,10 @@ def test_importance_normalization_and_ranks():
     rng = np.random.default_rng(8)
     E, H, N = 4, 2, 3
     T = E + H
-    bundles = []
-    for _ in range(5):
-        w = rng.dirichlet(np.ones(N), size=E)
-        abar = np.tril(rng.uniform(size=(T, T))) + 1e-9
-        abar = np.tril(abar) / np.tril(abar).sum(-1, keepdims=True)
-        bundles.append(_bundle(w, abar, H))
-    table = aggregate_importance([bundles], ["a", "b", "c"], E)
+    w = rng.dirichlet(np.ones(N), size=(5, E))
+    abar = np.tril(rng.uniform(size=(5, T, T))) + 1e-9
+    abar = np.tril(abar) / np.tril(abar).sum(-1, keepdims=True)
+    table = aggregate_importance([(abar, w)], ["a", "b", "c"], E)
     total = sum(r.score for r in table.rows)
     assert abs(total - 1.0) <= 1e-9
     assert sorted(r.rank for r in table.rows) == [1, 2, 3]
@@ -186,17 +173,32 @@ def test_importance_normalization_and_ranks():
 
 def test_importance_cv_across_runs():
     E, H = 3, 2
-    T = E + H
-    abar = np.tril(np.ones((T, T)))
-    abar /= abar.sum(-1, keepdims=True)
+    abar = _causal_uniform(E + H)[None]
     runs = []
     for scale in (0.2, 0.4, 0.6):
         w = np.column_stack([np.full(E, scale), np.full(E, 1 - scale)])
-        runs.append([_bundle(w, abar, H)])
+        runs.append((abar, w[None]))
     table = aggregate_importance(runs, ["a", "b"], E)
     assert all(r.cv > 0 for r in table.rows)
-    single = aggregate_importance([runs[0]], ["a", "b"], E)
+    single = aggregate_importance(runs[:1], ["a", "b"], E)
     assert all(r.cv == 0 for r in single.rows)
+
+
+def test_importance_without_decoder_mass_on_the_encoder_weighs_steps_uniformly():
+    # decoder rows attend only to decoder steps, so every encoder step weighs 1/E
+    E, H = 3, 2
+    abar = np.eye(E + H)[None]
+    w = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+    table = aggregate_importance([(abar, w)], ["a", "b"], E)
+    assert [r.score for r in table.rows] == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
+    assert [r.rank for r in table.rows] == [1, 2]
+
+
+def test_importance_needs_a_window_in_every_run():
+    with pytest.raises(ek.EvalError):
+        aggregate_importance([], ["a"], 3)
+    with pytest.raises(ek.EvalError):
+        aggregate_importance([(np.zeros((0, 5, 5)), np.zeros((0, 3, 1)))], ["a"], 3)
 
 
 @pytest.fixture(scope="module")
@@ -234,9 +236,8 @@ def test_importance_of_constant_feature_below_uniform(trained_with_flatline):
     schema, model, eval_windows = trained_with_flatline
     batch = WindowBatch.from_windows(eval_windows)
     fp = model.forward(batch)
-    bundles = [fp.bundle(i) for i in range(batch.size)]
     names = [f.name for f in schema.past_features]
-    table = aggregate_importance([bundles], names, schema.encoder_len)
+    table = aggregate_importance([(fp.abar.data, fp.w_hist.data)], names, schema.encoder_len)
     score = {r.feature: r.score for r in table.rows}
     assert score["flatline"] < 1.0 / len(names)
 
@@ -250,21 +251,80 @@ def test_select_typical_window_nearest_to_mean():
 
 
 def test_export_trajectories_layout():
-    from omnitft.model import ForecastBundle, SelectionWeights
-
     E, H = 5, 3
-    q = np.column_stack([np.zeros(H) - 1, np.zeros(H), np.zeros(H) + 1])
-    b = ForecastBundle(
-        quantiles=q[:, ::-1].copy(),  # deliberately crossed raw order
-        attention=np.eye(E + H),
-        selection=SelectionWeights(np.ones((E, 2)) / 2, np.zeros((H, 0))),
-        decoder_states=np.zeros((H, 4)),
-    )
-    rows = export_trajectories(b, np.arange(E, dtype=float), np.ones(H))
+    levels = (0.05, 0.1, 0.5, 0.9, 0.95)
+    q = np.arange(H * 5, dtype=float).reshape(H, 5)  # sorted rows
+    rows = export_trajectories(q, np.arange(E, dtype=float), np.ones(H), levels)
     assert len(rows) == E + H
     hist = [r for r in rows if r["history"] != ""]
     fut = [r for r in rows if r["actual_future"] != ""]
     assert len(hist) == E and len(fut) == H
-    assert hist[-1]["t"] == 0 and fut[0]["t"] == 1
-    for r in fut:
-        assert r["p10"] <= r["p50"] <= r["p90"]
+    assert [r["t"] for r in rows] == list(range(-E + 1, H + 1))
+    assert all(r["p50"] == "" for r in hist)
+    for i, r in enumerate(fut):
+        assert (r["p10"], r["p50"], r["p90"]) == (q[i, 1], q[i, 2], q[i, 3])
+
+
+def test_eval_outputs_equal_the_per_window_reference(tmp_path):
+    """eval's metrics, importance scores and typical-window trajectory, bit for
+    bit, against the same quantities built one ForwardPass.bundle at a time."""
+    import csv
+    import io
+    import json
+    from dataclasses import asdict
+
+    from omnitft import cli
+    from omnitft import diffcore as dc
+    from omnitft.model import Model, ModelConfig, WindowBatch, compute_scalers, save_checkpoint
+    from omnitft.schema import load_schema
+
+    data, out = tmp_path / "syn", tmp_path / "eval"
+    assert cli.main(["synth", "--patients", "20", "--seed", "3", "--out", str(data),
+                     "--encoder-len", "6", "--horizon-len", "3",
+                     "--min-steps", "30", "--max-steps", "40"]) == 0
+    schema = load_schema(data / "schema.json")
+    pipeline = cli.PipelineConfig()
+    splits, _, _ = pipeline.ingest(data, schema)
+    model = Model(schema, ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0), seed=4,
+                  scalers=compute_scalers(splits["train"], schema), pipeline=asdict(pipeline))
+    save_checkpoint(tmp_path / "ckpt.bin", model)
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt.bin"), "--data", str(data),
+                     "--out", str(out), "--split", "train"]) == 0
+
+    windows = cli.build_window_pools({"train": splits["train"]}, schema, {})[0]["train"]["y"]
+    assert len(windows) > 256  # more than one forward chunk
+    bundles = []
+    for i in range(0, len(windows), 256):
+        with dc.no_grad():
+            fp = model.forward(WindowBatch.from_windows(windows[i : i + 256]), rng=None)
+        bundles += [fp.bundle(j) for j in range(fp.quantiles.shape[0])]
+    E, lo, mid, hi = schema.encoder_len, 0, 1, 2
+
+    tracks = [[x for b in bundles for x in b.quantiles_sorted[:, c]] for c in (lo, mid, hi)]
+    actual = [x for w in windows for x in w.fut_target]
+    report = compute_report("y", *tracks, actual).to_dict()
+    assert json.loads((out / "metrics.json").read_text()) == [json.loads(json.dumps(report))]
+
+    acc = np.zeros(len(schema.past_features))
+    for b in bundles:
+        mass = b.attention[E:, :E].sum(axis=0)
+        mass = mass / mass.sum() if mass.sum() > 0 else np.full(E, 1.0 / E)
+        acc += mass @ b.selection.historical
+    acc /= len(bundles)
+    want = acc / acc.sum()
+    want = want / want.sum()  # the mean over one run, normalized again
+    with open(out / "importance_y.csv", newline="") as fh:
+        got = [float(r["score"]) for r in csv.DictReader(fh)]
+    assert got == list(want)
+
+    maes = [mae(b.quantiles_sorted[:, mid], w.fut_target) for b, w in zip(bundles, windows)]
+    typical = select_typical_window(maes)
+    w = windows[typical]
+    rows = export_trajectories(bundles[typical].quantiles_sorted,
+                               w.enc_past[:, [f.name for f in schema.past_features].index("y")],
+                               w.fut_target)
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=["t", "history", "actual_future", "p10", "p50", "p90"])
+    writer.writeheader()
+    writer.writerows(rows)
+    assert (out / "trajectory_y.csv").read_bytes() == text.getvalue().encode()

@@ -172,6 +172,37 @@ def test_hmm_decode_deterministic():
     assert hmm_decode(diffs, params) == hmm_decode(diffs, params)
 
 
+def _joint_log_prob(x, params, states):
+    """log p(x, states) of one state path under params, step by step."""
+    def log_b(t, s):
+        z = (x[t] - params.means[s]) / params.stds[s]
+        return -0.5 * z * z - np.log(params.stds[s]) - 0.5 * np.log(2 * np.pi)
+
+    total = np.log(params.initial[states[0]]) + log_b(0, states[0])
+    for t in range(1, len(x)):
+        total += np.log(params.transition[states[t - 1], states[t]]) + log_b(t, states[t])
+    return total
+
+
+def test_decoded_path_is_the_viterbi_optimum():
+    # every path of short signals, brute force; rows decoded together and alone
+    import itertools
+
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5, 8):
+        xs = rng.normal(scale=1.5, size=(12, n))
+        fits = [labeler.HmmParams(rng.dirichlet(np.ones(2), size=2), rng.normal(size=2),
+                                  rng.uniform(0.3, 2.0, size=2), rng.dirichlet(np.ones(2)), [])
+                for _ in xs]
+        batched = labeler._decode(xs, fits)
+        for x, params, labels in zip(xs, fits, batched):
+            assert hmm_decode(x, params) == labels
+            vol = params.volatile_state
+            states = [vol if lab == VOLATILE else 1 - vol for lab in labels]
+            best = max(_joint_log_prob(x, params, p) for p in itertools.product((0, 1), repeat=n))
+            assert _joint_log_prob(x, params, states) >= best - 1e-9 * abs(best)
+
+
 def test_hmm_short_signal_rejected():
     with pytest.raises(labeler.LabelerError):
         hmm_fit(np.ones(5))
