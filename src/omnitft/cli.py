@@ -115,6 +115,9 @@ class PipelineConfig:
         ):
             if not ok:
                 raise CliError(f"{key} must be {need}, got {getattr(self, key)!r}")
+        for name, cutoff in self.delta.items():
+            if cutoff < 0:
+                raise CliError(f"delta.{name} must be a number >= 0, got {cutoff!r}")
         object.__setattr__(self, "ratios", tuple(r))
 
     @classmethod
@@ -176,8 +179,9 @@ def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dic
             delta = labeler.default_delta(scores) if scores else 0.0
         deltas[t_spec.name] = delta
         for name, wins in per_split.items():
-            for w in wins:
-                w.label = labeler.threshold_label(w.score, delta)
+            labels = labeler.threshold_label(np.array([w.score for w in wins]), delta)
+            for w, label in zip(wins, labels):
+                w.label = label
             pools[name][t_spec.name] = wins
     return pools, deltas
 
@@ -243,6 +247,16 @@ def resolve_configs(doc: dict):
 
 
 def cmd_synth(args) -> int:
+    for ok, flag, need, value in (
+        (args.patients >= 1, "--patients", "an integer >= 1", args.patients),
+        (math.isfinite(args.grid_step_min) and args.grid_step_min > 0, "--grid-step-min",
+         "a finite number > 0", args.grid_step_min),
+        (args.min_steps >= 1, "--min-steps", "an integer >= 1", args.min_steps),
+        (args.max_steps >= args.min_steps, "--max-steps", f"an integer >= --min-steps "
+         f"({args.min_steps})", args.max_steps),
+    ):
+        if not ok:
+            raise CliError(f"{flag} must be {need}, got {value}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schema = ingest.synthetic_schema(

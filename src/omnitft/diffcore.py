@@ -141,6 +141,11 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def grad_enabled() -> bool:
+    """False inside a `no_grad()` block, where no graph is built."""
+    return _grad_enabled.get()
+
+
 def _make(data, parents, vjp) -> Tensor:
     out = Tensor(data)
     if _grad_enabled.get() and any(p.requires_grad for p in parents):

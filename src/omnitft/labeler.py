@@ -41,19 +41,22 @@ class EmptyScores(LabelerError):
     pass
 
 
-def fluctuation_score(y_future: np.ndarray) -> float:
-    """Spread (max minus min) of the future target segment; same unit as y."""
+def fluctuation_score(y_future: np.ndarray):
+    """Spread (max minus min) of the future target segment along its last
+    axis; same unit as y. A float for one segment, an array for a stack."""
     y = np.asarray(y_future, dtype=np.float64)
     if y.size == 0:
         raise EmptySegment("future segment has no steps")
-    return float(y.max() - y.min())
+    spread = y.max(axis=-1) - y.min(axis=-1)
+    return float(spread) if spread.ndim == 0 else spread
 
 
-def threshold_label(score: float, delta: float) -> str:
-    """Volatile iff score strictly exceeds delta."""
+def threshold_label(score, delta: float):
+    """Volatile iff score strictly exceeds delta; a list of labels for an
+    array of scores."""
     if delta < 0:
         raise LabelerError("delta must be nonnegative")
-    return VOLATILE if score > delta else STABLE
+    return np.where(np.asarray(score) > delta, VOLATILE, STABLE).tolist()
 
 
 def default_delta(training_scores) -> float:

@@ -156,6 +156,52 @@ def _glorot(rng, n_in, n_out):
     return rng.uniform(-limit, limit, size=(n_in, n_out))
 
 
+def _row_keys(*arrays) -> np.ndarray:
+    """One key per row of side-by-side 2-D arrays: the rows' bytes, so 0.0
+    and -0.0 stay apart. Keys sort bytewise, leading array first."""
+    raw = np.concatenate(
+        [np.ascontiguousarray(a).view(np.uint8).reshape(len(a), -1) for a in arrays], axis=1
+    )
+    return raw.view(np.dtype((np.void, raw.shape[1])))[:, 0]
+
+
+def _distinct_steps(values: np.ndarray, ctx: np.ndarray):
+    """Lay out each distinct (context row, step row) pair of a batch once.
+
+    values: (B, L, n) step rows; ctx: (B, d) each window's context row.
+    Returns items (m, L, n), their context rows (m, d) and, for every
+    window step, the flat index (B, L) of its row in items.reshape(-1, n).
+
+    A GEMM row's bits can depend on the call's row count but not on the
+    row's place in it, so the rows stay in 3-D items of L rows, as windows
+    are laid out: each item holds rows of one context group, and a short
+    item is padded by repeating one of its rows. A batch of two or more
+    windows always yields two or more items, so the context product never
+    takes the one-row path that a lone window takes.
+    """
+    B, L, n = values.shape
+    _, ctx_first, group = np.unique(_row_keys(ctx), return_index=True, return_inverse=True)
+    steps = values.reshape(B * L, n)
+    # big-endian group ids lead the keys, so distinct rows come out sorted by group
+    step_group = np.repeat(group.reshape(-1), L).astype(">i8")[:, None]
+    _, first, inverse = np.unique(_row_keys(step_group, steps), return_index=True,
+                                  return_inverse=True)
+    row_group = step_group[first, 0].astype(int)
+    counts = np.bincount(row_group)  # distinct rows per group
+    per_group = -(-counts // L)  # items per group
+    row_end = np.cumsum(counts)
+    # a group's distinct rows fill its items in order; the last row pads the last item
+    shift = (np.cumsum(per_group) - per_group) * L - (row_end - counts)
+    slot = np.arange(len(first)) + shift[row_group]
+    fill = np.repeat(row_end - 1, per_group * L)
+    fill[slot] = np.arange(len(first))
+    items = steps[first[fill]].reshape(-1, L, n)
+    item_ctx = np.repeat(ctx[ctx_first], per_group, axis=0)
+    if B > 1 and len(items) == 1:
+        items, item_ctx = np.concatenate([items, items]), np.concatenate([item_ctx, item_ctx])
+    return items, item_ctx, slot[inverse.reshape(-1)].reshape(B, L)
+
+
 def compute_scalers(series_list: list, schema: DatasetSchema) -> dict:
     """Per-feature (mean, std) over all steps of the given series.
 
@@ -368,6 +414,25 @@ class Model:
         )
         return weights, fused
 
+    def select_steps(self, side: str, values: np.ndarray, ctx: Tensor, rng=None):
+        """Embed and select every step of a (B, L, n) window array under the
+        windows' (B, d) context rows: (weights (B, L, n), fused (B, L, d)).
+
+        Embeddings and selection are position-wise, so on a pass with no
+        dropout and no graph a step's output depends only on its input row
+        and its window's context row. Such a pass embeds and selects each
+        distinct (context row, step row) pair once, in items of L rows as
+        windows are laid out, and gathers the results back per window.
+        """
+        specs = self.past_specs if side == "past" else self.future_specs
+        if rng is not None or dc.grad_enabled():
+            return self.variable_select(side, self.embed_inputs(values, specs), ctx=ctx, rng=rng)
+        items, item_ctx, where = _distinct_steps(values, ctx.data)
+        weights, fused = self.variable_select(side, self.embed_inputs(items, specs),
+                                              ctx=Tensor(item_ctx))
+        return (Tensor(weights.data.reshape(-1, weights.shape[-1])[where]),
+                Tensor(fused.data.reshape(-1, fused.shape[-1])[where]))
+
     # ------------------------------------------------------------------
     # recurrent encoder/decoder
 
@@ -486,13 +551,11 @@ class Model:
         ctx_h = self.grn("static_ctx/h0", static_vec, rng=rng)
         ctx_c = self.grn("static_ctx/c0", static_vec, rng=rng)
 
-        past_emb = self.embed_inputs(batch.enc_past, self.past_specs)
-        w_hist, fused_past = self.variable_select("past", past_emb, ctx=ctx_sel, rng=rng)
+        w_hist, fused_past = self.select_steps("past", batch.enc_past, ctx_sel, rng)
 
         H = batch.fut_target.shape[1]
         if self.future_specs:
-            fut_emb = self.embed_inputs(batch.fut_known, self.future_specs)
-            w_fut, fused_fut = self.variable_select("future", fut_emb, ctx=ctx_sel, rng=rng)
+            w_fut, fused_fut = self.select_steps("future", batch.fut_known, ctx_sel, rng)
         else:
             w_fut = None
             fused_fut = Tensor(np.zeros((batch.size, H, self.config.hidden)))

@@ -62,31 +62,36 @@ def enumerate_windows(
     if n < T:
         raise SeriesTooShort(f"series of {n} steps cannot hold a window of {T}")
 
-    past_cols = [schema.column(f.name) for f in schema.past_features]
-    fut_cols = [schema.column(f.name) for f in schema.future_features]
-    static_cols = [schema.column(f.name) for f in schema.static_features]
-    tgt_col = schema.column(spec.name)
+    # one gather per array kind cuts every window of the series at once, into
+    # fresh buffers of the kept columns only; each window holds views of them
+    def cut(rows, specs):
+        return series.values[rows[..., None], np.array([schema.column(f.name) for f in specs],
+                                                        dtype=int)]
 
-    windows = []
-    for t in range(n - T + 1):
-        # a view of the grid; indexing with the column lists below already copies
-        fut_target = series.values[t + E : t + T, tgt_col].copy()
-        score = fluctuation_score(fut_target)
-        windows.append(
-            WindowSample(
-                patient_id=series.patient_id,
-                start=t,
-                target_name=spec.name,
-                target_idx=target_idx,
-                enc_past=series.values[t : t + E, past_cols],
-                fut_known=series.values[t + E : t + T, fut_cols],
-                fut_target=fut_target,
-                statics=series.values[t, static_cols],
-                label=threshold_label(score, delta),
-                score=score,
-            )
+    starts = np.arange(n - T + 1)
+    past_rows = starts[:, None] + np.arange(E)  # (W, E)
+    fut_rows = starts[:, None] + np.arange(E, T)  # (W, H)
+    enc_past = cut(past_rows, schema.past_features)
+    fut_known = cut(fut_rows, schema.future_features)
+    fut_target = cut(fut_rows, [spec])[..., 0]
+    statics = cut(starts, schema.static_features)
+    scores = fluctuation_score(fut_target)
+    labels = threshold_label(scores, delta)
+    return [
+        WindowSample(
+            patient_id=series.patient_id,
+            start=t,
+            target_name=spec.name,
+            target_idx=target_idx,
+            enc_past=enc_past[t],
+            fut_known=fut_known[t],
+            fut_target=fut_target[t],
+            statics=statics[t],
+            label=label,
+            score=score,
         )
-    return windows
+        for t, label, score in zip(starts.tolist(), labels, scores.tolist())
+    ]
 
 
 @dataclass

@@ -51,6 +51,8 @@ class TrainConfig:
             raise TrainerError("lr > 0, batch >= 1, patience >= 1, max_epochs >= 1 required")
         if self.seed < 0:
             raise TrainerError(f"seed must be >= 0, got {self.seed}")
+        if not self.clip > 0:  # 0 would zero every gradient, a negative one reverse it
+            raise TrainerError(f"clip must be > 0, got {self.clip}")
 
 
 @dataclass

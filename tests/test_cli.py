@@ -57,6 +57,20 @@ def test_synth_zero_shock_all_stable(tmp_path):
     assert labels == {"stable"}
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--min-steps", "50", "--max-steps", "20"], "--max-steps"),  # was a ValueError traceback
+    (["--min-steps", "0", "--max-steps", "4"], "--min-steps"),  # was an IndexError traceback
+    (["--grid-step-min", "nan"], "--grid-step-min"),  # wrote a schema every command rejects
+    (["--grid-step-min", "0"], "--grid-step-min"),
+    (["--patients", "0"], "--patients"),  # wrote an empty cohort
+])
+def test_synth_bad_flag_exits_2_naming_it(tmp_path, capsys, flags, named):
+    out = tmp_path / "syn"
+    assert run(["synth", "--out", str(out), *flags]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "schema.json").exists()
+
+
 def test_synth_manifest_lists_three_artifacts(synth_dir):
     manifest = read_json(synth_dir / "manifest.json")
     assert len(manifest["artifacts"]) == 3
@@ -128,6 +142,10 @@ def test_train_bad_pipeline_setting_exits_2(synth_dir, tmp_path, capsys, key, va
     ({"model": {"quantiles": [0.1, "0.5"]}}, "model.quantiles"),
     ({"bacth": 32, "max_epoch": 2}, "unknown config key 'bacth'"),
     ({"delta": {"y": 1.0, "nope": 2.0}}, "delta.nope"),
+    # accepted before: 0 zeroed every gradient, -1 reversed it, and both exited 0
+    ({"clip": 0}, "clip"),
+    ({"clip": -1}, "clip"),
+    ({"delta": {"y": -1}}, "delta.y"),
 ])
 def test_train_malformed_config_exits_2(synth_dir, tmp_path, capsys, doc, named):
     cfg_path = tmp_path / "bad.json"
@@ -768,7 +786,7 @@ _pipelines = st.builds(
     split_seed=st.integers(0, 2**32 - 1),
     max_gap_h=st.floats(0.0, 48.0),
     missing_threshold=st.floats(0.0, 1.0),
-    delta=st.dictionaries(st.text(max_size=4), _finite, max_size=2),
+    delta=st.dictionaries(st.text(max_size=4), _finite.map(abs), max_size=2),  # cutoffs are >= 0
 )
 
 

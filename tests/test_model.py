@@ -522,3 +522,96 @@ def test_reference_train_step_tape_stays_small():
     # head by head (8 nodes per head), this step built 833; the selection
     # networks' stack-then-slice of the embeddings added 30 more, for 642
     assert _train_step_nodes(128, 6, 4, 0.3, 64) <= 612
+
+
+# ---------------------------------------------------------------------------
+# inference passes select each distinct step once
+
+
+def _two_target_schema():
+    return validate_schema(DatasetSchema(
+        features=(
+            FeatureSpec("y", "target"),
+            FeatureSpec("y2", "target"),
+            FeatureSpec("obs", "observed_past"),
+            FeatureSpec("kf", "known_future"),
+            FeatureSpec("age", "static"),
+        ),
+        grid_step_min=60.0, encoder_len=12, horizon_len=4,
+    ))
+
+
+def _cohort_windows(schema, n_patients, targets=(None,)):
+    series, _ = generate_synthetic(n_patients, schema, seed=7, min_steps=72, max_steps=72)
+    wins = [w for t in targets for s in series for w in enumerate_windows(s, schema, 0.0, t)]
+    return series, wins
+
+
+_SHARED_CASES = {
+    "256-sorted": lambda w: w[:256],
+    "150-tail": lambda w: w[-150:],
+    "64-random": lambda w: [w[i] for i in np.random.default_rng(0).choice(len(w), 64, replace=False)],
+    "one": lambda w: w[:1],
+    "one-twice": lambda w: [w[5], w[5]],
+    "two-adjacent": lambda w: w[7:9],
+    "val-split": lambda w: w[-2 * 57:],  # every window of the last two 72-step patients
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_CASES) + ["two-targets"])
+@pytest.mark.parametrize("hidden,heads,blocks", [(16, 2, 2), (128, 6, 4)], ids=["desk", "reference"])
+def test_no_grad_forward_equals_graph_forward(case, hidden, heads, blocks):
+    # an inference pass selects each distinct (context row, step row) once and
+    # gathers the results back; every output keeps the per-window path's bits
+    if case == "two-targets":
+        schema = _two_target_schema()
+        series, wins = _cohort_windows(schema, 3, targets=("y", "y2"))
+        picked = wins[:40] + wins[171:211]  # one patient's steps under each target
+    else:
+        schema = synthetic_schema()
+        series, wins = _cohort_windows(schema, 8)
+        picked = _SHARED_CASES[case](wins)
+    m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=blocks),
+              seed=3, scalers=mod.compute_scalers(series, schema))
+    batch = WindowBatch.from_windows(picked)
+    graph = m.forward(batch)
+    assert graph.quantiles.requires_grad
+    with dc.no_grad():
+        shared = m.forward(batch)
+    for name, value in vars(graph).items():
+        if isinstance(value, Tensor):
+            assert np.array_equal(value.data, getattr(shared, name).data), name
+        else:
+            assert name == "category_counts"
+            assert value.keys() == shared.category_counts.keys()
+            for key in value:
+                assert np.array_equal(value[key], shared.category_counts[key]), key
+
+
+def test_inference_pass_selects_each_distinct_step_once(monkeypatch):
+    schema = synthetic_schema()
+    series, wins = _cohort_windows(schema, 8)
+    m = Model(schema, ModelConfig(hidden=16, heads=2, blocks=2), seed=3,
+              scalers=mod.compute_scalers(series, schema))
+    picked = wins[:256]  # consecutive windows of five patients
+    steps = {}  # context group -> distinct encoder-step rows
+    for w in picked:  # a window's context depends on its statics and target alone
+        group = steps.setdefault((w.statics.tobytes(), w.target_idx), set())
+        group.update(row.tobytes() for row in w.enc_past)
+    E = schema.encoder_len
+    want = sum(-(-len(rows) // E) for rows in steps.values())
+    assert len(steps) == 5 and want < 40
+
+    items = []
+    select = Model.variable_select
+
+    def counting(self, side, embs, ctx=None, rng=None):
+        if side == "past":
+            items.append(embs[0].shape[:-1])
+        return select(self, side, embs, ctx=ctx, rng=rng)
+
+    monkeypatch.setattr(Model, "variable_select", counting)
+    with dc.no_grad():
+        m.forward(WindowBatch.from_windows(picked))
+    m.forward(WindowBatch.from_windows(picked))  # a graph-building pass keeps one per window
+    assert items == [(want, E), (256, E)]

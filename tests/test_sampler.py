@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from omnitft.ingest import PatientSeries, generate_synthetic, synthetic_schema
-from omnitft.labeler import STABLE, VOLATILE
+from omnitft.labeler import STABLE, VOLATILE, fluctuation_score, threshold_label
 from omnitft.sampler import (
     SeriesTooShort,
     balanced_epoch,
@@ -66,6 +66,63 @@ def test_window_arrays_do_not_alias_the_series_grid():
     for w in wins:
         for arr in (w.enc_past, w.fut_known, w.fut_target, w.statics):
             assert not np.shares_memory(arr, grid)
+
+
+def _reference_windows(series, schema, delta, target=None):
+    """Windows cut one by one, each from its own slices of the grid."""
+    spec = schema.feature(target) if target else schema.target_features[0]
+    E, T = schema.encoder_len, schema.window_len
+    cols = [[schema.column(f.name) for f in fs]
+            for fs in (schema.past_features, schema.future_features, schema.static_features)]
+    out = []
+    for t in range(series.n_steps - T + 1):
+        fut_target = series.values[t + E : t + T, schema.column(spec.name)].copy()
+        score = fluctuation_score(fut_target)
+        out.append(dict(
+            patient_id=series.patient_id, start=t, target_name=spec.name,
+            target_idx=[f.name for f in schema.target_features].index(spec.name),
+            enc_past=series.values[t : t + E, cols[0]], fut_known=series.values[t + E : t + T, cols[1]],
+            fut_target=fut_target, statics=series.values[t, cols[2]],
+            label=threshold_label(score, delta), score=score,
+        ))
+    return out
+
+
+def _two_target_schema():
+    return validate_schema(DatasetSchema(
+        features=(FeatureSpec("age", "static"), FeatureSpec("y", "target"),
+                  FeatureSpec("kf", "known_future"), FeatureSpec("y2", "target")),
+        grid_step_min=60.0, encoder_len=3, horizon_len=5,
+    ))
+
+
+@pytest.mark.parametrize("case", ["synthetic", "flat", "second-target", "signed-zeros"])
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_windows_match_per_window_reference(case, delta):
+    # every window of a series is cut by one gather per array kind; each field,
+    # its type and the window order match windows cut one by one
+    target = None
+    if case == "synthetic":
+        schema = synthetic_schema(encoder_len=6, horizon_len=3)
+        series = generate_synthetic(1, schema, seed=4, min_steps=30, max_steps=30)[0][0]
+    else:
+        schema = flat_schema() if case == "flat" else _two_target_schema()
+        values = np.random.default_rng(3).normal(size=(17, len(schema.features)))
+        if case == "signed-zeros":  # a flat future segment of -0.0 and 0.0 spreads 0.0
+            values[5:12] = np.array([0.0, -0.0])[np.arange(7) % 2][:, None]
+        series = PatientSeries("p7", values, np.ones_like(values, dtype=bool), imputed=True)
+        target = "y2" if case == "second-target" else None
+    wins = enumerate_windows(series, schema, delta, target=target)
+    want = _reference_windows(series, schema, delta, target=target)
+    assert isinstance(wins, list) and len(wins) == len(want)
+    for w, ref in zip(wins, want):
+        for key, value in ref.items():
+            got = getattr(w, key)
+            assert type(got) is type(value), key
+            if isinstance(value, np.ndarray):
+                assert got.shape == value.shape and got.tobytes() == value.tobytes(), key
+            else:
+                assert got == value, key
 
 
 def test_window_slices_match_series():
