@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,6 +24,7 @@ import numpy as np
 from . import diffcore as dc
 from . import evalkit, ingest, labeler, sampler, trainer
 from .model import (
+    MODEL_RULES,
     Model,
     ModelConfig,
     ModelError,
@@ -32,9 +33,14 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .penalties import PenaltyError, PenaltyWeights
+from .penalties import WEIGHT_RULES, PenaltyError
 from .schema import (
+    INT_AT_LEAST_0,
+    INT_AT_LEAST_1,
+    NUMBER_ABOVE_0,
+    NUMBER_AT_LEAST_0,
     DatasetSchema,
+    check,
     is_number,
     load_schema,
     save_schema,
@@ -102,28 +108,13 @@ class PipelineConfig:
     delta: dict = field(default_factory=dict)  # target -> cutoff override
 
     def __post_init__(self):
-        r, gap, miss = self.ratios, self.max_gap_h, self.missing_threshold
-        for ok, key, need in (
-            (isinstance(r, (list, tuple)) and len(r) == 3
-             and all(is_number(v) and v >= 0 for v in r) and sum(r) > 0,
-             "ratios", "three non-negative numbers with a positive sum"),
-            (type(self.split_seed) is int and self.split_seed >= 0, "split_seed", "an integer >= 0"),
-            (is_number(gap) and gap >= 0, "max_gap_h", "a number >= 0"),
-            (is_number(miss) and 0 <= miss <= 1, "missing_threshold", "a number in [0, 1]"),
-            (isinstance(self.delta, dict) and all(map(is_number, self.delta.values())),
-             "delta", "an object mapping target names to numbers"),
-        ):
-            if not ok:
-                raise CliError(f"{key} must be {need}, got {getattr(self, key)!r}")
-        for name, cutoff in self.delta.items():
-            if cutoff < 0:
-                raise CliError(f"delta.{name} must be a number >= 0, got {cutoff!r}")
-        object.__setattr__(self, "ratios", tuple(r))
+        check(vars(self), PIPELINE_RULES, CliError)
+        object.__setattr__(self, "ratios", tuple(self.ratios))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """Read the pipeline keys of a training config; other keys are ignored."""
-        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+        return cls(**{k: doc[k] for k in PIPELINE_RULES if k in doc})
 
     def ingest(self, data_dir: Path, schema: DatasetSchema):
         """data.csv -> (splits, data path, ingest report) under these settings."""
@@ -135,15 +126,35 @@ class PipelineConfig:
         return splits, data_path, report
 
 
+PIPELINE_RULES = {
+    "ratios": (False, list, lambda r: len(r) == 3 and all(is_number(v) and v >= 0 for v in r)
+               and sum(r) > 0, "three non-negative numbers with a positive sum"),
+    "split_seed": INT_AT_LEAST_0,
+    "max_gap_h": NUMBER_AT_LEAST_0,
+    "missing_threshold": (False, float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "delta": (False, {"*": NUMBER_AT_LEAST_0}, None, None),  # target name -> cutoff
+}
+# a training config: the trainer's and the pipeline's keys, and two of its own
+CONFIG_RULES = {
+    **trainer.TRAIN_RULES,
+    **PIPELINE_RULES,
+    "weights": (False, WEIGHT_RULES, None, None),
+    "model": (False, MODEL_RULES, None, None),
+    "model_seed": INT_AT_LEAST_0,
+}
+
+
 def load_events(data_dir: Path, schema: DatasetSchema):
     path = data_dir / "data.csv"
     if not path.exists():
         raise CliError(f"no data.csv under {data_dir}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             return ingest.parse_events(fh, schema), path
         except ingest.IngestError as e:  # parse errors name the line; add the file
             raise type(e)(f"{path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise CliError(f"{path} is not UTF-8 text: {e.reason}") from None
 
 
 def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dict):
@@ -152,12 +163,9 @@ def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dic
     The volatility cutoff per target comes from the override table when
     given, otherwise from the 75th percentile of training-window scores.
     """
-    targets = [t.name for t in schema.target_features]
-    for key in delta_overrides:
-        if key not in targets:
-            raise CliError(
-                f"config key 'delta.{key}' is not a target feature (targets: {targets})"
-            )
+    targets = (t.name for t in schema.target_features)  # a cutoff is for a target only
+    check(delta_overrides, dict.fromkeys(targets, NUMBER_AT_LEAST_0), CliError, "config key",
+          "delta.")
     pools = {name: {} for name in splits}
     deltas = {}
     for t_spec in schema.target_features:
@@ -186,59 +194,24 @@ def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dic
     return pools, deltas
 
 
-def _load_train_config(path) -> dict:
-    """A training-config JSON object whose top-level keys are all known."""
-    if path is None:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: the config must be a JSON object, got a {type(doc).__name__}")
-    known = {"model", "model_seed"} | {
-        f.name for cls in (trainer.TrainConfig, PipelineConfig) for f in fields(cls)
-    }
-    for key in doc:
-        if key not in known:
-            raise CliError(f"{path}: unknown config key '{key}'")
-    return doc
-
-
-def _checked(cls, doc, prefix: str = "") -> dict:
-    """A copy of `doc` whose keys are fields of dataclass `cls` and whose
-    values have the type of each field's default; else exit 2 naming the key."""
-    if not isinstance(doc, dict):
-        raise CliError(f"{prefix[:-1]} must be a JSON object, got {doc!r}")
-    defaults, names = cls(), {f.name for f in fields(cls)}
-    for key, value in doc.items():
-        if key not in names:
-            raise CliError(f"unknown config key '{prefix}{key}'")
-        want = getattr(defaults, key)
-        if isinstance(want, bool):
-            ok, need = isinstance(value, bool), "true or false"
-        elif isinstance(want, int):
-            ok, need = type(value) is int, "an integer"
-        elif isinstance(want, float):
-            ok, need = is_number(value), "a number"
-        elif isinstance(want, tuple):
-            ok = isinstance(value, (list, tuple)) and all(map(is_number, value))
-            need = "a list of numbers"
-        else:  # a nested section
-            ok, need = isinstance(value, dict), "an object"
-        if not ok:
-            raise CliError(f"{prefix}{key} must be {need}, got {value!r}")
-    return dict(doc)
+def load_train_config(path):
+    """The training config at `path` ({} for none) and the model, trainer and
+    pipeline configs it sets; a bad key raises CliError naming the file."""
+    try:
+        doc = {}
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        return (doc, *resolve_configs(doc))
+    except (ValueError, CliError, ModelError, trainer.TrainerError, PenaltyError) as e:
+        raise CliError(f"{path}: {e}") from None  # bad JSON or UTF-8 too
 
 
 def resolve_configs(doc: dict):
     """Split a training-config JSON into model, trainer and pipeline configs."""
-    model_doc = _checked(ModelConfig, doc.get("model", {}), "model.")
-    if "quantiles" in model_doc:
-        model_doc["quantiles"] = tuple(model_doc["quantiles"])
-    train_keys = {f.name for f in fields(trainer.TrainConfig)}
-    train_doc = _checked(trainer.TrainConfig, {k: v for k, v in doc.items() if k in train_keys})
-    if "weights" in train_doc:
-        train_doc["weights"] = _checked(PenaltyWeights, train_doc["weights"], "weights.")
-    return (ModelConfig(**model_doc), trainer.train_config_from_dict(train_doc),
+    check(doc, CONFIG_RULES, CliError, "config key")
+    return (ModelConfig(**doc.get("model", {})),
+            trainer.train_config_from_dict({k: doc[k] for k in trainer.TRAIN_RULES if k in doc}),
             PipelineConfig.from_dict(doc))
 
 
@@ -246,17 +219,24 @@ def resolve_configs(doc: dict):
 # commands
 
 
+SYNTH_FLAGS = {  # argparse has typed each flag; these are their ranges
+    "--patients": INT_AT_LEAST_1,
+    "--shock-rate": (False, float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "--seed": INT_AT_LEAST_0,
+    "--out": (False, str, None, "a path"),
+    "--encoder-len": INT_AT_LEAST_1,
+    "--horizon-len": INT_AT_LEAST_1,
+    "--grid-step-min": NUMBER_ABOVE_0,
+    "--min-steps": INT_AT_LEAST_1,
+}
+
+
 def cmd_synth(args) -> int:
-    for ok, flag, need, value in (
-        (args.patients >= 1, "--patients", "an integer >= 1", args.patients),
-        (math.isfinite(args.grid_step_min) and args.grid_step_min > 0, "--grid-step-min",
-         "a finite number > 0", args.grid_step_min),
-        (args.min_steps >= 1, "--min-steps", "an integer >= 1", args.min_steps),
-        (args.max_steps >= args.min_steps, "--max-steps", f"an integer >= --min-steps "
-         f"({args.min_steps})", args.max_steps),
-    ):
-        if not ok:
-            raise CliError(f"{flag} must be {need}, got {value}")
+    flags = {"--" + k.replace("_", "-"): v for k, v in vars(args).items()
+             if k not in ("command", "func")}
+    max_steps = (False, int, lambda v: v >= args.min_steps,
+                 f"an integer >= --min-steps ({args.min_steps})")
+    check(flags, {**SYNTH_FLAGS, "--max-steps": max_steps}, CliError)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schema = ingest.synthetic_schema(
@@ -301,11 +281,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schema = validate_schema(load_schema(args.schema))
-    doc = _load_train_config(args.config)
-    model_cfg, train_cfg, pipeline = resolve_configs(doc)
+    doc, model_cfg, train_cfg, pipeline = load_train_config(args.config)
     model_seed = doc.get("model_seed", 0)
-    if type(model_seed) is not int or model_seed < 0:
-        raise CliError(f"model_seed must be an integer >= 0, got {model_seed!r}")
 
     splits, data_path, ingest_report = pipeline.ingest(Path(args.data), schema)
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
@@ -488,7 +465,7 @@ def cmd_label(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schema = validate_schema(load_schema(args.schema))
-    pipeline = PipelineConfig.from_dict(_load_train_config(args.delta_config))
+    *_, pipeline = load_train_config(args.delta_config)
     data_dir = Path(args.data)
     splits, data_path, _ = pipeline.ingest(data_dir, schema)
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)

@@ -653,35 +653,3 @@ def gated_add_norm(h, gate, val, skip, ln) -> Tensor:
         return [gh, *g_glu, gs, g_lng, g_lnb]
 
     return _make(out, [h, *gate, *val, skip, *ln], vjp)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-
-def grad_check(f, x, eps: float = 1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    f maps a Tensor to a scalar Tensor; every coordinate of x is probed.
-    Relative error per coordinate is |analytic - numeric| / (|numeric| + 1e-8).
-    """
-    x = x if isinstance(x, Tensor) else Tensor(x, requires_grad=True)
-    x.zero_grad()
-    out = f(x)
-    backward(out)
-    analytic = x.grad.reshape(-1).copy()
-
-    flat = x.data.reshape(-1)
-    worst = 0.0
-    with no_grad():  # the probes only need values
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(f(x).data)
-            flat[i] = orig - eps
-            lo = float(f(x).data)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            rel = abs(analytic[i] - numeric) / (abs(numeric) + 1e-8)
-            worst = max(worst, rel)
-    return worst

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .schema import DatasetSchema, FeatureSpec, SchemaError, schema_from_dict, schema_to_dict
+from .schema import (INT_AT_LEAST_1, DatasetSchema, FeatureSpec, SchemaError, check, is_number,
+                     schema_from_dict, schema_to_dict)
 
 _CKPT_MAGIC = b"OTFTCKPT"
 _CKPT_VERSION = 1
@@ -43,6 +44,21 @@ class CategoryOutOfVocab(ModelError):
     pass
 
 
+MODEL_RULES = {
+    "hidden": INT_AT_LEAST_1,
+    "heads": INT_AT_LEAST_1,
+    "blocks": INT_AT_LEAST_1,
+    "dropout": (False, float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "quantiles": (False, list, lambda q: len(q) > 0 and all(is_number(v) and 0 < v < 1 for v in q)
+                  and list(q) == sorted(set(q)), "a list of strictly increasing levels in (0, 1)"),
+    "lstm_layers": INT_AT_LEAST_1,
+    "retro_window": INT_AT_LEAST_1,
+}
+# a feature's (mean, std) frame, by feature name
+SCALER_RULES = {"*": (False, list, lambda v: len(v) == 2 and all(map(is_number, v)) and v[1] > 0,
+                      "a pair of finite numbers (mean, std) with std > 0")}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     hidden: int = 128
@@ -54,19 +70,10 @@ class ModelConfig:
     retro_window: int = 3
 
     def __post_init__(self):
-        if self.hidden < 1 or self.heads < 1 or self.blocks < 1 or self.lstm_layers < 1:
-            raise ModelError("hidden, heads, blocks and lstm_layers must be >= 1")
-        if self.hidden < self.heads:
-            raise ModelError("hidden width must be at least the head count")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ModelError("dropout must be in [0, 1)")
-        q = self.quantiles
-        if len(q) < 1 or any(not 0.0 < v < 1.0 for v in q) or any(
-            q[i] >= q[i + 1] for i in range(len(q) - 1)
-        ):
-            raise ModelError("quantiles must be strictly increasing inside (0, 1)")
-        if self.retro_window < 1:
-            raise ModelError("retro_window must be >= 1")
+        check(vars(self), MODEL_RULES, ModelError)
+        if self.heads > self.hidden:
+            raise ModelError(f"heads must be at most hidden ({self.hidden}), got {self.heads}")
+        object.__setattr__(self, "quantiles", tuple(self.quantiles))
 
     @property
     def head_dim(self) -> int:
@@ -207,15 +214,17 @@ def compute_scalers(series_list: list, schema: DatasetSchema) -> dict:
 
     Continuous features only; stds are floored so constant features scale to
     zero rather than exploding. Computed on the training split and stored
-    with the model so evaluation reuses the same affine frame.
+    with the model so evaluation reuses the same affine frame. A mean or std
+    that overflows raises ModelError naming the feature.
     """
     scalers = {}
     for j, spec in enumerate(schema.features):
         if spec.is_categorical:
             continue
         pool = np.concatenate([s.values[:, j] for s in series_list])
-        scalers[spec.name] = (float(pool.mean()), float(max(pool.std(), 1e-8)))
-    return scalers
+        with np.errstate(over="ignore"):  # the check below names an overflowed feature
+            scalers[spec.name] = (float(pool.mean()), float(max(pool.std(), 1e-8)))
+    return check(scalers, SCALER_RULES, ModelError, prefix="scalers.")
 
 
 class Model:
@@ -231,7 +240,8 @@ class Model:
                  pipeline: dict | None = None):
         self.schema = schema
         self.config = config
-        self.scalers = dict(scalers) if scalers else {}
+        scalers = check(scalers or {}, SCALER_RULES, ModelError, prefix="scalers.")
+        self.scalers = {k: tuple(v) for k, v in scalers.items()}
         # the training run's `cli.PipelineConfig` as a dict; None: the defaults
         self.pipeline = pipeline
         self.past_specs = schema.past_features
@@ -641,17 +651,15 @@ def load_checkpoint(path) -> Model:
         if any(type(n) is not int or n < 0 for _, shape in entries for n in shape):
             raise ValueError("a tensor shape is not a list of integers >= 0")
         cfg = dict(header["config"])
-        cfg["quantiles"] = tuple(cfg["quantiles"])
         # a retired switch that older checkpoints still carry; it never moved the forecast
         cfg.pop("use_raw_decoder_state", None)
-        config = ModelConfig(**cfg)
-        schema = schema_from_dict(header["schema"])
-        scalers = {k: tuple(v) for k, v in header.get("scalers", {}).items()}
+        model = Model(schema_from_dict(header["schema"]), ModelConfig(**cfg),
+                      scalers=header.get("scalers"), pipeline=header.get("pipeline"))
     except (KeyError, TypeError, ValueError, ModelError, SchemaError) as e:
         raise ModelError(
             f"checkpoint {path} has a malformed header: {type(e).__name__}: {e}"
         ) from None
-    layout = [(n, p.shape) for n, p in Model(schema, config).params.items()]
+    layout = [(n, p.shape) for n, p in model.params.items()]
     for i, (have, want) in enumerate(itertools.zip_longest(entries, layout)):
         if have != want:
             got, need = ("missing" if e is None else f"{e[0]} {list(e[1])}" for e in (have, want))
@@ -659,11 +667,10 @@ def load_checkpoint(path) -> Model:
                 f"checkpoint {path} does not fit the model its config and schema "
                 f"describe: tensor {i} is {got}, the model's is {need}"
             )
-    params = {}
     for name, shape in entries:
         buf = take(8 * math.prod(shape), f"tensor {name}")
-        params[name] = Tensor(np.frombuffer(buf, "<f8").reshape(shape).copy(), requires_grad=True)
+        model.params[name] = Tensor(np.frombuffer(buf, "<f8").reshape(shape).copy(),
+                                    requires_grad=True)
     if pos != len(raw):
         raise ModelError(f"checkpoint {path} has {len(raw) - pos} bytes after its last tensor")
-    return Model(schema, config, params=params, scalers=scalers,
-                 pipeline=header.get("pipeline"))
+    return model

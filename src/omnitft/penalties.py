@@ -24,6 +24,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
+from .schema import NUMBER_AT_LEAST_0, check
 
 _LOG_TINY = 1e-300  # keeps p*log(p) finite at exact zeros, 0*log(0) := 0
 
@@ -54,10 +55,13 @@ class PenaltyWeights:
     eps_std: float = 1e-8
 
     def __post_init__(self):
-        for name in ("lambda_embed", "lambda_group", "lambda_shock",
-                     "eps_embed", "eps_group", "eps_std"):
-            if getattr(self, name) < 0:
-                raise PenaltyError(f"{name} must be nonnegative")
+        check(vars(self), WEIGHT_RULES, PenaltyError)
+
+
+WEIGHT_RULES = dict.fromkeys(
+    ("lambda_embed", "lambda_group", "lambda_shock", "eps_embed", "eps_group", "eps_std"),
+    NUMBER_AT_LEAST_0,
+)
 
 
 # ---------------------------------------------------------------------------

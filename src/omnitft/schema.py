@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,55 +208,80 @@ def schema_to_dict(schema: DatasetSchema) -> dict:
 
 
 def is_number(v) -> bool:
-    """A finite int or float, not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite real number, not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# JSON key -> (required, test of its value, what the value must be)
-_INT = (lambda v: type(v) is int, "an integer")
-_STR = (lambda v: isinstance(v, str), "a string")
-_SCHEMA_KEYS = {
-    "features": (True, lambda v: isinstance(v, list), "a list of feature objects"),
-    "grid_step_min": (True, is_number, "a number"),
-    "encoder_len": (True, *_INT),
-    "horizon_len": (True, *_INT),
-}
-_FEATURE_KEYS = {
-    "name": (True, *_STR),
-    "role": (True, *_STR),
-    "dtype": (False, *_STR),
-    "unit": (False, *_STR),
-    "vocab_size": (False, *_INT),
-    "vocab": (False, lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
-              "a list of strings"),
-}
+def _has_type(v, kind) -> bool:
+    if kind is int:  # a bool is neither an int nor a number
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    if kind is float:
+        return is_number(v)
+    return isinstance(v, (list, tuple) if kind is list else kind)
 
 
-def _check_keys(doc, keys: dict, where: str):
-    """SchemaError naming the key unless `doc` is an object whose keys are
-    all known, present when required and of the right type."""
+def check(doc, rules: dict, error=SchemaError, kind: str = "", prefix: str = "") -> dict:
+    """`doc` itself if it is a dict whose keys all have a rule, whose required
+    keys are present and whose values pass their rules; else `error` naming the
+    first key that fails, as "<key> must be <need>, got <value>".
+
+    A rule is key -> (required, type, range test or None, need). `int` admits
+    integers and `float` finite numbers, neither a bool; `list` admits a tuple.
+    A dict type holds a nested object's rules; a "*" rule covers any key.
+    `kind` ("schema key") words and quotes keys; `prefix` places nested ones.
+    """
     if not isinstance(doc, dict):
-        what = where or "the schema"
-        raise SchemaError(f"{what} must be a JSON object, got a {type(doc).__name__}")
-    prefix = f"{where}." if where else ""
-    for key in doc:
-        if key not in keys:
-            raise SchemaError(f"unknown schema key '{prefix}{key}'")
-    for key, (required, ok, need) in keys.items():
-        if key not in doc:
-            if required:
-                raise SchemaError(f"schema key '{prefix}{key}' is missing")
-        elif not ok(doc[key]):
-            raise SchemaError(f"schema key '{prefix}{key}' must be {need}, got {doc[key]!r}")
+        what = prefix[:-1] or "the " + kind.split(" ")[0]
+        raise error(f"{what} must be a JSON object, got a {type(doc).__name__}")
+
+    def name(key):
+        return f"{kind} '{prefix}{key}'" if kind else f"{prefix}{key}"
+
+    for key, (required, *_) in rules.items():
+        if required and key not in doc:
+            raise error(f"{name(key)} is missing")
+    for key, value in doc.items():
+        rule = rules.get(key, rules.get("*"))
+        if rule is None:
+            raise error(f"unknown {name(key)}")
+        _, typ, ok, need = rule
+        if isinstance(typ, dict):
+            check(value, typ, error, kind, f"{prefix}{key}.")
+        elif not (_has_type(value, typ) and (ok is None or ok(value))):
+            raise error(f"{name(key)} must be {need}, got {value!r}")
+    return doc
+
+
+# rules shared by several tables
+INT_AT_LEAST_0 = (False, int, lambda v: v >= 0, "an integer >= 0")
+INT_AT_LEAST_1 = (False, int, lambda v: v >= 1, "an integer >= 1")
+NUMBER_AT_LEAST_0 = (False, float, lambda v: v >= 0, "a number >= 0")
+NUMBER_ABOVE_0 = (False, float, lambda v: v > 0, "a number > 0")
+
+_STR = (False, str, None, "a string")
+SCHEMA_RULES = {
+    "features": (True, list, None, "a list of feature objects"),
+    "grid_step_min": (True, float, None, "a number"),
+    "encoder_len": (True, int, None, "an integer"),
+    "horizon_len": (True, int, None, "an integer"),
+}
+FEATURE_RULES = {
+    "name": (True, str, None, "a string"),
+    "role": (True, str, None, "a string"),
+    "dtype": _STR,
+    "unit": _STR,
+    "vocab_size": (False, int, None, "an integer"),
+    "vocab": (False, list, lambda v: all(isinstance(c, str) for c in v), "a list of strings"),
+}
 
 
 def schema_from_dict(doc: dict) -> DatasetSchema:
     """The validated schema a JSON object describes; a missing, unknown or
     mistyped key raises SchemaError naming it."""
-    _check_keys(doc, _SCHEMA_KEYS, "")
+    check(doc, SCHEMA_RULES, SchemaError, "schema key")
     feats = []
     for i, d in enumerate(doc["features"]):
-        _check_keys(d, _FEATURE_KEYS, f"features[{i}]")
+        check(d, FEATURE_RULES, SchemaError, "schema key", f"features[{i}].")
         feats.append(
             FeatureSpec(
                 name=d["name"],
@@ -283,9 +309,10 @@ def save_schema(schema: DatasetSchema, path):
 
 
 def load_schema(path) -> DatasetSchema:
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
-        return schema_from_dict(doc)
+        with open(path, encoding="utf-8") as fh:
+            return schema_from_dict(json.load(fh))
     except SchemaError as e:  # name the file too
         raise type(e)(f"{path}: {e}") from None
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise SchemaError(f"{path}: {e}") from None

@@ -25,7 +25,7 @@ from .diffcore import Tensor
 from .model import Model, WindowBatch, ForwardPass
 from .penalties import PenaltyWeights
 from .sampler import balanced_epoch
-from .schema import build_group_assignment
+from .schema import INT_AT_LEAST_0, INT_AT_LEAST_1, NUMBER_ABOVE_0, build_group_assignment, check
 
 
 class TrainerError(Exception):
@@ -47,12 +47,18 @@ class TrainConfig:
     weights: PenaltyWeights = field(default_factory=PenaltyWeights)
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch < 1 or self.patience < 1 or self.max_epochs < 1:
-            raise TrainerError("lr > 0, batch >= 1, patience >= 1, max_epochs >= 1 required")
-        if self.seed < 0:
-            raise TrainerError(f"seed must be >= 0, got {self.seed}")
-        if not self.clip > 0:  # 0 would zero every gradient, a negative one reverse it
-            raise TrainerError(f"clip must be > 0, got {self.clip}")
+        check(vars(self), TRAIN_RULES, TrainerError)
+
+
+TRAIN_RULES = {
+    "lr": NUMBER_ABOVE_0,
+    "batch": INT_AT_LEAST_1,
+    "clip": NUMBER_ABOVE_0,  # 0 would zero every gradient, a negative one reverse it
+    "max_epochs": INT_AT_LEAST_1,
+    "patience": INT_AT_LEAST_1,
+    "seed": INT_AT_LEAST_0,
+    "weights": (False, PenaltyWeights, None, "penalty weights"),
+}
 
 
 @dataclass
@@ -359,7 +365,4 @@ def train_config_to_dict(config: TrainConfig) -> dict:
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
-    doc = dict(doc)
-    if "weights" in doc and isinstance(doc["weights"], dict):
-        doc["weights"] = PenaltyWeights(**doc["weights"])
-    return TrainConfig(**doc)
+    return TrainConfig(**{**doc, "weights": PenaltyWeights(**doc.get("weights", {}))})

@@ -2,6 +2,7 @@ import json
 import csv
 import struct
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from omnitft import cli, labeler
 from omnitft.cli import PipelineConfig, main, resolve_configs
 from omnitft.ingest import read_split_grids, synthetic_schema
 from omnitft.model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from omnitft.penalties import PenaltyWeights
 from omnitft.schema import load_schema
 
 
@@ -63,6 +65,10 @@ def test_synth_zero_shock_all_stable(tmp_path):
     (["--grid-step-min", "nan"], "--grid-step-min"),  # wrote a schema every command rejects
     (["--grid-step-min", "0"], "--grid-step-min"),
     (["--patients", "0"], "--patients"),  # wrote an empty cohort
+    (["--seed", "-1"], "--seed"),  # was a ValueError traceback
+    (["--encoder-len", "0"], "--encoder-len"),  # named the schema fields, not the flag
+    (["--horizon-len", "-1"], "--horizon-len"),
+    (["--shock-rate", "1"], "--shock-rate"),
 ])
 def test_synth_bad_flag_exits_2_naming_it(tmp_path, capsys, flags, named):
     out = tmp_path / "syn"
@@ -476,6 +482,50 @@ def test_train_non_finite_value_exits_2(synth_dir, tmp_path, capsys):
     assert "line 6" in capsys.readouterr().err
 
 
+def _data_with(synth_dir, tmp_path, tail: bytes) -> Path:
+    """A copy of the cohort whose data.csv ends in `tail`."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "data.csv").write_bytes((synth_dir / "data.csv").read_bytes() + tail)
+    return data
+
+
+def test_train_overflowing_scaler_exits_2_naming_the_feature(synth_dir, tmp_path, capsys):
+    # the squares of 1e300 overflow obs_mix's std to inf, which scaled the feature to 0
+    data = _data_with(synth_dir, tmp_path, b"p0000,1.0,obs_mix,1e300\n")
+    code = run(["train", "--data", str(data), "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "scalers.obs_mix must be a pair of finite numbers" in capsys.readouterr().err
+
+
+def test_train_non_utf8_data_exits_2_naming_the_file(synth_dir, tmp_path, capsys):
+    data = _data_with(synth_dir, tmp_path, b"\xff")  # was a UnicodeDecodeError traceback
+    code = run(["train", "--data", str(data), "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "run"), "--dry-run"])
+    assert code == 2
+    assert f"{data / 'data.csv'} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,named", [
+    (json.dumps({"model": {"hidden": "8"}}), "config key 'model.hidden' must be an integer"),
+    (json.dumps({"model": {"hidden": 4, "heads": 8}}), "heads must be at most hidden (4)"),
+    (json.dumps({"weights": {"eps_std": -1}}), "config key 'weights.eps_std' must be a number"),
+    (json.dumps({"delta": {"y": True}}), "config key 'delta.y' must be a number >= 0"),
+    ('{"lr": 1e-3,}', "Expecting property name"),
+    ("\udcff", "can't decode"),
+], ids=["string-hidden", "heads-above-hidden", "negative-eps", "bool-cutoff", "bad-json",
+        "not-utf8"])
+def test_config_errors_name_the_file(synth_dir, tmp_path, capsys, text, named):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code = run(["train", "--data", str(synth_dir), "--schema", str(synth_dir / "schema.json"),
+                "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--dry-run"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}: " in err and named in err
+
+
 def test_train_short_row_exits_2_naming_file_and_line(synth_dir, tmp_path, capsys):
     data = tmp_path / "short_row"
     data.mkdir()
@@ -555,6 +605,13 @@ def _float_encoder_len(h):
     return h
 
 
+def _set_header(section, key, value):
+    def edit(h):
+        h[section][key] = value
+        return h
+    return lambda raw: _rewrite_header(raw, edit)
+
+
 def _drop_last_tensor(raw: bytes) -> bytes:
     (header_len,) = struct.unpack("<I", raw[12:16])
     last = json.loads(raw[16 : 16 + header_len])["tensors"][-1]
@@ -581,9 +638,18 @@ def _drop_last_tensor(raw: bytes) -> bytes:
      "malformed pipeline: ratios must be three non-negative numbers"),
     (lambda raw: _rewrite_header(raw, lambda h: {**h, "pipeline": {"ratioz": [1, 1, 1]}}),
      "unexpected keyword argument 'ratioz'"),
+    # each exited 1 with a traceback, passed silently, or blamed the tensor shapes
+    (_set_header("config", "hidden", 8.0), "malformed header: ModelError: hidden must be"),
+    (_set_header("config", "blocks", 1.0), "malformed header: ModelError: blocks must be"),
+    (_set_header("config", "retro_window", 2.5),
+     "malformed header: ModelError: retro_window must be"),
+    (_set_header("config", "heads", True), "malformed header: ModelError: heads must be"),
+    (_set_header("scalers", "y", [1]), "malformed header: ModelError: scalers.y must be"),
+    (_set_header("scalers", "y", "ab"), "malformed header: ModelError: scalers.y must be"),
 ], ids=["trailing-bytes", "no-tensors", "unknown-config-key", "list-header", "negative-shape",
         "renamed-tensor", "reshaped-tensor", "dropped-tensor", "float-encoder-len",
-        "int-pipeline", "bad-pipeline-ratios", "misspelt-pipeline-key"])
+        "int-pipeline", "bad-pipeline-ratios", "misspelt-pipeline-key", "float-hidden",
+        "float-blocks", "float-retro-window", "bool-heads", "short-scaler", "string-scaler"])
 def test_eval_malformed_checkpoint_exits_2_naming_it(synth_dir, trained_dir, tmp_path, capsys,
                                                      damage, message):
     ckpt = tmp_path / "malformed.bin"
@@ -806,3 +872,110 @@ def test_checkpoint_round_trip_keeps_config_and_pipeline(config, pipeline, seed)
     assert list(loaded.params) == list(model.params)
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name].data, p.data)
+
+
+# ---------------------------------------------------------------------------
+# exit codes under mutated inputs: a bad input exits 2, never 1 with a traceback
+
+# Values stay small: a valid but huge `hidden` makes eval allocate the model a
+# header describes, and a tiny `grid_step_min` a huge grid, before either is
+# compared with anything.
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3),
+    st.sampled_from([0.0, 0.5, 2.5, 8.0, -1e300, 1e300, float("nan"), float("inf")]),
+    st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 2), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """The path of `node` and of everything nested in it."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutations(draw, doc, skip=()):
+    """`doc` with one node deleted, replaced, or given an unknown sibling;
+    nothing inside the top-level keys in `skip` is touched."""
+    paths = [p for p in _paths(doc) if len(p) < 2 or p[0] not in skip]
+    path = draw(st.sampled_from(paths))
+    op = draw(st.sampled_from(["delete", "replace", "add"]))
+    value = draw(_values)
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if op == "delete":
+        del parent[last]
+    elif op == "replace":
+        parent[last] = value
+    elif isinstance(parent, dict):
+        parent["zz"] = value
+    else:
+        parent.append(value)
+    return doc
+
+
+_FULL_CONFIG = {
+    "model": {"hidden": 8, "heads": 2, "blocks": 1, "dropout": 0.0,
+              "quantiles": [0.1, 0.5, 0.9], "lstm_layers": 1, "retro_window": 3},
+    "model_seed": 0, "lr": 3e-3, "batch": 32, "clip": 1.0, "max_epochs": 1, "patience": 1,
+    "seed": 0, "weights": asdict(PenaltyWeights()),
+    "ratios": [7, 2, 1], "split_seed": 0, "max_gap_h": 6.0, "missing_threshold": 0.8,
+    "delta": {"y": 0.5},
+}
+
+
+def _exit_code(argv) -> int:
+    """The exit code of one command, run as the console script runs it: a
+    RuntimeWarning is printed, not raised. A header scaler mean of +-1e300 is
+    a valid frame, and eval's forward pass overflows on it with warnings."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        return run([*argv, "--out", str(Path(tmp) / "out")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_schema_exits_0_or_2(synth_dir, data):
+    doc = data.draw(_mutations(read_json(synth_dir / "schema.json")))
+    with tempfile.TemporaryDirectory() as tmp:
+        schema = Path(tmp) / "schema.json"
+        schema.write_text(json.dumps(doc))
+        assert _exit_code(["train", "--data", str(synth_dir), "--schema", str(schema),
+                           "--dry-run"]) in (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_training_config_exits_0_or_2(synth_dir, data):
+    doc = data.draw(_mutations(_FULL_CONFIG))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert _exit_code(["train", "--data", str(synth_dir), "--schema",
+                           str(synth_dir / "schema.json"), "--config", str(cfg),
+                           "--dry-run"]) in (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_header_exits_0_or_2(synth_dir, trained_dir, data):
+    raw = (trained_dir / "checkpoint.bin").read_bytes()
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    mutated = data.draw(_mutations(header, skip=("tensors",)))
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "checkpoint.bin"
+        ckpt.write_bytes(_rewrite_header(raw, lambda _: mutated))
+        assert _exit_code(["eval", "--checkpoint", str(ckpt), "--data", str(synth_dir)]) \
+            in (0, 2)

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from _gradtools import per_coord_rel_errors
 from omnitft import diffcore as dc
 from omnitft.diffcore import Tensor
 
@@ -48,7 +49,8 @@ def test_grad_of_sum_softmax_is_zero():
 
 def test_grad_check_sum_of_squares():
     f = lambda x: dc.reduce_sum(dc.square(x))  # noqa: E731
-    err = dc.grad_check(f, Tensor(np.random.default_rng(3).normal(size=9), requires_grad=True))
+    x = Tensor(np.random.default_rng(3).normal(size=9), requires_grad=True)
+    err = per_coord_rel_errors(f, x, range(x.data.size), (1e-5,))
     assert err < 1e-7
 
 
@@ -62,7 +64,8 @@ def test_grad_check_pinball_off_kink():
         return dc.reduce_mean(dc.mul(e, q - 1.0) + dc.relu(e))
 
     x0 = y + 1e-3  # perturbed off the kink set {x == y}
-    err = dc.grad_check(f, Tensor(x0, requires_grad=True))
+    x = Tensor(x0, requires_grad=True)
+    err = per_coord_rel_errors(f, x, range(x.data.size), (1e-5,))
     assert err < 1e-6
 
 
@@ -107,7 +110,7 @@ def test_smooth_primitives_grad_check(name, op, sample):
         x = Tensor(sample(rng, 10), requires_grad=True)
         w = Tensor(rng.normal(size=10))  # random projection breaks symmetry
         f = lambda t: dc.reduce_sum(dc.mul(op(t), w))  # noqa: E731
-        worst = max(worst, dc.grad_check(f, x))
+        worst = max(worst, per_coord_rel_errors(f, x, range(x.data.size), (1e-5,)))
     assert worst <= 1e-6
 
 
@@ -117,16 +120,19 @@ def test_binary_primitives_grad_check():
     b0 = rng.uniform(0.5, 2.0, size=(4, 5))
     for op in (dc.add, dc.sub, dc.mul, dc.div):
         f = lambda x: dc.reduce_sum(op(x, Tensor(b0)))  # noqa: E731
-        assert dc.grad_check(f, Tensor(a0.copy(), requires_grad=True)) < 1e-6
+        assert per_coord_rel_errors(f, Tensor(a0.copy(), requires_grad=True),
+                                    range(a0.size), (1e-5,)) < 1e-6
         g = lambda x: dc.reduce_sum(op(Tensor(a0), x))  # noqa: E731
-        assert dc.grad_check(g, Tensor(b0.copy(), requires_grad=True)) < 1e-6
+        assert per_coord_rel_errors(g, Tensor(b0.copy(), requires_grad=True),
+                                    range(b0.size), (1e-5,)) < 1e-6
 
 
 def test_matmul_grad_check_batched():
     rng = np.random.default_rng(12)
     b = rng.normal(size=(5, 3))
     f = lambda x: dc.reduce_sum(dc.square(dc.matmul(x, Tensor(b))))  # noqa: E731
-    assert dc.grad_check(f, Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)) < 1e-6
+    x = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+    assert per_coord_rel_errors(f, x, range(x.data.size), (1e-5,)) < 1e-6
 
 
 def test_broadcasting_unbroadcast():
@@ -174,7 +180,8 @@ def test_transpose_grad_check_4d(axes):
     proj = Tensor(rng.normal(size=x0.transpose(axes).shape))
     f = lambda x: dc.reduce_sum(dc.mul(dc.transpose(x, axes), proj))  # noqa: E731
     assert dc.transpose(Tensor(x0), axes).shape == x0.transpose(axes).shape
-    assert dc.grad_check(f, Tensor(x0.copy(), requires_grad=True)) < 1e-6
+    assert per_coord_rel_errors(f, Tensor(x0.copy(), requires_grad=True), range(x0.size),
+                                (1e-5,)) < 1e-6
 
 
 def test_nonscalar_loss_raises():
@@ -342,7 +349,8 @@ def test_lstm_layer_grad_check(which):
         args[pos] = x
         return dc.reduce_sum(dc.mul(dc.lstm_layer(*args), proj))
 
-    assert dc.grad_check(f, Tensor(arrays[pos].copy(), requires_grad=True)) < 1e-6
+    x = Tensor(arrays[pos].copy(), requires_grad=True)
+    assert per_coord_rel_errors(f, x, range(x.data.size), (1e-5,)) < 1e-6
 
 
 def test_lstm_layer_shape_mismatch():
@@ -455,7 +463,8 @@ def _assert_matches_reference(fused_fn, reference_fn, arrays, seed):
 
 
 def _grad_check_errors(fn, arrays, out_shape, seed):
-    """Per input, dc.grad_check of <fn(inputs), proj>; returns {name: error}."""
+    """Per input, the worst finite-difference error over every coordinate of
+    <fn(inputs), proj>; returns {name: error}."""
     proj = Tensor(np.random.default_rng(seed).normal(size=out_shape))
     errors = {}
     for name in arrays:
@@ -464,7 +473,8 @@ def _grad_check_errors(fn, arrays, out_shape, seed):
             t[name] = x
             return dc.reduce_sum(dc.mul(fn(t), proj))
 
-        errors[name] = dc.grad_check(f, Tensor(arrays[name].copy(), requires_grad=True))
+        x = Tensor(arrays[name].copy(), requires_grad=True)
+        errors[name] = per_coord_rel_errors(f, x, range(x.data.size), (1e-5,))
     return errors
 
 
@@ -515,8 +525,10 @@ def test_matmul_shared_weight_folded_grad_check(shape):
     proj = Tensor(rng.normal(size=shape[:-1] + (3,)))
     f = lambda x: dc.reduce_sum(dc.mul(dc.matmul(x, Tensor(w0)), proj))  # noqa: E731
     g = lambda w: dc.reduce_sum(dc.mul(dc.matmul(Tensor(a0), w), proj))  # noqa: E731
-    assert dc.grad_check(f, Tensor(a0.copy(), requires_grad=True)) < 1e-6
-    assert dc.grad_check(g, Tensor(w0.copy(), requires_grad=True)) < 1e-6
+    assert per_coord_rel_errors(f, Tensor(a0.copy(), requires_grad=True), range(a0.size),
+                                (1e-5,)) < 1e-6
+    assert per_coord_rel_errors(g, Tensor(w0.copy(), requires_grad=True), range(w0.size),
+                                (1e-5,)) < 1e-6
 
 
 def test_aliased_operands_accumulate():
