@@ -2,7 +2,8 @@
 
 Every command is deterministic given its inputs and seeds and writes a
 manifest.json into --out listing produced artifacts with sha256 digests
-(and, for train, the run's result).
+(and, for train, the run's result; for train, eval and label, the ingest
+cache entry it used).
 Exit codes: 0 success, 2 configuration or input error, 3 training diverged,
 1 unexpected failure.
 """
@@ -72,7 +73,7 @@ def _digest(path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list, artifacts: list,
-                    result: dict | None = None):
+                    result: dict | None = None, ingest_cache: dict | None = None):
     manifest = {
         "command": command,
         "parameters": params,
@@ -82,6 +83,8 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list, art
     }
     if result is not None:
         manifest["result"] = result
+    if ingest_cache is not None:
+        manifest["ingest_cache"] = ingest_cache
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -117,13 +120,36 @@ class PipelineConfig:
         return cls(**{k: doc[k] for k in PIPELINE_RULES if k in doc})
 
     def ingest(self, data_dir: Path, schema: DatasetSchema):
-        """data.csv -> (splits, data path, ingest report) under these settings."""
-        events, data_path = load_events(data_dir, schema)
-        splits, _, report = ingest.ingest_pipeline(
-            events, schema, seed=self.split_seed, ratios=self.ratios,
-            missing_threshold=self.missing_threshold, max_gap_h=self.max_gap_h,
-        )
-        return splits, data_path, report
+        """data.csv -> (splits, data path, ingest report, cache record) under
+        these settings.
+
+        The result is cached in `<data dir>/.omnitft/ingest-<key>.npz`, keyed
+        by `ingest.cache_key` over data.csv's bytes, the schema and the four
+        settings ingest reads (`delta` is not one). An entry that exists and
+        fits is loaded; otherwise data.csv is ingested and the entry written.
+        The record is the entry's path and its status: "hit", "miss" (written)
+        or "not written". An ingest error names data.csv.
+        """
+        data_path = data_dir / "data.csv"
+        if not data_path.exists():
+            raise CliError(f"no data.csv under {data_dir}")
+        settings = {k: v for k, v in asdict(self).items() if k != "delta"}
+        key = ingest.cache_key(_digest(data_path), schema, settings)
+        entry = data_dir / ".omnitft" / f"ingest-{key}.npz"
+        found = ingest.load_splits(entry, schema)
+        if found is not None:
+            splits, report = found
+            return splits, data_path, report, {"path": str(entry), "status": "hit"}
+        events = load_events(data_path, schema)
+        try:
+            splits, _, report = ingest.ingest_pipeline(
+                events, schema, seed=self.split_seed, ratios=self.ratios,
+                missing_threshold=self.missing_threshold, max_gap_h=self.max_gap_h,
+            )
+        except ingest.IngestError as e:
+            raise type(e)(f"{data_path}: {e}") from None
+        status = "miss" if ingest.save_splits(entry, splits, report) else "not written"
+        return splits, data_path, report, {"path": str(entry), "status": status}
 
 
 PIPELINE_RULES = {
@@ -144,13 +170,12 @@ CONFIG_RULES = {
 }
 
 
-def load_events(data_dir: Path, schema: DatasetSchema):
-    path = data_dir / "data.csv"
-    if not path.exists():
-        raise CliError(f"no data.csv under {data_dir}")
+def load_events(path: Path, schema: DatasetSchema):
+    """The events table of the data file at `path`; a parse error names the
+    file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            return ingest.parse_events(fh, schema), path
+            return ingest.parse_events(fh, schema)
         except ingest.IngestError as e:  # parse errors name the line; add the file
             raise type(e)(f"{path}: {e}") from None
         except UnicodeDecodeError as e:
@@ -284,13 +309,17 @@ def cmd_train(args) -> int:
     doc, model_cfg, train_cfg, pipeline = load_train_config(args.config)
     model_seed = doc.get("model_seed", 0)
 
-    splits, data_path, ingest_report = pipeline.ingest(Path(args.data), schema)
+    splits, data_path, ingest_report, cache = pipeline.ingest(Path(args.data), schema)
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
     val_windows = [w for wins in pools["val"].values() for w in wins]
     trainer.check_windows(pools["train"], val_windows)
+    params = {"schema": str(args.schema), "config": str(args.config), "seed": train_cfg.seed}
 
     if args.dry_run:
         counts = {k: sum(len(v) for v in pools[k].values()) for k in pools}
+        _write_manifest(out, "train", {**params, "dry_run": True},
+                        inputs=[data_path, Path(args.schema)], artifacts=[],
+                        result={"windows": counts, "deltas": deltas}, ingest_cache=cache)
         print(f"dry run ok: windows per split {counts}, cutoffs {deltas}")
         return EXIT_OK
 
@@ -322,7 +351,7 @@ def cmd_train(args) -> int:
     _write_manifest(
         out,
         "train",
-        {"schema": str(args.schema), "config": str(args.config), "seed": train_cfg.seed},
+        params,
         inputs=[data_path, Path(args.schema)],
         artifacts=[ckpt_path, hist_path, resolved_path] + [Path(p) for p in grid_paths],
         result={
@@ -334,6 +363,7 @@ def cmd_train(args) -> int:
             "single_class": result.single_class,
             "clip_frac": result.clip_frac,
         },
+        ingest_cache=cache,
     )
     if result.diverged:
         print("training diverged; last good checkpoint written", file=sys.stderr)
@@ -363,7 +393,7 @@ def cmd_eval(args) -> int:
         if disk != schema_to_dict(schema):
             raise SchemaMismatch("checkpoint schema differs from the data directory schema")
 
-    splits, data_path, _ = pipeline.ingest(data_dir, schema)
+    splits, data_path, _, cache = pipeline.ingest(data_dir, schema)
     # eval reads no label or cutoff, so the other splits' windows are not needed
     pools, _ = build_window_pools({args.split: splits[args.split]}, schema, pipeline.delta)
     eval_pools = pools[args.split]
@@ -377,14 +407,20 @@ def cmd_eval(args) -> int:
         if not windows:
             continue
         q, abar, w_hist = [], [], []
-        for i in range(0, len(windows), 256):
-            batch = WindowBatch.from_windows(windows[i : i + 256])
-            with dc.no_grad():
-                fp = model.forward(batch, rng=None)
-            q.append(fp.quantiles.data)
-            abar.append(fp.abar.data)
-            w_hist.append(fp.w_hist.data)
-        q = np.sort(np.concatenate(q), axis=-1)  # (n, H, n_q), non-crossing
+        try:  # a forecast computed through an inf or nan is no forecast
+            for i in range(0, len(windows), 256):
+                batch = WindowBatch.from_windows(windows[i : i + 256])
+                with dc.no_grad(), np.errstate(over="raise", invalid="raise", divide="raise"):
+                    fp = model.forward(batch, rng=None)
+                q.append(fp.quantiles.data)
+                abar.append(fp.abar.data)
+                w_hist.append(fp.w_hist.data)
+            q = np.sort(np.concatenate(q), axis=-1)  # (n, H, n_q), non-crossing
+            if not np.isfinite(q).all():
+                raise FloatingPointError("a forecast is not finite")
+        except FloatingPointError as e:
+            raise ModelError(f"checkpoint {args.checkpoint} gives no finite forecast of "
+                             f"{t_spec.name} on the {args.split} split: {e}") from None
         actual = np.stack([w.fut_target for w in windows])  # (n, H)
         reports.append(evalkit.compute_report(
             t_spec.name, q[..., lo], q[..., mid], q[..., hi], actual))
@@ -422,6 +458,7 @@ def cmd_eval(args) -> int:
         {"checkpoint": str(args.checkpoint), "split": args.split, "pipeline": asdict(pipeline)},
         inputs=[data_path, Path(args.checkpoint)],
         artifacts=[metrics_path, table_path] + artifacts,
+        ingest_cache=cache,
     )
     print(evalkit.render_table(reports))
     return EXIT_OK
@@ -467,7 +504,7 @@ def cmd_label(args) -> int:
     schema = validate_schema(load_schema(args.schema))
     *_, pipeline = load_train_config(args.delta_config)
     data_dir = Path(args.data)
-    splits, data_path, _ = pipeline.ingest(data_dir, schema)
+    splits, data_path, _, cache = pipeline.ingest(data_dir, schema)
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
 
     all_series = {s.patient_id: s for name in splits for s in splits[name]}
@@ -529,6 +566,7 @@ def cmd_label(args) -> int:
         {"method": args.method, "schema": str(args.schema)},
         inputs=[data_path, Path(args.schema)],
         artifacts=[labels_path, summary_path],
+        ingest_cache=cache,
     )
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

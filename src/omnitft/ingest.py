@@ -13,19 +13,29 @@ Leading steps are trimmed up to the first step at which every feature is
 observed or median-fillable; the fill reads the whole untrimmed series.
 
 A regime-switching synthetic generator is included so the whole pipeline is
-testable without any clinical data source.
+testable without any clinical data source. An ingest result can be saved as
+one cache entry and loaded back (`save_splits`, `load_splits`), addressed by
+`cache_key` over everything it depends on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import json
 import math
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from . import schema as schema_module
 from .labeler import STABLE, VOLATILE
-from .schema import DatasetSchema, FeatureSpec, SchemaError, validate_schema
+from .schema import DatasetSchema, FeatureSpec, SchemaError, schema_to_dict, validate_schema
 
 
 class IngestError(Exception):
@@ -55,6 +65,16 @@ class TooFewPatients(IngestError):
 class AllMissingFeature(IngestError):
     pass
 
+
+class NonFiniteBin(IngestError):
+    pass
+
+
+class GridTooLarge(IngestError):
+    pass
+
+
+SPLITS = ("train", "val", "test")
 
 # One row per event: `column` is the feature's schema index, a categorical
 # `value` its vocab index; object ids are never truncated, as fixed width could.
@@ -152,31 +172,54 @@ def _bin_mode(values: np.ndarray, cells: np.ndarray):
     return cell[order][first].astype(np.int64), value[order][first]
 
 
+def _grid_steps(events: np.ndarray, step_h: float) -> float:
+    """Steps of the grid one patient's rows need, as a float (inf when the
+    count overflows), so a grid can be sized before it is allocated."""
+    last = float(events["time_h"].max()) / step_h + 1e-9
+    return math.floor(last) + 1.0 if math.isfinite(last) else math.inf
+
+
 def resample_to_grid(events: np.ndarray, schema: DatasetSchema) -> PatientSeries:
     """Bin one patient's rows of the events table onto the grid (pre-imputation).
 
     Each event lands in cell (step, feature) in one scatter: continuous cells
     take the bin mean (bincount sums over counts, in row order), categoricals
-    the bin mode; empty bins stay masked out.
+    the bin mode; empty bins stay masked out. A grid that cannot be allocated
+    raises GridTooLarge and a bin mean that overflows NonFiniteBin, each
+    naming the patient.
     """
     if not len(events):
         raise EmptyPatient("no events for patient")
     pid = events["patient_id"][0]
     step_h = schema.grid_step_min / 60.0
     times, cols, vals = events["time_h"], events["column"], events["value"]
-    # step index; the tolerance keeps a grid time t * step_h in step t
-    steps = np.floor(times / step_h + 1e-9).astype(np.int64)
-    n, n_feat = int(steps.max()) + 1, len(schema.features)
-
-    cells = steps * n_feat + cols
-    counts = np.bincount(cells, minlength=n * n_feat)
-    mask = counts > 0
-    values = np.zeros(n * n_feat)
-    values[mask] = np.bincount(cells, weights=vals, minlength=n * n_feat)[mask] / counts[mask]
+    n, n_feat = _grid_steps(events, step_h), len(schema.features)
+    try:
+        if n * n_feat > 2**62:  # past any memory, and past int64 cell ids
+            raise MemoryError
+        # step index; the tolerance keeps a grid time t * step_h in step t
+        steps = np.floor(times / step_h + 1e-9).astype(np.int64)
+        n = int(steps.max()) + 1
+        cells = steps * n_feat + cols
+        counts = np.bincount(cells, minlength=n * n_feat)
+        mask = counts > 0
+        values = np.zeros(n * n_feat)
+        values[mask] = np.bincount(cells, weights=vals, minlength=n * n_feat)[mask] / counts[mask]
+    except MemoryError:
+        raise GridTooLarge(
+            f"patient {pid!r}: its last time {float(times.max())} h needs a grid of {n:.4g} steps "
+            f"x {n_feat} features, which cannot be allocated"
+        ) from None
     cat = np.array([f.is_categorical for f in schema.features])[cols]
     if cat.any():
         cat_cells, modes = _bin_mode(vals[cat], cells[cat])
         values[cat_cells] = modes
+    bad = ~np.isfinite(values)
+    if bad.any():  # a sum of finite values overflowed
+        cell = int(bad.argmax())
+        step, j = divmod(cell, n_feat)
+        raise NonFiniteBin(f"patient {pid!r}: feature {schema.features[j].name!r} at step "
+                           f"{step} bins to {values[cell]}")
     return PatientSeries(pid, values.reshape(n, n_feat), mask.reshape(n, n_feat))
 
 
@@ -435,9 +478,6 @@ def write_split_grids(out_dir, splits: dict, schema: DatasetSchema, report: dict
     grid_<split>.csv holds one row per (patient, step) with a column per
     feature; mask_<split>.csv mirrors it with 0/1 observation flags.
     """
-    import json
-    import os
-
     names = [f.name for f in schema.features]
     paths = []
     for split, series_list in splits.items():
@@ -461,10 +501,8 @@ def write_split_grids(out_dir, splits: dict, schema: DatasetSchema, report: dict
 
 def read_split_grids(out_dir, schema: DatasetSchema) -> dict:
     """Load grids written by write_split_grids back into PatientSeries."""
-    import os
-
     splits = {}
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         gpath = os.path.join(out_dir, f"grid_{split}.csv")
         mpath = os.path.join(out_dir, f"mask_{split}.csv")
         if not os.path.exists(gpath):
@@ -506,30 +544,140 @@ def ingest_pipeline(
     sort by (patient id, time) groups the events; same-time events keep their
     file order. Returns (splits, stats, report): split name -> imputed
     PatientSeries list, the train-split fallbacks, and counts plus trims.
+
+    A patient with k observed-feature events on an n-step grid misses at least
+    1 - k / (n * n_obs) of its observed cells; when that bound already exceeds
+    `missing_threshold`, `filter_patients` would drop it, so it is dropped
+    before its grid is allocated.
     """
     _, code, sizes = np.unique(events["patient_id"], return_inverse=True, return_counts=True)
     table = events[np.lexsort((events["time_h"], code))]
-    resampled = [resample_to_grid(table[e - n:e], schema) for n, e in zip(sizes, np.cumsum(sizes))]
+    observed = np.array([f.role == "observed_past" for f in schema.features])
+    n_obs, step_h = int(observed.sum()), schema.grid_step_min / 60.0
+    resampled = []
+    for n, e in zip(sizes, np.cumsum(sizes)):
+        rows = table[e - n:e]
+        if n_obs:
+            k = int(observed[rows["column"]].sum())
+            if 1.0 - k / (_grid_steps(rows, step_h) * n_obs) > missing_threshold:
+                continue
+        resampled.append(resample_to_grid(rows, schema))
     retained = filter_patients(resampled, schema, missing_threshold)
-    split = split_by_patient([s.patient_id for s in retained], ratios, seed)
+    try:
+        split = split_by_patient([s.patient_id for s in retained], ratios, seed)
+    except TooFewPatients as e:
+        if len(retained) == len(sizes):
+            raise
+        raise TooFewPatients(f"{e}; {len(sizes) - len(retained)} of {len(sizes)} dropped "
+                             f"as more than {missing_threshold} missing") from None
 
     by_id = {s.patient_id: s for s in retained}
     stats = compute_train_stats([by_id[p] for p in split.ids("train")], schema)
 
-    splits = {"train": [], "val": [], "test": []}
+    splits = {name: [] for name in SPLITS}
     trims = {}
-    for name in ("train", "val", "test"):
+    for name in SPLITS:
         for pid in split.ids(name):
             imp = impute(by_id[pid], schema, stats, max_gap_h)
             splits[name].append(imp)
             trims[pid] = imp.trimmed_steps
 
     report = {
-        "n_input_patients": len(resampled),
+        "n_input_patients": len(sizes),
         "n_retained": len(retained),
-        "n_dropped": len(resampled) - len(retained),
+        "n_dropped": len(sizes) - len(retained),
         "split_counts": {k: len(v) for k, v in splits.items()},
         "medians": {k: stats.medians[k] for k in sorted(stats.medians)},
         "trimmed_steps": trims,
     }
     return splits, stats, report
+
+
+# ---------------------------------------------------------------------------
+# the ingest cache: one entry per (data file, schema, ingest settings)
+
+_ENTRY_ARRAYS = ("values", "mask", "steps", "trimmed", "meta")
+
+
+def cache_key(data_sha256: str, schema: DatasetSchema, settings: dict) -> str:
+    """sha256 over everything an ingest result depends on: the data file's
+    digest, the schema, the settings `ingest_pipeline` reads, numpy's version,
+    and the source of this module and of `schema.py`, so that an edit or an
+    upgrade is never served a stale grid."""
+    doc = {"data": data_sha256, "schema": schema_to_dict(schema), "settings": settings,
+           "numpy": np.__version__}
+    h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    for source in (__file__, schema_module.__file__):
+        h.update(Path(source).read_bytes())
+    return h.hexdigest()
+
+
+def save_splits(path, splits: dict, report: dict) -> bool:
+    """Write an ingest result to `path` atomically (a temp file, then a
+    rename); False when it could not be written, e.g. in a read-only directory.
+
+    The entry is an npz of every split's series back to back: `values` and
+    `mask` (steps, features), per series `steps` and `trimmed`, and `meta`, the
+    JSON of the patient ids per split and the ingest report.
+    """
+    series = [s for name in SPLITS for s in splits[name]]
+    meta = {"ids": {name: [s.patient_id for s in splits[name]] for name in SPLITS},
+            "report": report}
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                values=np.concatenate([s.values for s in series]),
+                mask=np.concatenate([s.mask for s in series]),
+                steps=np.array([s.n_steps for s in series], dtype=np.int64),
+                trimmed=np.array([s.trimmed_steps for s in series], dtype=np.int64),
+                meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            )
+        os.replace(tmp, path)
+        return True
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        return False
+
+
+def load_splits(path, schema: DatasetSchema):
+    """The (splits, report) that `save_splits` wrote to `path`, or None when
+    there is no entry or it does not fit `schema`: a bad entry is a miss."""
+    try:
+        entry = np.load(path, allow_pickle=False)
+        if not isinstance(entry, np.lib.npyio.NpzFile):
+            return None
+        with entry:
+            if sorted(entry.files) != sorted(_ENTRY_ARRAYS):
+                return None
+            values, mask, steps, trimmed, meta = (entry[k] for k in _ENTRY_ARRAYS)
+        doc = json.loads(meta.tobytes().decode())
+        ids, report = [doc["ids"][name] for name in SPLITS], doc["report"]
+        n = sum(map(len, ids))
+        fits = (
+            meta.dtype == np.uint8 and isinstance(report, dict)
+            and all(isinstance(names, list) and all(isinstance(pid, str) for pid in names)
+                    for names in ids)
+            and values.dtype == np.float64 and values.ndim == 2
+            and values.shape[1] == len(schema.features)
+            and mask.dtype == bool and mask.shape == values.shape
+            and steps.dtype == trimmed.dtype == np.int64 and steps.shape == trimmed.shape == (n,)
+            and (steps > 0).all() and (trimmed >= 0).all() and steps.sum() == len(values)
+            and np.isfinite(values).all()
+        )
+    except (OSError, EOFError, ValueError, KeyError, TypeError, MemoryError,
+            zipfile.BadZipFile, zlib.error):  # missing, truncated, garbled or foreign
+        return None
+    if not fits:
+        return None
+    bounds = np.cumsum(steps)[:-1]
+    series = iter(zip(np.split(values, bounds), np.split(mask, bounds), trimmed.tolist()))
+    splits = {}
+    for name, names in zip(SPLITS, ids):
+        splits[name] = [PatientSeries(pid, v, m, imputed=True, trimmed_steps=t)
+                        for pid, (v, m, t) in zip(names, series)]
+    return splits, report

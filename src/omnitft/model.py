@@ -163,6 +163,98 @@ def _glorot(rng, n_in, n_out):
     return rng.uniform(-limit, limit, size=(n_in, n_out))
 
 
+def param_layout(schema: DatasetSchema, config: ModelConfig):
+    """(name, shape, init) of every parameter, in creation order; `init(rng)`
+    draws the starting value. Listing the layout allocates no tensor, so a
+    checkpoint header is checked against it before anything is read."""
+    d = config.hidden
+
+    def glorot(n_in, n_out):
+        return (n_in, n_out), lambda rng: _glorot(rng, n_in, n_out)
+
+    def const(n, value):
+        return (n,), lambda rng: np.full(n, value)
+
+    def normal(*shape):
+        return shape, lambda rng: rng.normal(0.0, 0.05, size=shape)
+
+    def dense(name, n_in, n_out, bias: float = 0.0):
+        yield f"{name}/w", *glorot(n_in, n_out)
+        yield f"{name}/b", *const(n_out, bias)
+
+    def grn(prefix, d_in, d_out, with_ctx=False):
+        yield from dense(f"{prefix}/fc1", d_in, d)
+        if with_ctx:
+            yield f"{prefix}/ctx/w", *glorot(d, d)
+        yield from dense(f"{prefix}/fc2", d, d_out)
+        yield from dense(f"{prefix}/gate", d_out, d_out)
+        yield from dense(f"{prefix}/val", d_out, d_out)
+        if d_in != d_out:
+            yield f"{prefix}/skip/w", *glorot(d_in, d_out)
+        yield f"{prefix}/ln_g", *const(d_out, 1.0)
+        yield f"{prefix}/ln_b", *const(d_out, 0.0)
+
+    def embed(name, spec: FeatureSpec):
+        if spec.is_categorical:
+            yield f"embed/{name}/table", *normal(spec.vocab_size, d)
+        else:
+            yield f"embed/{name}/w", *normal(d)
+            yield f"embed/{name}/b", *const(d, 0.0)
+
+    # known-future features are past features too and share their embedding
+    past, future, static = schema.past_features, schema.future_features, schema.static_features
+    for spec in past:
+        yield from embed(spec.name, spec)
+    for spec in static:
+        yield from embed(f"static/{spec.name}", spec)
+    yield "embed/target_id/table", *normal(len(schema.target_features), d)
+
+    n_static_vars = len(static) + 1  # + target id
+    yield from grn("vsn/static/sel", n_static_vars * d, n_static_vars)
+    for j in range(n_static_vars):
+        yield from grn(f"vsn/static/var{j}", d, d)
+    yield from grn("vsn/past/sel", len(past) * d, len(past), with_ctx=True)
+    for j in range(len(past)):
+        yield from grn(f"vsn/past/var{j}", d, d)
+    if future:
+        yield from grn("vsn/future/sel", len(future) * d, len(future), with_ctx=True)
+        for j in range(len(future)):
+            yield from grn(f"vsn/future/var{j}", d, d)
+
+    for which in ("select", "enrich", "h0", "c0"):
+        yield from grn(f"static_ctx/{which}", d, d)
+
+    for side in ("enc", "dec"):
+        for layer in range(config.lstm_layers):
+            yield f"lstm/{side}/l{layer}/x/w", *glorot(d, 4 * d)
+            yield f"lstm/{side}/l{layer}/h/w", *glorot(d, 4 * d)
+            # forget-gate slice of the shared bias starts at 1
+            yield (f"lstm/{side}/l{layer}/b", (4 * d,),
+                   lambda rng: np.repeat([0.0, 1.0, 0.0], [d, d, 2 * d]))
+
+    yield from dense("post_lstm/gate", d, d)
+    yield from dense("post_lstm/val", d, d)
+    yield "post_lstm/ln_g", *const(d, 1.0)
+    yield "post_lstm/ln_b", *const(d, 0.0)
+
+    yield from grn("enrich", d, d, with_ctx=True)
+
+    dqk = config.head_dim
+    for k in range(config.blocks):
+        for m in range(config.heads):
+            yield f"attn/b{k}/q{m}/w", *glorot(d, dqk)
+            yield f"attn/b{k}/k{m}/w", *glorot(d, dqk)
+        yield f"attn/b{k}/v/w", *glorot(d, d)
+        yield from dense(f"attn/b{k}/out", d, d)
+        yield from dense(f"attn/b{k}/gate", d, d)
+        yield from dense(f"attn/b{k}/val", d, d)
+        yield f"attn/b{k}/ln_g", *const(d, 1.0)
+        yield f"attn/b{k}/ln_b", *const(d, 0.0)
+        yield from grn(f"attn/b{k}/grn", d, d)
+
+    yield from dense("head", d, len(config.quantiles))
+
+
 def _row_keys(*arrays) -> np.ndarray:
     """One key per row of side-by-side 2-D arrays: the rows' bytes, so 0.0
     and -0.0 stay apart. Keys sort bytewise, leading array first."""
@@ -255,97 +347,8 @@ class Model:
 
     def _init_params(self, seed: int) -> dict:
         rng = np.random.default_rng(seed)
-        d = self.config.hidden
-        p: dict = {}
-
-        def dense(name, n_in, n_out, bias: float = 0.0):
-            p[f"{name}/w"] = Tensor(_glorot(rng, n_in, n_out), requires_grad=True)
-            p[f"{name}/b"] = Tensor(np.full(n_out, bias), requires_grad=True)
-
-        def vec(name, n, value):
-            p[name] = Tensor(np.full(n, value), requires_grad=True)
-
-        def grn(prefix, d_in, d_out, with_ctx=False):
-            dense(f"{prefix}/fc1", d_in, d)
-            if with_ctx:
-                p[f"{prefix}/ctx/w"] = Tensor(_glorot(rng, d, d), requires_grad=True)
-            dense(f"{prefix}/fc2", d, d_out)
-            dense(f"{prefix}/gate", d_out, d_out)
-            dense(f"{prefix}/val", d_out, d_out)
-            if d_in != d_out:
-                p[f"{prefix}/skip/w"] = Tensor(_glorot(rng, d_in, d_out), requires_grad=True)
-            vec(f"{prefix}/ln_g", d_out, 1.0)
-            vec(f"{prefix}/ln_b", d_out, 0.0)
-
-        def embed(name, spec: FeatureSpec):
-            if spec.is_categorical:
-                p[f"embed/{name}/table"] = Tensor(
-                    rng.normal(0.0, 0.05, size=(spec.vocab_size, d)), requires_grad=True
-                )
-            else:
-                p[f"embed/{name}/w"] = Tensor(rng.normal(0.0, 0.05, size=d), requires_grad=True)
-                p[f"embed/{name}/b"] = Tensor(np.zeros(d), requires_grad=True)
-
-        # known-future features are past features too and share their embedding
-        for spec in self.past_specs:
-            embed(spec.name, spec)
-        for spec in self.static_specs:
-            embed(f"static/{spec.name}", spec)
-        p["embed/target_id/table"] = Tensor(
-            rng.normal(0.0, 0.05, size=(self.n_targets, d)), requires_grad=True
-        )
-
-        n_static_vars = len(self.static_specs) + 1  # + target id
-        grn("vsn/static/sel", n_static_vars * d, n_static_vars)
-        for j in range(n_static_vars):
-            grn(f"vsn/static/var{j}", d, d)
-        grn("vsn/past/sel", len(self.past_specs) * d, len(self.past_specs), with_ctx=True)
-        for j in range(len(self.past_specs)):
-            grn(f"vsn/past/var{j}", d, d)
-        if self.future_specs:
-            grn("vsn/future/sel", len(self.future_specs) * d, len(self.future_specs),
-                with_ctx=True)
-            for j in range(len(self.future_specs)):
-                grn(f"vsn/future/var{j}", d, d)
-
-        for which in ("select", "enrich", "h0", "c0"):
-            grn(f"static_ctx/{which}", d, d)
-
-        for side in ("enc", "dec"):
-            for layer in range(self.config.lstm_layers):
-                p[f"lstm/{side}/l{layer}/x/w"] = Tensor(
-                    _glorot(rng, d, 4 * d), requires_grad=True
-                )
-                p[f"lstm/{side}/l{layer}/h/w"] = Tensor(
-                    _glorot(rng, d, 4 * d), requires_grad=True
-                )
-                # forget-gate slice of the shared bias starts at 1
-                b = np.zeros(4 * d)
-                b[d : 2 * d] = 1.0
-                p[f"lstm/{side}/l{layer}/b"] = Tensor(b, requires_grad=True)
-
-        dense("post_lstm/gate", d, d)
-        dense("post_lstm/val", d, d)
-        vec("post_lstm/ln_g", d, 1.0)
-        vec("post_lstm/ln_b", d, 0.0)
-
-        grn("enrich", d, d, with_ctx=True)
-
-        dqk = self.config.head_dim
-        for k in range(self.config.blocks):
-            for m in range(self.config.heads):
-                p[f"attn/b{k}/q{m}/w"] = Tensor(_glorot(rng, d, dqk), requires_grad=True)
-                p[f"attn/b{k}/k{m}/w"] = Tensor(_glorot(rng, d, dqk), requires_grad=True)
-            p[f"attn/b{k}/v/w"] = Tensor(_glorot(rng, d, d), requires_grad=True)
-            dense(f"attn/b{k}/out", d, d)
-            dense(f"attn/b{k}/gate", d, d)
-            dense(f"attn/b{k}/val", d, d)
-            vec(f"attn/b{k}/ln_g", d, 1.0)
-            vec(f"attn/b{k}/ln_b", d, 0.0)
-            grn(f"attn/b{k}/grn", d, d)
-
-        dense("head", d, len(self.config.quantiles))
-        return p
+        return {name: Tensor(init(rng), requires_grad=True)
+                for name, _, init in param_layout(self.schema, self.config)}
 
     # ------------------------------------------------------------------
     # building blocks
@@ -653,13 +656,13 @@ def load_checkpoint(path) -> Model:
         cfg = dict(header["config"])
         # a retired switch that older checkpoints still carry; it never moved the forecast
         cfg.pop("use_raw_decoder_state", None)
-        model = Model(schema_from_dict(header["schema"]), ModelConfig(**cfg),
+        model = Model(schema_from_dict(header["schema"]), ModelConfig(**cfg), params={},
                       scalers=header.get("scalers"), pipeline=header.get("pipeline"))
     except (KeyError, TypeError, ValueError, ModelError, SchemaError) as e:
         raise ModelError(
             f"checkpoint {path} has a malformed header: {type(e).__name__}: {e}"
         ) from None
-    layout = [(n, p.shape) for n, p in model.params.items()]
+    layout = ((n, shape) for n, shape, _ in param_layout(model.schema, model.config))
     for i, (have, want) in enumerate(itertools.zip_longest(entries, layout)):
         if have != want:
             got, need = ("missing" if e is None else f"{e[0]} {list(e[1])}" for e in (have, want))

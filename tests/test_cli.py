@@ -1,6 +1,10 @@
 import json
 import csv
+import os
+import shlex
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import asdict
@@ -507,6 +511,79 @@ def test_train_non_utf8_data_exits_2_naming_the_file(synth_dir, tmp_path, capsys
     assert f"{data / 'data.csv'} is not UTF-8 text" in capsys.readouterr().err
 
 
+# -- bad values never reach a grid ----------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["train", "--dry-run"], ["train"], ["label", "--method", "hmm"]],
+                         ids=["dry-run", "train", "label-hmm"])
+def test_an_overflowing_bin_mean_exits_2_naming_patient_feature_and_step(synth_dir, tmp_path,
+                                                                        capsys, argv):
+    # two finite values whose sum overflows made the bin mean inf: a dry run and
+    # label exited 0, and train exited 2 blaming scalers.y
+    data = _data_with(synth_dir, tmp_path, b"p0000,1.0,y,1e308\np0000,1.0,y,1e308\n")
+    code = run([argv[0], "--data", str(data), "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "run"), *argv[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{data / 'data.csv'}: patient 'p0000': feature 'y' at step 1 bins to inf" in err
+
+
+def _run_capped(argv) -> subprocess.CompletedProcess:
+    """One command in a fresh interpreter under `ulimit -v 3000000` (about
+    2.9 GiB of address space), so an oversized grid fails at once."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    cmd = shlex.join([sys.executable, "-m", "omnitft.cli", *map(str, argv)])
+    return subprocess.run(["bash", "-c", f"ulimit -v 3000000 && exec {cmd}"], env=env,
+                          capture_output=True, text=True)
+
+
+def _schema_with(synth_dir, tmp_path, edit) -> Path:
+    doc = read_json(synth_dir / "schema.json")
+    edit(doc)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_a_far_time_drops_its_patient_before_allocating_its_grid(synth_dir, tmp_path):
+    # one row at 1e12 h asked for a 50.9 TiB grid (exit 1, ArrayMemoryError); so
+    # sparse a grid misses more than 0.8 of its observed cells, and filter_patients
+    # would drop the patient anyway
+    data = _data_with(synth_dir, tmp_path, b"p0000,1e12,y,80.0\n")
+    done = _run_capped(["train", "--data", data, "--schema", synth_dir / "schema.json",
+                        "--out", tmp_path / "run", "--dry-run"])
+    assert done.returncode == 0, done.stderr
+    _, _, report, _ = PipelineConfig().ingest(data, load_schema(synth_dir / "schema.json"))
+    assert report["n_input_patients"] == 14 and report["n_dropped"] == 1
+    assert "p0000" not in report["trimmed_steps"]
+
+
+def test_a_tiny_grid_step_exits_2_naming_the_file(synth_dir, tmp_path):
+    # grid_step_min 1e-6 asked for a 219 GiB grid per patient (exit 1)
+    schema = _schema_with(synth_dir, tmp_path, lambda d: d.update(grid_step_min=1e-6))
+    done = _run_capped(["train", "--data", synth_dir, "--schema", schema,
+                        "--out", tmp_path / "run", "--dry-run"])
+    assert done.returncode == 2, done.stderr
+    assert (f"{synth_dir / 'data.csv'}: need >= 10 patients, got 0; 14 of 14 dropped as more "
+            f"than 0.8 missing") in done.stderr
+
+
+def test_a_grid_that_cannot_be_allocated_exits_2_naming_patient_and_time(synth_dir, tmp_path):
+    # without observed features no missingness bound drops the patient
+    def no_observed(doc):
+        for f in doc["features"]:
+            if f["role"] == "observed_past":
+                f["role"] = "known_future"
+    schema = _schema_with(synth_dir, tmp_path, no_observed)
+    data = _data_with(synth_dir, tmp_path, b"p0000,1e12,y,80.0\n")
+    done = _run_capped(["train", "--data", data, "--schema", schema,
+                        "--out", tmp_path / "run", "--dry-run"])
+    assert done.returncode == 2, done.stderr
+    assert (f"{data / 'data.csv'}: patient 'p0000': its last time 1000000000000.0 h needs a grid "
+            f"of 1e+12 steps x 7 features, which cannot be allocated") in done.stderr
+
+
 @pytest.mark.parametrize("text,named", [
     (json.dumps({"model": {"hidden": "8"}}), "config key 'model.hidden' must be an integer"),
     (json.dumps({"model": {"hidden": 4, "heads": 8}}), "heads must be at most hidden (4)"),
@@ -539,7 +616,7 @@ def test_train_short_row_exits_2_naming_file_and_line(synth_dir, tmp_path, capsy
 
 
 @pytest.mark.parametrize("header,message", [
-    ("patient_id,time_h,feature,value", "error: need >= 10 patients, got 0"),
+    ("patient_id,time_h,feature,value", "error: data.csv: need >= 10 patients, got 0"),
     ("patient,time_h,feature,value", "data.csv: unexpected CSV header"),
 ])
 def test_train_header_only_or_wrong_header_exits_2(synth_dir, tmp_path, capsys, header, message):
@@ -646,10 +723,18 @@ def _drop_last_tensor(raw: bytes) -> bytes:
     (_set_header("config", "heads", True), "malformed header: ModelError: heads must be"),
     (_set_header("scalers", "y", [1]), "malformed header: ModelError: scalers.y must be"),
     (_set_header("scalers", "y", "ab"), "malformed header: ModelError: scalers.y must be"),
+    # allocated the 224 GiB model it describes before comparing (exit 1)
+    (_set_header("config", "hidden", 100000),
+     "does not fit the model its config and schema describe: tensor 0 is embed/y/w [8], "
+     "the model's is embed/y/w [100000]"),
+    # a valid frame that sends the data far out of range overflowed with warnings (exit 0)
+    (_set_header("scalers", "tod_sin", [-1e300, 0.6868]),
+     "gives no finite forecast of y on the test split"),
 ], ids=["trailing-bytes", "no-tensors", "unknown-config-key", "list-header", "negative-shape",
         "renamed-tensor", "reshaped-tensor", "dropped-tensor", "float-encoder-len",
         "int-pipeline", "bad-pipeline-ratios", "misspelt-pipeline-key", "float-hidden",
-        "float-blocks", "float-retro-window", "bool-heads", "short-scaler", "string-scaler"])
+        "float-blocks", "float-retro-window", "bool-heads", "short-scaler", "string-scaler",
+        "huge-hidden", "overflowing-scaler"])
 def test_eval_malformed_checkpoint_exits_2_naming_it(synth_dir, trained_dir, tmp_path, capsys,
                                                      damage, message):
     ckpt = tmp_path / "malformed.bin"
@@ -715,7 +800,7 @@ def test_label_hmm_on_mixed_lengths_equals_per_patient_fits(tmp_path):
     assert run(["label", "--data", str(data), "--schema", str(data / "schema.json"),
                 "--method", "hmm", "--out", str(out)]) == 0
     schema = load_schema(data / "schema.json")
-    splits, _, _ = PipelineConfig().ingest(data, schema)
+    splits, *_ = PipelineConfig().ingest(data, schema)
     col = schema.column("y")
     steps = {s.patient_id: oracle_step_labels(np.diff(s.values[:, col]))
              for name in splits for s in splits[name]}
@@ -877,11 +962,10 @@ def test_checkpoint_round_trip_keeps_config_and_pipeline(config, pipeline, seed)
 # ---------------------------------------------------------------------------
 # exit codes under mutated inputs: a bad input exits 2, never 1 with a traceback
 
-# Values stay small: a valid but huge `hidden` makes eval allocate the model a
-# header describes, and a tiny `grid_step_min` a huge grid, before either is
-# compared with anything.
+# Huge integers are drawn too: a header's tensor layout and a grid's size are
+# checked before anything is allocated, so a huge valid value exits 0 or 2.
 _values = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 3),
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([10**6, 10**9, 2**62]),
     st.sampled_from([0.0, 0.5, 2.5, 8.0, -1e300, 1e300, float("nan"), float("inf")]),
     st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(-1, 2), max_size=2),

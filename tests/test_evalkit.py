@@ -284,7 +284,7 @@ def test_eval_outputs_equal_the_per_window_reference(tmp_path):
                      "--min-steps", "30", "--max-steps", "40"]) == 0
     schema = load_schema(data / "schema.json")
     pipeline = cli.PipelineConfig()
-    splits, _, _ = pipeline.ingest(data, schema)
+    splits, *_ = pipeline.ingest(data, schema)
     model = Model(schema, ModelConfig(hidden=8, heads=2, blocks=1, dropout=0.0), seed=4,
                   scalers=compute_scalers(splits["train"], schema), pipeline=asdict(pipeline))
     save_checkpoint(tmp_path / "ckpt.bin", model)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -578,3 +579,80 @@ def test_resample_matches_per_cell_oracle(events):
         else:
             assert grid.values[t, j] == pytest.approx(sum(vals) / len(vals), rel=1e-12)
     assert (grid.values[~grid.mask] == 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# bad values never reach a grid; the ingest cache entry
+
+
+def test_resample_overflowing_bin_mean_names_patient_feature_and_step():
+    schema = small_schema()
+    events = events_table(schema, ("p1", 0.0, "hr", 80.0),
+                          ("p1", 0.2, "hr", 1e308), ("p1", 0.2, "hr", 1e308))
+    message = "patient 'p1': feature 'hr' at step 1 bins to inf"
+    with pytest.raises(ingest.NonFiniteBin, match=message):
+        resample_to_grid(events, schema)
+
+
+@pytest.mark.parametrize("time_h", [1e12, 1e300])
+def test_resample_refuses_a_grid_past_memory_before_allocating_it(time_h):
+    schema = small_schema()
+    message = re.escape(f"patient 'p1': its last time {time_h} h")
+    with pytest.raises(ingest.GridTooLarge, match=message):
+        resample_to_grid(events_table(schema, ("p1", 0.0, "hr", 80.0), ("p1", time_h, "hr", 1.0)),
+                         schema)
+
+
+@st.composite
+def sparse_cohorts(draw):
+    """Twelve patients with few observed events over long spans, and a threshold."""
+    rows = []
+    for p in range(12):
+        span = draw(st.sampled_from([0.5, 3.0, 40.0, 1e4]))
+        rows.append((f"p{p:02d}", 0.0, "hr", 80.0))
+        rows.append((f"p{p:02d}", 0.0, "lactate", 1.0))
+        rows.append((f"p{p:02d}", 0.0, "race", draw(st.sampled_from([0.0, 1.0]))))
+        rows.append((f"p{p:02d}", span, "hr", 81.0))
+        for t in draw(st.lists(st.floats(0.0, span), max_size=8)):
+            rows.append((f"p{p:02d}", t, draw(st.sampled_from(["hr", "lactate"])), 2.0))
+    return events_table(small_schema(step=60.0), *rows), draw(st.sampled_from(
+        [0.0, 0.5, 0.8, 0.9, 0.95, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_cohorts())
+def test_dropping_before_allocation_keeps_whom_filter_patients_keeps(case):
+    events, threshold = case
+    schema = small_schema(step=60.0)
+    every = [resample_to_grid(events[events["patient_id"] == p], schema)
+             for p in sorted(set(events["patient_id"]))]
+    kept = sorted(s.patient_id for s in filter_patients(every, schema, threshold))
+    if len(kept) < 10:
+        with pytest.raises(TooFewPatients):
+            ingest.ingest_pipeline(events, schema, missing_threshold=threshold, max_gap_h=1e9)
+        return
+    splits, _, report = ingest.ingest_pipeline(events, schema, missing_threshold=threshold,
+                                               max_gap_h=1e9)
+    assert sorted(s.patient_id for v in splits.values() for s in v) == kept
+    assert (report["n_input_patients"], report["n_dropped"]) == (12, 12 - len(kept))
+
+
+def test_split_cache_round_trip_is_bit_exact(tmp_path):
+    schema = synthetic_schema(encoder_len=4, horizon_len=2)
+    series, _ = generate_synthetic(12, schema, seed=2, min_steps=10, max_steps=20)
+    rows = [(pid, t, f, float(schema.feature(f).category_index(v)) if schema.feature(f).vocab
+             else float(v)) for s in series for pid, t, f, v in ingest.series_to_events(s, schema)]
+    splits, _, report = ingest.ingest_pipeline(events_table(schema, *rows), schema)
+    path = tmp_path / "cache" / "entry.npz"
+    assert ingest.load_splits(path, schema) is None
+    assert ingest.save_splits(path, splits, report)
+    loaded, loaded_report = ingest.load_splits(path, schema)
+    assert loaded_report == report and list(loaded) == list(splits)
+    for name in splits:
+        assert [s.patient_id for s in loaded[name]] == [s.patient_id for s in splits[name]]
+        for a, b in zip(loaded[name], splits[name]):
+            assert a.values.tobytes() == b.values.tobytes() and a.values.shape == b.values.shape
+            assert a.mask.tobytes() == b.mask.tobytes() and a.trimmed_steps == b.trimmed_steps
+    # an entry for a schema of other width does not fit it
+    assert ingest.load_splits(path, small_schema()) is None
+    assert [p.name for p in path.parent.iterdir()] == ["entry.npz"]
