@@ -3,7 +3,9 @@
 Every command is deterministic given its inputs and seeds and writes a
 manifest.json into --out listing produced artifacts with sha256 digests
 (and, for train, the run's result; for train, eval and label, the ingest
-cache entry it used).
+cache entry it used). The manifest also records what the output bits and
+the memory used depend on: the Python, numpy and BLAS versions, the BLAS
+thread setting, the usable cores and the process's peak RSS.
 Exit codes: 0 success, 2 configuration or input error, 3 training diverged,
 1 unexpected failure.
 """
@@ -15,6 +17,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -72,19 +76,57 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
+def _attempt(lookup):
+    """`lookup()`, or None if it fails: an environment record never fails a command."""
+    try:
+        return lookup()
+    except (AttributeError, ImportError, LookupError, OSError, TypeError, ValueError):
+        return None
+
+
+def _blas() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas["name"], "version": blas["version"]}
+
+
+def _peak_rss_mb() -> float:
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)  # bytes or KiB
+
+
+def _environment() -> dict:
+    """What a run's bits and memory depended on; a lookup that fails is None."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _attempt(_blas),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "nproc": _attempt(lambda: len(os.sched_getaffinity(0))),
+        "peak_rss_mb": _attempt(_peak_rss_mb),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list, artifacts: list,
                     result: dict | None = None, ingest_cache: dict | None = None):
+    """`inputs` holds paths, or (path, sha256) pairs for files already hashed."""
+    def entry(item):
+        path, sha = item if isinstance(item, tuple) else (item, _digest(item))
+        return {"path": str(path), "sha256": sha}
+
     manifest = {
         "command": command,
         "parameters": params,
-        "inputs": [{"path": str(p), "sha256": _digest(p)} for p in inputs],
-        "artifacts": [{"path": str(p), "sha256": _digest(p)} for p in artifacts],
+        "inputs": [entry(p) for p in inputs],
+        "artifacts": [entry(p) for p in artifacts],
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     if result is not None:
         manifest["result"] = result
     if ingest_cache is not None:
         manifest["ingest_cache"] = ingest_cache
+    manifest["environment"] = _environment()
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -120,8 +162,8 @@ class PipelineConfig:
         return cls(**{k: doc[k] for k in PIPELINE_RULES if k in doc})
 
     def ingest(self, data_dir: Path, schema: DatasetSchema):
-        """data.csv -> (splits, data path, ingest report, cache record) under
-        these settings.
+        """data.csv -> (splits, (data path, its sha256), ingest report, cache
+        record) under these settings.
 
         The result is cached in `<data dir>/.omnitft/ingest-<key>.npz`, keyed
         by `ingest.cache_key` over data.csv's bytes, the schema and the four
@@ -134,12 +176,14 @@ class PipelineConfig:
         if not data_path.exists():
             raise CliError(f"no data.csv under {data_dir}")
         settings = {k: v for k, v in asdict(self).items() if k != "delta"}
-        key = ingest.cache_key(_digest(data_path), schema, settings)
+        # the manifest lists data.csv with this digest rather than reading it again
+        data = (data_path, _digest(data_path))
+        key = ingest.cache_key(data[1], schema, settings)
         entry = data_dir / ".omnitft" / f"ingest-{key}.npz"
         found = ingest.load_splits(entry, schema)
         if found is not None:
             splits, report = found
-            return splits, data_path, report, {"path": str(entry), "status": "hit"}
+            return splits, data, report, {"path": str(entry), "status": "hit"}
         events = load_events(data_path, schema)
         try:
             splits, _, report = ingest.ingest_pipeline(
@@ -149,7 +193,7 @@ class PipelineConfig:
         except ingest.IngestError as e:
             raise type(e)(f"{data_path}: {e}") from None
         status = "miss" if ingest.save_splits(entry, splits, report) else "not written"
-        return splits, data_path, report, {"path": str(entry), "status": status}
+        return splits, data, report, {"path": str(entry), "status": status}
 
 
 PIPELINE_RULES = {
@@ -309,7 +353,7 @@ def cmd_train(args) -> int:
     doc, model_cfg, train_cfg, pipeline = load_train_config(args.config)
     model_seed = doc.get("model_seed", 0)
 
-    splits, data_path, ingest_report, cache = pipeline.ingest(Path(args.data), schema)
+    splits, data, ingest_report, cache = pipeline.ingest(Path(args.data), schema)
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
     val_windows = [w for wins in pools["val"].values() for w in wins]
     trainer.check_windows(pools["train"], val_windows)
@@ -318,7 +362,7 @@ def cmd_train(args) -> int:
     if args.dry_run:
         counts = {k: sum(len(v) for v in pools[k].values()) for k in pools}
         _write_manifest(out, "train", {**params, "dry_run": True},
-                        inputs=[data_path, Path(args.schema)], artifacts=[],
+                        inputs=[data, Path(args.schema)], artifacts=[],
                         result={"windows": counts, "deltas": deltas}, ingest_cache=cache)
         print(f"dry run ok: windows per split {counts}, cutoffs {deltas}")
         return EXIT_OK
@@ -352,7 +396,7 @@ def cmd_train(args) -> int:
         out,
         "train",
         params,
-        inputs=[data_path, Path(args.schema)],
+        inputs=[data, Path(args.schema)],
         artifacts=[ckpt_path, hist_path, resolved_path] + [Path(p) for p in grid_paths],
         result={
             "best_epoch": result.best_epoch,
@@ -393,7 +437,7 @@ def cmd_eval(args) -> int:
         if disk != schema_to_dict(schema):
             raise SchemaMismatch("checkpoint schema differs from the data directory schema")
 
-    splits, data_path, _, cache = pipeline.ingest(data_dir, schema)
+    splits, data, _, cache = pipeline.ingest(data_dir, schema)
     # eval reads no label or cutoff, so the other splits' windows are not needed
     pools, _ = build_window_pools({args.split: splits[args.split]}, schema, pipeline.delta)
     eval_pools = pools[args.split]
@@ -456,7 +500,7 @@ def cmd_eval(args) -> int:
         out,
         "eval",
         {"checkpoint": str(args.checkpoint), "split": args.split, "pipeline": asdict(pipeline)},
-        inputs=[data_path, Path(args.checkpoint)],
+        inputs=[data, Path(args.checkpoint)],
         artifacts=[metrics_path, table_path] + artifacts,
         ingest_cache=cache,
     )
@@ -504,7 +548,7 @@ def cmd_label(args) -> int:
     schema = validate_schema(load_schema(args.schema))
     *_, pipeline = load_train_config(args.delta_config)
     data_dir = Path(args.data)
-    splits, data_path, _, cache = pipeline.ingest(data_dir, schema)
+    splits, data, _, cache = pipeline.ingest(data_dir, schema)
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
 
     all_series = {s.patient_id: s for name in splits for s in splits[name]}
@@ -564,7 +608,7 @@ def cmd_label(args) -> int:
         out,
         "label",
         {"method": args.method, "schema": str(args.schema)},
-        inputs=[data_path, Path(args.schema)],
+        inputs=[data, Path(args.schema)],
         artifacts=[labels_path, summary_path],
         ingest_cache=cache,
     )

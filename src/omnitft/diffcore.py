@@ -1,9 +1,18 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A small tape-based engine in the micrograd style: every primitive records
-its parents and a vector-Jacobian closure on the output node, `backward`
-replays the tape in reverse topological order. Every tensor holds float64,
-so finite-difference checks are meaningful.
+its parents and a vector-Jacobian closure, `backward` replays the tape in
+reverse topological order. Every tensor holds float64, so finite-difference
+checks are meaningful.
+
+A `Tensor` is a value plus its graph `Node`. The node holds the VJP
+closure, the parents' nodes, the gradient and whether backward has run
+through it; it holds no forward value. Each VJP saves only the arrays it
+reads (shapes alone for add, reshape, concat, the reductions, ...; for mul,
+div and matmul, the other operand's array only when this one needs a
+gradient). So a forward value lives while a caller holds its tensor or a
+VJP saved it, and no longer: the result of `x @ w` in `x @ w + b` is freed
+as soon as the model code drops it, not when backward ends.
 
 Backward consumes the graph: once a node's VJP has run, the node drops its
 closure and its parents, so the arrays it saved are freed during the walk,
@@ -51,18 +60,53 @@ class DoubleBackward(DiffcoreError):
     pass
 
 
-class Tensor:
-    """N-d array with an optional gradient and a record of how it was made."""
+class Node:
+    """A value's place in the graph: its VJP closure, its parents' nodes and
+    its gradient. A node holds no forward value."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_spent")
+    __slots__ = ("grad", "requires_grad", "_parents", "_vjp", "_spent")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, requires_grad: bool = False):
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
         self._vjp = None
         self._spent = False
+
+
+class Tensor:
+    """N-d array with its graph node: an optional gradient and a record of
+    how it was made."""
+
+    __slots__ = ("data", "node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.node = Node(requires_grad)
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @property
+    def _parents(self) -> tuple:
+        return self.node._parents
+
+    @property
+    def _vjp(self):
+        return self.node._vjp
+
+    @property
+    def _spent(self) -> bool:
+        return self.node._spent
 
     @property
     def shape(self):
@@ -148,10 +192,13 @@ def grad_enabled() -> bool:
 
 def _make(data, parents, vjp) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    if _grad_enabled.get():
+        nodes = tuple([p.node for p in parents])
+        for n in nodes:
+            if n.requires_grad:
+                node = out.node
+                node.requires_grad, node._parents, node._vjp = True, nodes, vjp
+                break
     return out
 
 
@@ -169,14 +216,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tape:
-    """Reverse-topological record of the subgraph below a root node."""
+    """Reverse-topological record of the subgraph below a root tensor."""
 
     def __init__(self, nodes: list):
-        self.nodes = nodes  # topological order, root last
+        self.nodes = nodes  # `Node`s in topological order, the root's last
 
     @classmethod
     def from_root(cls, root: Tensor) -> "Tape":
-        order, visited, stack = [], set(), [(root, False)]
+        order, visited, stack = [], set(), [(root.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -197,7 +244,7 @@ class Tape:
         """Replay the tape in reverse, consuming it: once a node's VJP has run,
         the node drops its closure and parents, so the arrays it saved and the
         gradients of the nodes above it are freed as the walk goes."""
-        root.grad = np.ones_like(root.data)
+        root.node.grad = np.ones_like(root.data)
         nodes = self.nodes
         while nodes:
             node = nodes.pop()
@@ -220,9 +267,9 @@ def _accumulate(parents, grads, own):
             continue
         # store g itself unless it is read-only or someone else may write
         # into it: pass-throughs (add, reshape, ...) hand on views of `own`
-        if (not g.flags.writeable or g.dtype != parent.data.dtype
+        if (not g.flags.writeable or g.dtype != np.float64
                 or any(np.may_share_memory(g, s) for s in stored)):
-            g = np.array(g, dtype=parent.data.dtype)
+            g = np.array(g, dtype=np.float64)
         parent.grad = g
         stored.append(g)
 
@@ -236,7 +283,7 @@ def backward(loss: Tensor):
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
     tape = Tape.from_root(loss)
-    loss._spent = True
+    loss.node._spent = True
     tape.run_backward(loss)
 
 
@@ -246,44 +293,50 @@ def backward(loss: Tensor):
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _make(out, (a, b), vjp)
+    sa, sb = a.shape, b.shape
+    return _make(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
+    sa, sb = a.shape, b.shape
+    return _make(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _make(out, (a, b), vjp)
+def _read_by_other(a, b):
+    """(a's array, b's array), each kept only if the other operand's gradient
+    reads it, i.e. if the other operand requires grad; else None."""
+    return (a.data if b.node.requires_grad else None,
+            b.data if a.node.requires_grad else None)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    sa, sb = a.shape, b.shape
+    ad, bd = _read_by_other(a, b)
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data * b.data, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
+    sa, sb = a.shape, b.shape
+    bd = b.data  # both gradients read b
+    ad = a.data if b.node.requires_grad else None
+    a_grad = a.node.requires_grad
 
     def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / bd, sa) if a_grad else None
+        gb = None if ad is None else _unbroadcast(-g * ad / (bd * bd), sb)
         return ga, gb
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data / bd, (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -292,40 +345,38 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatch("matmul requires at least 1-d operands")
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeMismatch(f"matmul inner dims {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    sa, sb = a.shape, b.shape
+    ad, bd = _read_by_other(a, b)
 
     def vjp(g):
-        ad, bd = a.data, b.data
-        if bd.ndim == 2 and ad.ndim >= 3:
+        if len(sb) == 2 and len(sa) >= 3:
             # a weight shared across batch dims: fold them into one GEMM
-            k, n = bd.shape
-            return g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, n)
-        if ad.ndim == 1:
-            ad = ad[None, :]
-        if bd.ndim == 1:
-            bd = bd[:, None]
+            k, n = sb
+            return (None if bd is None else g @ bd.T,
+                    None if ad is None else ad.reshape(-1, k).T @ g.reshape(-1, n))
         gm = g
-        if a.ndim == 1:
+        if len(sa) == 1:
             gm = np.expand_dims(gm, -2)
-        if b.ndim == 1:
+        if len(sb) == 1:
             gm = np.expand_dims(gm, -1)
-        ga = gm @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ gm
-        if a.ndim == 1:
-            ga = np.squeeze(ga, -2)
-        if b.ndim == 1:
-            gb = np.squeeze(gb, -1)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if bd is not None:
+            ga = gm @ np.swapaxes(bd[:, None] if bd.ndim == 1 else bd, -1, -2)
+            ga = _unbroadcast(np.squeeze(ga, -2) if len(sa) == 1 else ga, sa)
+        if ad is not None:
+            gb = np.swapaxes(ad[None, :] if ad.ndim == 1 else ad, -1, -2) @ gm
+            gb = _unbroadcast(np.squeeze(gb, -1) if len(sb) == 1 else gb, sb)
+        return ga, gb
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data @ b.data, (a, b), vjp)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    if np.any(a.data < 0):
+    ad = a.data
+    if np.any(ad < 0):
         raise DomainError("log of negative value")
-    out = np.log(a.data)
-    return _make(out, (a,), lambda g: (g / a.data,))
+    return _make(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a) -> Tensor:
@@ -342,14 +393,15 @@ def sqrt(a) -> Tensor:
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    return _make(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,))
+    ad = a.data
+    return _make(ad * ad, (a,), lambda g: (2.0 * g * ad,))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
     # relu'(0) = 0: the "under" branch, keeps kink handling deterministic
-    return _make(out, (a,), lambda g: (g * (a.data > 0.0),))
+    above = a.data > 0.0
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * above,))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -376,27 +428,27 @@ def masked_fill(a, mask, value: float) -> Tensor:
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    sa = a.shape
 
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, sa).copy(),)
 
-    return _make(out, (a,), vjp)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.data.size if axis is None else a.data.shape[axis]
+    sa = a.shape
+    n = a.data.size if axis is None else sa[axis]
 
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / n,)
+        return (np.broadcast_to(g, sa) / n,)
 
-    return _make(out, (a,), vjp)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def _is_basic_index(key) -> bool:
@@ -411,30 +463,29 @@ def _is_basic_index(key) -> bool:
 def tslice(a, key) -> Tensor:
     """Indexing, both basic slices and integer-array gathers (embedding rows)."""
     a = as_tensor(a)
-    out = a.data[key]
+    sa = a.shape
     basic = _is_basic_index(key)
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(sa)
         if basic:
             full[key] = g
         else:
             np.add.at(full, key, g)  # accumulates over repeated gather indices
         return (full,)
 
-    return _make(out, (a,), vjp)
+    return _make(a.data[key], (a,), vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def vjp(g):
         return tuple(
             np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
+            for i in range(len(offsets) - 1)
         )
 
     return _make(out, tensors, vjp)
@@ -442,7 +493,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    sa = a.shape
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -454,12 +506,13 @@ def transpose(a, axes) -> Tensor:
 def l2_norm_rows(a) -> Tensor:
     """Euclidean norm along the last axis. Subgradient 0 at exactly-zero rows."""
     a = as_tensor(a)
-    out = np.sqrt(np.sum(a.data * a.data, axis=-1))
+    ad = a.data
+    out = np.sqrt(np.sum(ad * ad, axis=-1))
 
     def vjp(g):
         denom = np.where(out == 0.0, 1.0, out)
         scale = np.where(out == 0.0, 0.0, g / denom)
-        return (a.data * scale[..., None],)
+        return (ad * scale[..., None],)
 
     return _make(out, (a,), vjp)
 
@@ -482,10 +535,10 @@ def lstm_layer(xp, h0, c0, w_h) -> Tensor:
         raise ShapeMismatch(
             f"lstm_layer state {h0.shape}/{c0.shape}, weight {w_h.shape} for input {xp.shape}"
         )
-    w = w_h.data
+    w, h0d, c0d = w_h.data, h0.data, c0.data  # the VJP reads no input projection
     out = np.empty((B, T, 2 * d))
     gates = np.empty((B, T, 4, d))  # activated i, f, g, o
-    h, c = h0.data, c0.data
+    h, c = h0d, c0d
     for t in range(T):
         z = (xp.data[:, t] + h @ w).reshape(B, 4, d)
         act = gates[:, t]
@@ -499,8 +552,8 @@ def lstm_layer(xp, h0, c0, w_h) -> Tensor:
     def vjp(g):
         i, f, gg, o = (gates[:, :, k] for k in range(4))
         hs, cs = out[..., :d], out[..., d:]
-        c_prev = np.concatenate([c0.data[:, None], cs[:, :-1]], axis=1)
-        h_prev = np.concatenate([h0.data[:, None], hs[:, :-1]], axis=1)
+        c_prev = np.concatenate([c0d[:, None], cs[:, :-1]], axis=1)
+        h_prev = np.concatenate([h0d[:, None], hs[:, :-1]], axis=1)
         tc = np.tanh(cs)
         # local derivatives: dz_{i,f,g} = dc * k_{i,f,g}, dz_o = dh * k_o,
         # dc += dh * k_c, all precomputed for every step at once
@@ -605,7 +658,8 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
     np.exp(neg, out=neg)
     neg -= 1.0
     a = np.maximum(h1, 0.0, out=h1)
-    a += neg  # ELU: neg is exactly 0 where h1 > 0
+    a += neg  # ELU: neg is exactly 0 where h1 > 0, and a == neg where h1 <= 0
+    del neg
     h2 = a @ fc2[0].data
     h2 += fc2[1].data
     if keep is not None:
@@ -622,8 +676,9 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
             gh2 *= keep
         gh2, af, xf = _flat(gh2), _flat(a), _flat(xd)
         gh1 = gh2 @ fc2[0].data.T
-        np.add(neg, 1.0, out=neg)  # ELU': exactly 1 where h1 > 0
-        gh1 *= _flat(neg)
+        elu_d = np.minimum(af, 0.0)
+        elu_d += 1.0  # ELU': exactly 1 where h1 > 0, neg + 1 elsewhere
+        gh1 *= elu_d
         gsf = _flat(gs)
         gx = gh1 @ fc1[0].data.T
         gx += gsf if skip is None else gsf @ skip.data.T
@@ -643,13 +698,14 @@ def gated_add_norm(h, gate, val, skip, ln) -> Tensor:
     """LN(GLU(h) + skip) as a single node: the gate after the LSTM and each
     attention block. gate, val: (weight, bias) pairs; ln: (gain, bias)."""
     h, skip = as_tensor(h), as_tensor(skip)
-    s, sig, v = _glu(h.data, gate, val)
+    hd = h.data
+    s, sig, v = _glu(hd, gate, val)
     s += skip.data
     out, normed, sigma = _layernorm(s, ln)
 
     def vjp(g):
         gs, g_lng, g_lnb = _layernorm_vjp(g, ln, normed, sigma)
-        gh, *g_glu = _glu_vjp(gs, h.data, gate, val, sig, v)
+        gh, *g_glu = _glu_vjp(gs, hd, gate, val, sig, v)
         return [gh, *g_glu, gs, g_lng, g_lnb]
 
     return _make(out, [h, *gate, *val, skip, *ln], vjp)

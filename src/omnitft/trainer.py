@@ -317,6 +317,7 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
                 break
             rows.append(br.as_row())
             dc.backward(loss)
+            del fp, loss  # the next forward must not run beside this step's outputs
             _, norm = clip_gradients(grads, config.clip)
             adam_step(theta, grad, state, config.lr)
             steps += 1

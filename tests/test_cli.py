@@ -1,6 +1,8 @@
+import hashlib
 import json
 import csv
 import os
+import platform
 import shlex
 import struct
 import subprocess
@@ -114,6 +116,63 @@ def test_train_dry_run(synth_dir, tmp_path):
         "--out", str(tmp_path / "run"), "--dry-run",
     ])
     assert code == 0
+
+
+def test_each_command_hashes_data_csv_once(synth_dir, trained_dir, tmp_path, monkeypatch):
+    # ingest hashes data.csv for its cache key; the manifest lists it with that digest
+    hashed = []
+    digest = cli._digest
+    monkeypatch.setattr(cli, "_digest", lambda p: hashed.append(Path(p).name) or digest(p))
+    data, schema = synth_dir / "data.csv", synth_dir / "schema.json"
+    ckpt = trained_dir / "checkpoint.bin"
+    commands = {
+        "train": (["train", "--schema", str(schema), "--dry-run"], [data, schema]),
+        "eval": (["eval", "--checkpoint", str(ckpt)], [data, ckpt]),
+        "label": (["label", "--schema", str(schema)], [data, schema]),
+    }
+    for name, (argv, inputs) in commands.items():
+        hashed.clear()
+        assert run([*argv, "--data", str(synth_dir), "--out", str(tmp_path / name)]) == 0
+        assert hashed.count("data.csv") == 1, (name, hashed)
+        assert read_json(tmp_path / name / "manifest.json")["inputs"] == [
+            {"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for p in inputs
+        ], name
+
+
+def test_manifest_records_the_environment_of_the_run(synth_dir, tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "omnitft.cli", "train", "--data", str(synth_dir),
+             "--schema", str(synth_dir / "schema.json"), "--out", str(out), "--dry-run"],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        recorded = read_json(out / "manifest.json")["environment"]
+        assert recorded["OPENBLAS_NUM_THREADS"] == threads
+        assert recorded["python"] == platform.python_version()
+        assert recorded["numpy"] == np.__version__
+        assert recorded["nproc"] >= 1 and recorded["peak_rss_mb"] > 0
+
+
+def test_a_failed_environment_lookup_records_null(synth_dir, tmp_path, monkeypatch):
+    def fail(error):
+        def lookup(*args, **kwargs):
+            raise error
+        return lookup
+
+    # as numpy before 1.26 answers show_config(mode=...), and a host without affinity
+    monkeypatch.setattr(np, "show_config", fail(TypeError("unexpected keyword 'mode'")))
+    monkeypatch.setattr(os, "sched_getaffinity", fail(OSError("no affinity")), raising=False)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run(["train", "--data", str(synth_dir), "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "run"), "--dry-run"]) == 0
+    recorded = read_json(tmp_path / "run" / "manifest.json")["environment"]
+    assert recorded["blas"] is None and recorded["nproc"] is None
+    assert recorded["OPENBLAS_NUM_THREADS"] is None
 
 
 @pytest.mark.parametrize("key,value", [

@@ -215,7 +215,7 @@ def test_backward_releases_every_interior_node():
     out = _grn_call(dc.grn, t, keep)
     # weak references to the node's own work arrays (x's data and the mask
     # belong to the caller)
-    own = ("neg", "a", "h2", "sig", "v", "normed", "sigma")
+    own = ("a", "h2", "sig", "v", "normed", "sigma")
     refs = {k: weakref.ref(c.cell_contents)
             for k, c in zip(out._vjp.__code__.co_freevars, out._vjp.__closure__) if k in own}
     assert len(refs) == len(own)
@@ -226,6 +226,62 @@ def test_backward_releases_every_interior_node():
     assert not any(leaf._spent for leaf in t.values())
     assert [k for k, r in refs.items() if r() is not None] == []
     np.testing.assert_array_equal(out.grad, 2.0)  # the VJP did not write into it
+
+
+def _dropped_value_run(build, drop):
+    """Build `build(x, w, b)` -> (value, output); the caller holds the value or
+    drops it before backward. Returns whether the value's array was freed at
+    once, and the leaves' gradients."""
+    rng = np.random.default_rng(44)
+    t = {k: Tensor(rng.normal(size=shape), requires_grad=True)
+         for k, shape in (("x", (5, 4)), ("w", (4, 3)), ("b", (3,)))}
+    value, out = build(t["x"], t["w"], t["b"])
+    ref = weakref.ref(value.data)
+    if drop:
+        del value
+    freed = ref() is None
+    dc.backward(dc.reduce_sum(dc.square(out)))
+    return freed, {k: v.grad for k, v in t.items()}
+
+
+def _matmul_then_add(x, w, b):
+    xw = dc.matmul(x, w)  # no VJP reads the product, only add's shapes
+    return xw, xw + b
+
+
+def _mul_by_mask(x, w, b):
+    # a product with a constant reads the constant alone: the dropout mask ...
+    h = dc.matmul(x, w) + b
+    return h, dc.mul(h, Tensor((np.random.default_rng(45).random((5, 3)) >= 0.3) / 0.7))
+
+
+def _mul_by_scalar(x, w, b):
+    h = dc.matmul(x, w) + b  # ... or attention's 1 / sqrt(d_qk)
+    return h, dc.mul(h, 0.5)
+
+
+_DROPPED_VALUES = {"matmul-then-add": _matmul_then_add, "mul-by-mask": _mul_by_mask,
+                   "mul-by-scalar": _mul_by_scalar}
+
+
+@pytest.mark.parametrize("case", sorted(_DROPPED_VALUES))
+def test_a_value_no_vjp_reads_is_freed_when_the_caller_drops_it(case):
+    freed, grads = _dropped_value_run(_DROPPED_VALUES[case], drop=True)
+    still_held, held_grads = _dropped_value_run(_DROPPED_VALUES[case], drop=False)
+    assert freed and not still_held
+    for k, g in grads.items():
+        assert g.tobytes() == held_grads[k].tobytes(), k
+
+
+def test_mul_by_a_constant_computes_no_gradient_for_it():
+    h = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    keep = Tensor(np.array([2.0, 0.0, 2.0]))
+    out = dc.mul(h, keep)
+    saved = [c.cell_contents for c in out._vjp.__closure__]
+    assert not any(c is h.data for c in saved)
+    g_h, g_keep = out._vjp(np.ones((2, 3)))
+    assert g_keep is None
+    np.testing.assert_array_equal(g_h, np.broadcast_to(keep.data, (2, 3)))
 
 
 @pytest.mark.parametrize("pass_through", ["add", "sub", "reshape", "transpose"])

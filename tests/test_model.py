@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,7 +497,7 @@ def test_directional_derivative_over_all_parameters():
     assert max(errors.values()) < 1e-5, errors
 
 
-def _train_step_nodes(hidden, heads, blocks, dropout, batch_size):
+def _train_step_inputs(hidden, heads, blocks, dropout, batch_size):
     schema = synthetic_schema()
     series, _ = generate_synthetic(4, schema, seed=0, min_steps=48, max_steps=48)
     wins = [w for s in series for w in enumerate_windows(s, schema, delta=2.0)]
@@ -504,10 +505,32 @@ def _train_step_nodes(hidden, heads, blocks, dropout, batch_size):
                                   dropout=dropout), seed=0)
     batch = WindowBatch.from_windows(wins[:batch_size])
     assert batch.size == batch_size
+    return m, batch, build_group_assignment(schema).matrix
+
+
+def _forward_and_objective(m, batch, group_matrix):
     fp = m.forward(batch, rng=np.random.default_rng(0))
-    loss, _ = total_objective(m, fp, batch, PenaltyWeights(),
-                              build_group_assignment(schema).matrix)
+    loss, _ = total_objective(m, fp, batch, PenaltyWeights(), group_matrix)
+    return fp, loss
+
+
+def _train_step_nodes(*config):
+    _, loss = _forward_and_objective(*_train_step_inputs(*config))
     return len(dc.Tape.from_root(loss).nodes)
+
+
+def _train_step_retained_bytes(*config):
+    """numpy bytes alive once a step's forward and objective have run, the
+    caller holding the forward pass and the loss: what backward starts with."""
+    step = _train_step_inputs(*config)
+    tracemalloc.start()
+    try:
+        fp, loss = _forward_and_objective(*step)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    return sum(t.size for t in held.traces)
 
 
 def test_desk_train_step_tape_stays_small():
@@ -522,6 +545,21 @@ def test_reference_train_step_tape_stays_small():
     # head by head (8 nodes per head), this step built 833; the selection
     # networks' stack-then-slice of the embeddings added 30 more, for 642
     assert _train_step_nodes(128, 6, 4, 0.3, 64) <= 612
+
+
+# A value that no VJP reads (a matmul result before `+ b`, the LSTM input
+# projections, the score copies of attention, ...) dies when the model code
+# drops it; while graph nodes held their values, it lived until backward ended.
+
+
+def test_desk_train_step_retains_only_what_backward_reads():
+    # 11.07 MB while graph nodes held their values; 7.32 MB since
+    assert _train_step_retained_bytes(16, 2, 2, 0.1, 32) <= 7_650_000
+
+
+def test_reference_train_step_retains_only_what_backward_reads():
+    # 209.1 MB while graph nodes held their values; 147.8 MB since
+    assert _train_step_retained_bytes(128, 6, 4, 0.3, 64) <= 155_000_000
 
 
 # ---------------------------------------------------------------------------
