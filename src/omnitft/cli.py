@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration or input error, 3 training diverged,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -165,12 +166,14 @@ class PipelineConfig:
         """data.csv -> (splits, (data path, its sha256), ingest report, cache
         record) under these settings.
 
-        The result is cached in `<data dir>/.omnitft/ingest-<key>.npz`, keyed
-        by `ingest.cache_key` over data.csv's bytes, the schema and the four
-        settings ingest reads (`delta` is not one). An entry that exists and
-        fits is loaded; otherwise data.csv is ingested and the entry written.
-        The record is the entry's path and its status: "hit", "miss" (written)
-        or "not written". An ingest error names data.csv.
+        The result is cached in `<data dir>/.omnitft/ingest-<data>-<key>.npz`,
+        keyed by `ingest.cache_key` over data.csv's bytes, the schema and the
+        four settings ingest reads (`delta` is not one); `<data>` is the first
+        16 hex digits of data.csv's digest. An entry that exists and fits is
+        loaded; otherwise data.csv is ingested and the entry written, and the
+        entries of any other data.csv digest are deleted. The record is the
+        entry's path and its status: "hit", "miss" (written) or "not written".
+        An ingest error names data.csv.
         """
         data_path = data_dir / "data.csv"
         if not data_path.exists():
@@ -179,7 +182,8 @@ class PipelineConfig:
         # the manifest lists data.csv with this digest rather than reading it again
         data = (data_path, _digest(data_path))
         key = ingest.cache_key(data[1], schema, settings)
-        entry = data_dir / ".omnitft" / f"ingest-{key}.npz"
+        prefix = f"ingest-{data[1][:16]}-"
+        entry = data_dir / ".omnitft" / f"{prefix}{key}.npz"
         found = ingest.load_splits(entry, schema)
         if found is not None:
             splits, report = found
@@ -192,8 +196,14 @@ class PipelineConfig:
             )
         except ingest.IngestError as e:
             raise type(e)(f"{data_path}: {e}") from None
-        status = "miss" if ingest.save_splits(entry, splits, report) else "not written"
-        return splits, data, report, {"path": str(entry), "status": status}
+        if not ingest.save_splits(entry, splits, report):
+            return splits, data, report, {"path": str(entry), "status": "not written"}
+        # one data.csv per directory: entries of its earlier contents go
+        for stale in entry.parent.glob("ingest-*.npz"):
+            if not stale.name.startswith(prefix):
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+        return splits, data, report, {"path": str(entry), "status": "miss"}
 
 
 PIPELINE_RULES = {

@@ -10,9 +10,11 @@ closure, the parents' nodes, the gradient and whether backward has run
 through it; it holds no forward value. Each VJP saves only the arrays it
 reads (shapes alone for add, reshape, concat, the reductions, ...; for mul,
 div and matmul, the other operand's array only when this one needs a
-gradient). So a forward value lives while a caller holds its tensor or a
-VJP saved it, and no longer: the result of `x @ w` in `x @ w + b` is freed
-as soon as the model code drops it, not when backward ends.
+gradient). Dropout masks are saved as booleans, one byte an entry, and
+applied with their scale 1 / (1 - rate) as a second product. So a forward
+value lives while a caller holds its tensor or a VJP saved it, and no
+longer: the result of `x @ w` in `x @ w + b` is freed as soon as the model
+code drops it, not when backward ends.
 
 Backward consumes the graph: once a node's VJP has run, the node drops its
 closure and its parents, so the arrays it saved are freed during the walk,
@@ -418,6 +420,22 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), vjp)
 
 
+def dropout(a, mask, scale: float) -> Tensor:
+    """Inverted dropout: `a * mask * scale`, with `mask` a boolean keep mask and
+    `scale` 1 / (1 - rate). Saves the mask alone; two products give the same
+    bits as one product by the float mask, whose entries are 0 or `scale`."""
+    a = as_tensor(a)
+
+    def vjp(g):
+        ga = g * mask
+        ga *= scale
+        return (ga,)
+
+    out = a.data * mask
+    out *= scale
+    return _make(out, (a,), vjp)
+
+
 def masked_fill(a, mask, value: float) -> Tensor:
     """Replace entries where mask is true; no gradient flows to them."""
     a = as_tensor(a)
@@ -645,7 +663,8 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
     fc1, fc2, gate, val: (weight, bias) pairs; ln: (gain, bias); skip: a
     projection weight when the output width differs from x's; ctx: a
     (context (B, d), weight) pair, its term shared by every step of a 3-D x;
-    keep: a constant dropout mask on the second dense layer's output.
+    keep: a (boolean mask, scale) pair, inverted dropout on the second dense
+    layer's output.
     """
     x = as_tensor(x)
     xd = x.data
@@ -663,7 +682,8 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
     h2 = a @ fc2[0].data
     h2 += fc2[1].data
     if keep is not None:
-        h2 *= keep
+        h2 *= keep[0]
+        h2 *= keep[1]
     s, sig, v = _glu(h2, gate, val)
     s += xd if skip is None else xd @ skip.data
     out, normed, sigma = _layernorm(s, ln)
@@ -673,7 +693,8 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
         gs, g_lng, g_lnb = _layernorm_vjp(g, ln, normed, sigma)
         gh2, *g_glu = _glu_vjp(gs, h2, gate, val, sig, v)
         if keep is not None:
-            gh2 *= keep
+            gh2 *= keep[0]
+            gh2 *= keep[1]
         gh2, af, xf = _flat(gh2), _flat(a), _flat(xd)
         gh1 = gh2 @ fc2[0].data.T
         elu_d = np.minimum(af, 0.0)

@@ -357,15 +357,16 @@ class Model:
         return dc.matmul(x, self.params[f"{name}/w"]) + self.params[f"{name}/b"]
 
     def _keep(self, shape, rng):
-        """Inverted-dropout keep mask, or None when dropout is off."""
+        """Inverted dropout's (boolean keep mask, scale 1 / (1 - rate)), or None
+        when dropout is off."""
         rate = self.config.dropout
         if rng is None or rate <= 0.0:
             return None
-        return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+        return rng.random(shape) >= rate, 1.0 / (1.0 - rate)
 
     def _dropout(self, x, rng):
         keep = self._keep(x.shape, rng)
-        return x if keep is None else dc.mul(x, Tensor(keep))
+        return x if keep is None else dc.dropout(x, *keep)
 
     def _wb(self, name):
         return self.params[f"{name}/w"], self.params[f"{name}/b"]

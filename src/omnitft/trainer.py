@@ -6,10 +6,12 @@ their batches round-robin, and early stopping tracks the validation
 quantile loss alone (the penalties shape training, the task metric picks
 the checkpoint).
 
-`train` keeps the parameters in one flat float64 vector and their gradients
-in another: every `model.params[name].data` and `.grad` becomes a view into
-them, so zeroing, clipping, the Adam update and the best-epoch snapshot are
-operations on whole vectors.
+`train` keeps the parameters in one flat float64 vector: every
+`model.params[name].data` becomes a view into it, and θ, the Adam moments and
+the best-epoch snapshot are flat vectors. Gradients exist only from backward
+to the update: backward stores each parameter's own, the step gathers them
+into one flat vector for clipping and Adam and then drops it, so no `p.grad`
+is held while a forward pass runs.
 """
 
 from __future__ import annotations
@@ -244,6 +246,24 @@ def _epoch_batches(pools: dict, epoch: int, config: TrainConfig):
     return batches, single
 
 
+def _gather_gradients(params: list, size: int):
+    """Move each parameter's gradient into one flat vector of `size`, in
+    `params` order, zeros where a parameter got none, and clear every `p.grad`
+    as it goes; returns (the vector, its per-parameter views)."""
+    flat = np.empty(size)
+    views, i = [], 0
+    for p in params:
+        view = flat[i : i + p.size].reshape(p.shape)
+        if p.grad is None:
+            view.fill(0.0)
+        else:
+            view[...] = p.grad
+            p.grad = None
+        views.append(view)
+        i += p.size
+    return flat, views
+
+
 def check_windows(pools: dict, val_windows: list):
     """Raise TrainerError unless `train` has windows to fit and to validate on."""
     if not any(pools.values()):
@@ -267,16 +287,14 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
 
     gmat = build_group_assignment(model.schema).matrix
     dropout_rng = np.random.default_rng(config.seed) if model.config.dropout > 0 else None
-    # views into two flat vectors, bound here rather than in Model because
+    # views into one flat vector, bound here rather than in Model because
     # callers may assign `p.data` on a model after building it
-    theta = np.concatenate([p.data.reshape(-1) for p in model.params.values()])
-    grad = np.zeros_like(theta)
+    params = list(model.params.values())
+    theta = np.concatenate([p.data.reshape(-1) for p in params])
     i = 0
-    for p in model.params.values():
-        n, shape = p.size, p.shape
-        p.data, p.grad = theta[i : i + n].reshape(shape), grad[i : i + n].reshape(shape)
-        i += n
-    grads = [p.grad for p in model.params.values()]
+    for p in params:
+        p.data, p.grad = theta[i : i + p.size].reshape(p.shape), None
+        i += p.size
     state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     history: list = []
 
@@ -309,7 +327,6 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
         single_any = single_any or single
         rows = []
         for batch in batches:
-            grad.fill(0.0)
             fp = model.forward(batch, rng=dropout_rng)
             loss, br = total_objective(model, fp, batch, config.weights, gmat)
             if not np.isfinite(br.l_total):
@@ -318,8 +335,10 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
             rows.append(br.as_row())
             dc.backward(loss)
             del fp, loss  # the next forward must not run beside this step's outputs
-            _, norm = clip_gradients(grads, config.clip)
+            grad, grads = _gather_gradients(params, theta.size)
+            norm = clip_gradients(grads, config.clip)[1]
             adam_step(theta, grad, state, config.lr)
+            del grad, grads  # nor beside its gradients
             steps += 1
             clipped += norm > config.clip
         if diverged:

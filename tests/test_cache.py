@@ -1,6 +1,7 @@
 """The ingest cache: `train`, `eval` and `label` reuse one entry per
 (data.csv bytes, schema, ingest settings) and write the same bytes with it."""
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -122,24 +123,40 @@ def _set(key, value):
     return edit
 
 
-@pytest.mark.parametrize("edit,status", [
-    (_edit_data, "miss"),
-    (_edit_schema, "miss"),
-    (_set("ratios", [6, 3, 1]), "miss"),
-    (_set("split_seed", 1), "miss"),
-    (_set("max_gap_h", 5.0), "miss"),
-    (_set("missing_threshold", 0.7), "miss"),
-    (_set("delta", {"y": 1.0}), "hit"),  # cutoffs are applied after ingest
-    (_set("lr", 1e-3), "hit"),
+@pytest.mark.parametrize("edit,status,entries", [
+    (_edit_data, "miss", 1),  # the old data's entry is deleted
+    (_edit_schema, "miss", 2),
+    (_set("ratios", [6, 3, 1]), "miss", 2),
+    (_set("split_seed", 1), "miss", 2),
+    (_set("max_gap_h", 5.0), "miss", 2),
+    (_set("missing_threshold", 0.7), "miss", 2),
+    (_set("delta", {"y": 1.0}), "hit", 1),  # cutoffs are applied after ingest
+    (_set("lr", 1e-3), "hit", 1),
 ], ids=["data-byte", "schema", "ratios", "split-seed", "max-gap", "missing-threshold",
         "delta", "lr"])
-def test_each_input_of_the_key_and_nothing_else_is_a_miss(cohort, tmp_path, edit, status):
+def test_each_input_of_the_key_and_nothing_else_is_a_miss(cohort, tmp_path, edit, status,
+                                                          entries):
     data = _copy(cohort, tmp_path)
     assert _dry_run(data, tmp_path / "first", data / "config.json") == 0
     edit(data)
     assert _dry_run(data, tmp_path / "second", data / "config.json") == 0
     assert _status(tmp_path / "second") == status
-    assert len(_entries(data)) == (2 if status == "miss" else 1)
+    assert len(_entries(data)) == entries
+
+
+def test_writing_an_entry_deletes_only_the_entries_of_other_data(cohort, tmp_path):
+    data = _copy(cohort, tmp_path)
+    schema = load_schema(data / "schema.json")
+    old = PipelineConfig().ingest(data, schema)[3]
+    with open(data / "data.csv", "a") as fh:
+        fh.write((data / "data.csv").read_text().splitlines()[1] + "\n")
+    # the old data's entry goes with the first write; the new data's entry
+    # under another split_seed stays through the second
+    new = [PipelineConfig(split_seed=seed).ingest(data, schema)[3] for seed in (1, 0)]
+    assert [r["status"] for r in (old, *new)] == ["miss", "miss", "miss"]
+    assert _entries(data) == sorted(Path(r["path"]) for r in new)
+    digest = hashlib.sha256((data / "data.csv").read_bytes()).hexdigest()
+    assert all(p.name.startswith(f"ingest-{digest[:16]}-") for p in _entries(data))
 
 
 def test_a_parse_error_still_names_its_line_after_a_warm_run(cohort, tmp_path, capsys):

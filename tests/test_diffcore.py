@@ -213,12 +213,14 @@ def test_backward_releases_every_interior_node():
     arrays, keep = _grn_inputs("2d-skip-ctx-keep", seed=41)
     t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
     out = _grn_call(dc.grn, t, keep)
-    # weak references to the node's own work arrays (x's data and the mask
-    # belong to the caller)
+    # weak references to the node's own work arrays (x's data belongs to the
+    # caller), and to the boolean mask, which the caller drops
     own = ("a", "h2", "sig", "v", "normed", "sigma")
     refs = {k: weakref.ref(c.cell_contents)
             for k, c in zip(out._vjp.__code__.co_freevars, out._vjp.__closure__) if k in own}
     assert len(refs) == len(own)
+    refs["mask"] = weakref.ref(keep[0])
+    del keep
     loss = dc.reduce_sum(dc.mul(dc.reshape(out, (-1,)) + 1.0, 2.0))
     interior = [n for n in dc.Tape.from_root(loss).nodes if n._parents]
     dc.backward(loss)
@@ -250,7 +252,7 @@ def _matmul_then_add(x, w, b):
 
 
 def _mul_by_mask(x, w, b):
-    # a product with a constant reads the constant alone: the dropout mask ...
+    # a product with a constant reads the constant alone: a float mask ...
     h = dc.matmul(x, w) + b
     return h, dc.mul(h, Tensor((np.random.default_rng(45).random((5, 3)) >= 0.3) / 0.7))
 
@@ -260,8 +262,13 @@ def _mul_by_scalar(x, w, b):
     return h, dc.mul(h, 0.5)
 
 
+def _dropout(x, w, b):
+    h = dc.matmul(x, w) + b  # dropout saves its boolean mask alone
+    return h, dc.dropout(h, np.random.default_rng(45).random((5, 3)) >= 0.3, 1.0 / 0.7)
+
+
 _DROPPED_VALUES = {"matmul-then-add": _matmul_then_add, "mul-by-mask": _mul_by_mask,
-                   "mul-by-scalar": _mul_by_scalar}
+                   "mul-by-scalar": _mul_by_scalar, "dropout": _dropout}
 
 
 @pytest.mark.parametrize("case", sorted(_DROPPED_VALUES))
@@ -282,6 +289,21 @@ def test_mul_by_a_constant_computes_no_gradient_for_it():
     g_h, g_keep = out._vjp(np.ones((2, 3)))
     assert g_keep is None
     np.testing.assert_array_equal(g_h, np.broadcast_to(keep.data, (2, 3)))
+
+
+def test_dropout_matches_the_product_by_the_float_mask():
+    # products by the boolean mask and then the scale round as one product by
+    # the float mask, whose entries are exactly 0 or the scale
+    rng = np.random.default_rng(46)
+    x = rng.normal(size=(4, 5, 6)) * 10.0 ** rng.integers(-200, 200, size=(4, 5, 6))
+    mask, scale = rng.random(x.shape) >= 0.3, 1.0 / 0.7
+    g = rng.normal(size=x.shape) * 10.0 ** rng.integers(-200, 200, size=x.shape)
+    out = dc.dropout(Tensor(x, requires_grad=True), mask, scale)
+    ref = dc.mul(Tensor(x, requires_grad=True), Tensor(mask / 0.7))
+    assert out.data.tobytes() == ref.data.tobytes()
+    saved = [c.cell_contents for c in out._vjp.__closure__]
+    assert any(c is mask for c in saved) and not any(c is x for c in saved)
+    assert out._vjp(g)[0].tobytes() == ref._vjp(g)[0].tobytes()
 
 
 @pytest.mark.parametrize("pass_through", ["add", "sub", "reshape", "transpose"])
@@ -437,7 +459,8 @@ def _reference_grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None):
         h = h + c
     h = dc.matmul(_elu(h), fc2[0]) + fc2[1]
     if keep is not None:
-        h = dc.mul(h, Tensor(keep))
+        mask, scale = keep
+        h = dc.mul(h, Tensor(mask * scale))  # the float mask: entries 0 or scale
     residual = x if skip is None else dc.matmul(x, skip)
     return _reference_layernorm(_reference_glu(h, gate, val) + residual, *ln)
 
@@ -457,7 +480,7 @@ GRN_CASES = {
 
 
 def _grn_inputs(case, seed, d=4):
-    """Named input arrays of one GRN case, and its constant dropout mask."""
+    """Named input arrays of one GRN case, and its dropout (boolean mask, scale)."""
     x_shape, d_out, with_skip, with_ctx, with_keep = GRN_CASES[case]
     rng = np.random.default_rng(seed)
     d_in = x_shape[-1]
@@ -475,7 +498,7 @@ def _grn_inputs(case, seed, d=4):
         arrays["ctx/w"] = rng.normal(size=(d, d)) * 0.7
     keep = None
     if with_keep:
-        keep = (rng.random(x_shape[:-1] + (d_out,)) >= 0.3) / 0.7
+        keep = rng.random(x_shape[:-1] + (d_out,)) >= 0.3, 1.0 / 0.7
     return arrays, keep
 
 

@@ -226,10 +226,62 @@ def test_train_keeps_parameters_as_views_of_one_vector(tiny_setup):
     cfg = TrainConfig(lr=1e-2, batch=16, max_epochs=2, patience=2, seed=0)
     result = train(model, windows[:16], windows[16:20], cfg)
     params = list(model.params.values())
-    theta, grad = params[0].data.base, params[0].grad.base
-    assert theta.size == grad.size == sum(p.size for p in params)
-    assert all(p.data.base is theta and p.grad.base is grad for p in params)
+    theta = params[0].data.base
+    assert theta.size == sum(p.size for p in params)
+    assert all(p.data.base is theta for p in params)
+    assert all(p.grad is None for p in params)  # gradients live only within a step
     assert 0.0 <= result.clip_frac <= 1.0
+
+
+def _preset_gradient_views_train(model, windows, cfg):
+    """The trainer's epochs with every `p.grad` preset as a view of one flat
+    vector that is zeroed before each step; θ after each epoch, from epoch 0."""
+    params = list(model.params.values())
+    theta = np.concatenate([p.data.reshape(-1) for p in params])
+    grad = np.zeros_like(theta)
+    i = 0
+    for p in params:
+        p.data = theta[i : i + p.size].reshape(p.shape)
+        p.grad = grad[i : i + p.size].reshape(p.shape)
+        i += p.size
+    grads = [p.grad for p in params]
+    gmat = build_group_assignment(model.schema).matrix
+    rng = np.random.default_rng(cfg.seed)
+    state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
+    thetas = [theta.copy()]
+    for epoch in range(1, cfg.max_epochs + 1):
+        for batch in tr._epoch_batches({"": windows}, epoch, cfg)[0]:
+            grad.fill(0.0)
+            fp = model.forward(batch, rng=rng)
+            loss, _ = total_objective(model, fp, batch, cfg.weights, gmat)
+            dc.backward(loss)
+            clip_gradients(grads, cfg.clip)
+            adam_step(theta, grad, state, cfg.lr)
+        thetas.append(theta.copy())
+    return thetas
+
+
+def test_no_gradient_is_held_through_a_forward_and_updates_match_preset_views(
+        tiny_setup, monkeypatch):
+    schema, _, _, windows = tiny_setup
+    mcfg = ModelConfig(hidden=8, heads=2, blocks=2, dropout=0.3)
+    cfg = TrainConfig(lr=1e-2, batch=8, max_epochs=3, patience=3, seed=4)
+    model = Model(schema, mcfg, seed=7)
+    forward, held = model.forward, []
+
+    def spy(batch, rng=None):
+        if rng is not None:  # a training forward, not the baseline or validation
+            held.append(sum(p.grad is not None for p in model.params.values()))
+        return forward(batch, rng=rng)
+
+    monkeypatch.setattr(model, "forward", spy)
+    result = train(model, windows[:24], windows[24:30], cfg)
+    assert len(held) > 3 and held == [0] * len(held)
+    assert result.best_epoch >= 1
+
+    thetas = _preset_gradient_views_train(Model(schema, mcfg, seed=7), windows[:24], cfg)
+    theta = np.concatenate([p.data.reshape(-1) for p in model.params.values()])
+    assert theta.tobytes() == thetas[result.best_epoch].tobytes()
 
 
 def test_train_without_validation_windows_raises(tiny_setup):
