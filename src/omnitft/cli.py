@@ -541,13 +541,13 @@ def _truth_window_labels(data_dir: Path, schema: DatasetSchema):
     E, H = schema.encoder_len, schema.horizon_len
 
     def window_label(pid: str, start: int) -> str | None:
-        per = steps.get(pid)
-        if per is None:
+        """The truth label of the window whose first step is raw grid step
+        `start`; None when a horizon step has no truth row."""
+        per = steps.get(pid, {})
+        window = [per.get(t) for t in range(start, start + E + H)]
+        if None in window[E:]:
             return None
-        future = [per.get(t) for t in range(start + E, start + E + H)]
-        if any(v is None for v in future):
-            return None
-        return labeler.VOLATILE if labeler.VOLATILE in future else labeler.STABLE
+        return labeler.hmm_window_label(window, E, 0, H)
 
     return window_label
 
@@ -594,7 +594,10 @@ def cmd_label(args) -> int:
                         label = win.label
                     counts[label] += 1
                     if truth_fn is not None:
-                        t = truth_fn(win.patient_id, win.start)
+                        # the truth counts raw grid steps; the series lost its
+                        # trimmed leading steps at ingest
+                        trim = all_series[win.patient_id].trimmed_steps
+                        t = truth_fn(win.patient_id, win.start + trim)
                         if t is not None:
                             agree_truth[0] += int(label == t)
                             agree_truth[1] += 1

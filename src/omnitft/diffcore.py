@@ -23,8 +23,9 @@ a consumed graph raises `DoubleBackward`. Leaves keep their gradients, and
 so does an interior node the caller still holds. A VJP runs at most once, so
 the fused nodes may overwrite the arrays they saved.
 
-The primitives fit the shapes the model uses: a weight shared across batch
-dims takes its matmul gradient as one GEMM, `lstm_layer` runs a whole LSTM
+The primitives fit the shapes the model uses: `matmul` takes a weight
+shared across batch dims, or two operands with equal batch dims, and each
+operand's gradient is one GEMM; `lstm_layer` runs a whole LSTM
 layer as one node, and `grn` and `gated_add_norm` run a gated residual
 network and a gated add-and-norm as one node each (hand-written VJPs; the
 forward repeats the composed primitives' numpy ops in order, so values are
@@ -99,18 +100,6 @@ class Tensor:
         return self.node.requires_grad
 
     @property
-    def _parents(self) -> tuple:
-        return self.node._parents
-
-    @property
-    def _vjp(self):
-        return self.node._vjp
-
-    @property
-    def _spent(self) -> bool:
-        return self.node._spent
-
-    @property
     def shape(self):
         return self.data.shape
 
@@ -124,9 +113,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -342,33 +328,24 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """`(..., k) @ (k, n)`, a weight shared across a's batch dims, or
+    `(..., m, k) @ (..., k, n)` with equal batch dims; no other shapes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeMismatch("matmul requires at least 1-d operands")
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeMismatch(f"matmul inner dims {a.shape} @ {b.shape}")
     sa, sb = a.shape, b.shape
+    shared = len(sb) == 2 and len(sa) >= 1
+    batched = len(sb) > 2 and sa[:-2] == sb[:-2]
+    if not (shared or batched) or sa[-1] != sb[-2]:
+        raise ShapeMismatch(f"matmul takes (..., k) @ (k, n) or (..., m, k) @ (..., k, n),"
+                            f" got {sa} @ {sb}")
     ad, bd = _read_by_other(a, b)
 
     def vjp(g):
-        if len(sb) == 2 and len(sa) >= 3:
-            # a weight shared across batch dims: fold them into one GEMM
+        if shared:  # fold the batch dims into one GEMM
             k, n = sb
             return (None if bd is None else g @ bd.T,
                     None if ad is None else ad.reshape(-1, k).T @ g.reshape(-1, n))
-        gm = g
-        if len(sa) == 1:
-            gm = np.expand_dims(gm, -2)
-        if len(sb) == 1:
-            gm = np.expand_dims(gm, -1)
-        ga = gb = None
-        if bd is not None:
-            ga = gm @ np.swapaxes(bd[:, None] if bd.ndim == 1 else bd, -1, -2)
-            ga = _unbroadcast(np.squeeze(ga, -2) if len(sa) == 1 else ga, sa)
-        if ad is not None:
-            gb = np.swapaxes(ad[None, :] if ad.ndim == 1 else ad, -1, -2) @ gm
-            gb = _unbroadcast(np.squeeze(gb, -1) if len(sb) == 1 else gb, sb)
-        return ga, gb
+        return (None if bd is None else g @ np.swapaxes(bd, -1, -2),
+                None if ad is None else np.swapaxes(ad, -1, -2) @ g)
 
     return _make(a.data @ b.data, (a, b), vjp)
 

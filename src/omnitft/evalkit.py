@@ -299,20 +299,3 @@ def write_reports_json(path, reports: list):
     with open(path, "w") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def reports_from_json(path) -> list:
-    with open(path) as fh:
-        docs = json.load(fh)
-    out = []
-    for d in docs:
-        out.append(
-            MetricReport(
-                target=d["target"], mae=d["mae"], mape=d["mape_pct"], rmse=d["rmse"],
-                rmbe=d["rmbe_pct"], p10_coverage=d["p10_coverage"],
-                p10_pinball=d["p10_pinball"], p90_coverage=d["p90_coverage"],
-                p90_pinball=d["p90_pinball"], n_points=d["n_points"],
-                mape_excluded=d["mape_excluded"], notes=d.get("notes", {}),
-            )
-        )
-    return out

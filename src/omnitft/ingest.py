@@ -28,7 +28,7 @@ import math
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,24 +94,6 @@ class PatientSeries:
     @property
     def n_steps(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass
-class SplitAssignment:
-    assignment: dict  # patient_id -> "train" | "val" | "test"
-
-    def ids(self, split: str) -> list:
-        return sorted(pid for pid, s in self.assignment.items() if s == split)
-
-
-@dataclass
-class TrainStats:
-    """Per-feature fallback values computed on the training split only."""
-
-    medians: dict = field(default_factory=dict)  # name -> float (mode for categoricals)
-
-    def fallback(self, name: str):
-        return self.medians.get(name)
 
 
 def parse_events(csv_stream, schema: DatasetSchema) -> np.ndarray:
@@ -223,9 +205,10 @@ def resample_to_grid(events: np.ndarray, schema: DatasetSchema) -> PatientSeries
     return PatientSeries(pid, values.reshape(n, n_feat), mask.reshape(n, n_feat))
 
 
-def compute_train_stats(series_list: list, schema: DatasetSchema) -> TrainStats:
-    """Median (mode for categoricals) of every feature over observed cells."""
-    stats = TrainStats()
+def compute_train_stats(series_list: list, schema: DatasetSchema) -> dict:
+    """Feature name -> fallback value: the median (mode for categoricals) over
+    observed cells. A feature observed nowhere has no entry."""
+    stats = {}
     for j, spec in enumerate(schema.features):
         pool = np.concatenate(
             [s.values[s.mask[:, j], j] for s in series_list] or [np.array([])]
@@ -233,16 +216,16 @@ def compute_train_stats(series_list: list, schema: DatasetSchema) -> TrainStats:
         if pool.size == 0:
             continue
         if spec.is_categorical:
-            stats.medians[spec.name] = float(_bin_mode(pool, np.zeros(pool.size))[1][0])
+            stats[spec.name] = float(_bin_mode(pool, np.zeros(pool.size))[1][0])
         else:
-            stats.medians[spec.name] = float(np.median(pool))
+            stats[spec.name] = float(np.median(pool))
     return stats
 
 
 def impute(
     series: PatientSeries,
     schema: DatasetSchema,
-    stats: TrainStats,
+    stats: dict,
     max_gap_h: float = 6.0,
 ) -> PatientSeries:
     """Fill a resampled series; observed cells keep their values bit-exactly.
@@ -258,7 +241,7 @@ def impute(
     max_steps = int(math.floor(max_gap_h / step_h + 1e-9))
     values, mask = series.values, series.mask
     names = [f.name for f in schema.features]
-    fallback = [stats.fallback(name) for name in names]
+    fallback = [stats.get(name) for name in names]
     has_fallback = np.array([v is not None for v in fallback])
     steps = np.arange(series.n_steps)[:, None]
     last = np.maximum.accumulate(np.where(mask, steps, -1), axis=0)
@@ -296,28 +279,20 @@ def filter_patients(series_list: list, schema: DatasetSchema, threshold: float =
     return kept
 
 
-def split_by_patient(ids, ratios=(7, 2, 1), seed: int = 0) -> SplitAssignment:
-    """Deterministic 7:2:1-style split; floors, remainder goes to train."""
+def split_by_patient(ids, ratios=(7, 2, 1), seed: int = 0) -> dict:
+    """Deterministic 7:2:1-style split, split name -> sorted patient ids.
+
+    One permutation of the sorted ids is cut in order: val and test take the
+    floor of their share, train the rest.
+    """
     ids = sorted(ids)
     if len(ids) < 10:
         raise TooFewPatients(f"need >= 10 patients, got {len(ids)}")
-    rng = np.random.default_rng(seed)
-    order = list(rng.permutation(len(ids)))
+    order = np.random.default_rng(seed).permutation(len(ids))
     total = float(sum(ratios))
-    n_train = int(math.floor(len(ids) * ratios[0] / total))
-    n_val = int(math.floor(len(ids) * ratios[1] / total))
-    n_test = int(math.floor(len(ids) * ratios[2] / total))
-    n_train += len(ids) - (n_train + n_val + n_test)
-    assignment = {}
-    for pos, idx in enumerate(order):
-        if pos < n_train:
-            split = "train"
-        elif pos < n_train + n_val:
-            split = "val"
-        else:
-            split = "test"
-        assignment[ids[idx]] = split
-    return SplitAssignment(assignment)
+    n_val, n_test = (int(math.floor(len(ids) * r / total)) for r in ratios[1:])
+    parts = np.split(order, [len(ids) - n_val - n_test, len(ids) - n_test])
+    return {name: sorted(ids[i] for i in part) for name, part in zip(SPLITS, parts)}
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +518,8 @@ def ingest_pipeline(
     of the run's `cli.PipelineConfig`, so they see the same split. One stable
     sort by (patient id, time) groups the events; same-time events keep their
     file order. Returns (splits, stats, report): split name -> imputed
-    PatientSeries list, the train-split fallbacks, and counts plus trims.
+    PatientSeries list, the train-split fallbacks (feature -> value), and
+    counts plus trims.
 
     A patient with k observed-feature events on an n-step grid misses at least
     1 - k / (n * n_obs) of its observed cells; when that bound already exceeds
@@ -572,12 +548,12 @@ def ingest_pipeline(
                              f"as more than {missing_threshold} missing") from None
 
     by_id = {s.patient_id: s for s in retained}
-    stats = compute_train_stats([by_id[p] for p in split.ids("train")], schema)
+    stats = compute_train_stats([by_id[p] for p in split["train"]], schema)
 
     splits = {name: [] for name in SPLITS}
     trims = {}
     for name in SPLITS:
-        for pid in split.ids(name):
+        for pid in split[name]:
             imp = impute(by_id[pid], schema, stats, max_gap_h)
             splits[name].append(imp)
             trims[pid] = imp.trimmed_steps
@@ -587,7 +563,7 @@ def ingest_pipeline(
         "n_retained": len(retained),
         "n_dropped": len(sizes) - len(retained),
         "split_counts": {k: len(v) for k, v in splits.items()},
-        "medians": {k: stats.medians[k] for k in sorted(stats.medians)},
+        "medians": {k: stats[k] for k in sorted(stats)},
         "trimmed_steps": trims,
     }
     return splits, stats, report

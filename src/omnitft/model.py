@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +91,6 @@ class WindowBatch:
     statics: np.ndarray  # (B, n_static)
     target_idx: np.ndarray  # (B,) int
     fut_target: np.ndarray  # (B, H)
-    patient_ids: list = field(default_factory=list)
-    starts: list = field(default_factory=list)
 
     @classmethod
     def from_windows(cls, windows: list) -> "WindowBatch":
@@ -102,8 +100,6 @@ class WindowBatch:
             statics=np.stack([w.statics for w in windows]),
             target_idx=np.array([w.target_idx for w in windows], dtype=int),
             fut_target=np.stack([w.fut_target for w in windows]),
-            patient_ids=[w.patient_id for w in windows],
-            starts=[w.start for w in windows],
         )
 
     @property

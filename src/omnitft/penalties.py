@@ -50,18 +50,12 @@ class PenaltyWeights:
     lambda_embed: float = 1e-3
     lambda_group: float = 1e-2
     lambda_shock: float = 1e-1
-    eps_embed: float = 1e-6
-    eps_group: float = 1e-6
-    eps_std: float = 1e-8
 
     def __post_init__(self):
         check(vars(self), WEIGHT_RULES, PenaltyError)
 
 
-WEIGHT_RULES = dict.fromkeys(
-    ("lambda_embed", "lambda_group", "lambda_shock", "eps_embed", "eps_group", "eps_std"),
-    NUMBER_AT_LEAST_0,
-)
+WEIGHT_RULES = dict.fromkeys(("lambda_embed", "lambda_group", "lambda_shock"), NUMBER_AT_LEAST_0)
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,9 @@ def total_objective(
 
     lq = quantile_loss(fp.quantiles, batch.fut_target, model.config.quantiles)
 
-    ce = pen.c_embed(model.embedding_tables(), fp.category_counts, weights.eps_embed)
+    ce = pen.c_embed(model.embedding_tables(), fp.category_counts)
 
-    p_hs = pen.group_distribution_past(fp.w_hist, group_matrix, weights.eps_group)
+    p_hs = pen.group_distribution_past(fp.w_hist, group_matrix)
     # the future side is always (0, 1, 0), entropy exactly 0: c_group's
     # (h_past + 0) * 0.5 equals h_past * 0.5 bit for bit, so skip it
     cg = pen.c_group(p_hs, None)
@@ -123,9 +123,9 @@ def total_objective(
     if H >= 2:
         retro = pen.retro_mass(fp.abar, model.config.retro_window)
         a_dec = retro[:, E:]
-        a_std, flag_a = pen.standardize(a_dec, weights.eps_std)
+        a_std, flag_a = pen.standardize(a_dec)
         s_raw = pen.rep_first_diff(fp.decoder_states, fp.encoder_anchor)
-        s_std, flag_s = pen.standardize(s_raw, weights.eps_std)
+        s_std, flag_s = pen.standardize(s_raw)
         cs = pen.c_shock(a_std, s_std, flag_a | flag_s)
     else:
         cs = Tensor(0.0)  # a single decoder step has no alignable dynamics

@@ -15,7 +15,7 @@ from omnitft.diffcore import Tensor
 
 def per_coord_rel_errors(f, x: Tensor, coords, eps_values=(1e-4, 4e-4)) -> float:
     """Max over coords of (min over step sizes) relative gradient error."""
-    x.zero_grad()
+    x.grad = None
     out = f(x)
     dc.backward(out)
     analytic = x.grad.reshape(-1)

@@ -646,7 +646,8 @@ def test_a_grid_that_cannot_be_allocated_exits_2_naming_patient_and_time(synth_d
 @pytest.mark.parametrize("text,named", [
     (json.dumps({"model": {"hidden": "8"}}), "config key 'model.hidden' must be an integer"),
     (json.dumps({"model": {"hidden": 4, "heads": 8}}), "heads must be at most hidden (4)"),
-    (json.dumps({"weights": {"eps_std": -1}}), "config key 'weights.eps_std' must be a number"),
+    # the penalties' epsilons are fixed, so the config has no key for them
+    (json.dumps({"weights": {"eps_std": -1}}), "unknown config key 'weights.eps_std'"),
     (json.dumps({"delta": {"y": True}}), "config key 'delta.y' must be a number >= 0"),
     ('{"lr": 1e-3,}', "Expecting property name"),
     ("\udcff", "can't decode"),
@@ -816,6 +817,35 @@ def test_label_threshold_counts(synth_dir, tmp_path):
     assert summary["counts"]["stable"] + summary["counts"]["volatile"] == n_rows
     assert summary["total_windows"] == n_rows
     assert "agreement_vs_truth" in summary
+
+
+def test_label_scores_a_trimmed_series_against_its_own_truth_steps(tmp_path):
+    # p0000 loses its obs_lag rows before hour 5, and with an empty train split
+    # there is no median to fill them, so ingest trims its first 5 steps
+    data, out, cfg = tmp_path / "syn", tmp_path / "lab", tmp_path / "ratios.json"
+    assert run(["synth", "--patients", "12", "--seed", "1", "--out", str(data)]) == 0
+    lines = (data / "data.csv").read_text().splitlines()
+    lines = [line for line in lines if not (line.startswith("p0000,") and ",obs_lag," in line
+                                            and float(line.split(",")[1]) < 5)]
+    (data / "data.csv").write_text("\n".join(lines) + "\n")
+    cfg.write_text(json.dumps({"ratios": [0, 1, 1]}))
+    assert run(["label", "--data", str(data), "--schema", str(data / "schema.json"),
+                "--delta-config", str(cfg), "--out", str(out)]) == 0
+    schema = load_schema(data / "schema.json")
+    splits, *_ = PipelineConfig(ratios=(0, 1, 1)).ingest(data, schema)
+    trims = {s.patient_id: s.trimmed_steps for name in splits for s in splits[name]}
+    assert {p: t for p, t in trims.items() if t} == {"p0000": 5}
+    with open(data / "truth_labels.csv", newline="") as fh:
+        truth = {(r["patient_id"], int(r["step"])): r["label"] for r in csv.DictReader(fh)}
+    E, H = schema.encoder_len, schema.horizon_len
+    agree = []
+    with open(out / "window_labels.csv", newline="") as fh:
+        for r in csv.DictReader(fh):
+            first = int(r["start"]) + trims[r["patient_id"]] + E  # raw grid step
+            future = [truth[(r["patient_id"], t)] for t in range(first, first + H)]
+            agree.append(r["label"] == ("volatile" if "volatile" in future else "stable"))
+    assert len(agree) == 676
+    assert read_json(out / "label_summary.json")["agreement_vs_truth"] == sum(agree) / len(agree)
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -216,8 +216,8 @@ def test_backward_releases_every_interior_node():
     # weak references to the node's own work arrays (x's data belongs to the
     # caller), and to the boolean mask, which the caller drops
     own = ("a", "h2", "sig", "v", "normed", "sigma")
-    refs = {k: weakref.ref(c.cell_contents)
-            for k, c in zip(out._vjp.__code__.co_freevars, out._vjp.__closure__) if k in own}
+    refs = {k: weakref.ref(c.cell_contents) for k, c in
+            zip(out.node._vjp.__code__.co_freevars, out.node._vjp.__closure__) if k in own}
     assert len(refs) == len(own)
     refs["mask"] = weakref.ref(keep[0])
     del keep
@@ -225,7 +225,7 @@ def test_backward_releases_every_interior_node():
     interior = [n for n in dc.Tape.from_root(loss).nodes if n._parents]
     dc.backward(loss)
     assert all(n._vjp is None and n._parents == () and n._spent for n in interior)
-    assert not any(leaf._spent for leaf in t.values())
+    assert not any(leaf.node._spent for leaf in t.values())
     assert [k for k, r in refs.items() if r() is not None] == []
     np.testing.assert_array_equal(out.grad, 2.0)  # the VJP did not write into it
 
@@ -284,9 +284,9 @@ def test_mul_by_a_constant_computes_no_gradient_for_it():
     h = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     keep = Tensor(np.array([2.0, 0.0, 2.0]))
     out = dc.mul(h, keep)
-    saved = [c.cell_contents for c in out._vjp.__closure__]
+    saved = [c.cell_contents for c in out.node._vjp.__closure__]
     assert not any(c is h.data for c in saved)
-    g_h, g_keep = out._vjp(np.ones((2, 3)))
+    g_h, g_keep = out.node._vjp(np.ones((2, 3)))
     assert g_keep is None
     np.testing.assert_array_equal(g_h, np.broadcast_to(keep.data, (2, 3)))
 
@@ -301,9 +301,9 @@ def test_dropout_matches_the_product_by_the_float_mask():
     out = dc.dropout(Tensor(x, requires_grad=True), mask, scale)
     ref = dc.mul(Tensor(x, requires_grad=True), Tensor(mask / 0.7))
     assert out.data.tobytes() == ref.data.tobytes()
-    saved = [c.cell_contents for c in out._vjp.__closure__]
+    saved = [c.cell_contents for c in out.node._vjp.__closure__]
     assert any(c is mask for c in saved) and not any(c is x for c in saved)
-    assert out._vjp(g)[0].tobytes() == ref._vjp(g)[0].tobytes()
+    assert out.node._vjp(g)[0].tobytes() == ref.node._vjp(g)[0].tobytes()
 
 
 @pytest.mark.parametrize("pass_through", ["add", "sub", "reshape", "transpose"])
@@ -593,7 +593,7 @@ def test_fused_nodes_build_no_graph_under_no_grad():
         out = _grn_call(dc.grn, t, keep)
         gan = _gan_call(dc.gated_add_norm, {k: Tensor(a, requires_grad=True)
                                             for k, a in _gan_inputs((3, 5), 40).items()})
-    assert out._parents == () and gan._parents == () and not out.requires_grad
+    assert out.node._parents == () and gan.node._parents == () and not out.requires_grad
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5)], ids=["BTk", "BHTk"])
@@ -608,6 +608,28 @@ def test_matmul_shared_weight_folded_grad_check(shape):
                                 (1e-5,)) < 1e-6
     assert per_coord_rel_errors(g, Tensor(w0.copy(), requires_grad=True), range(w0.size),
                                 (1e-5,)) < 1e-6
+
+
+@pytest.mark.parametrize("sa, sb", [((2, 3, 4), (2, 4, 5)), ((2, 3, 4, 5), (2, 3, 5, 6))],
+                         ids=["Bmk", "BHmk"])
+def test_matmul_equal_batch_dims_grad_check(sa, sb):
+    # attention's q @ k^T and A~ @ V: both operands carry the same batch dims
+    rng = np.random.default_rng(25)
+    a0, b0 = rng.normal(size=sa), rng.normal(size=sb)
+    proj = Tensor(rng.normal(size=sa[:-1] + sb[-1:]))
+    f = lambda x: dc.reduce_sum(dc.mul(dc.matmul(x, Tensor(b0)), proj))  # noqa: E731
+    g = lambda y: dc.reduce_sum(dc.mul(dc.matmul(Tensor(a0), y), proj))  # noqa: E731
+    assert per_coord_rel_errors(f, Tensor(a0.copy(), requires_grad=True), range(a0.size),
+                                (1e-5,)) < 1e-6
+    assert per_coord_rel_errors(g, Tensor(b0.copy(), requires_grad=True), range(b0.size),
+                                (1e-5,)) < 1e-6
+
+
+@pytest.mark.parametrize("sa, sb", [((3, 4), (4,)), ((1, 3, 4), (2, 4, 5)), ((3, 4), (2, 4, 5))],
+                         ids=["1d-right", "broadcast-batch", "batch-dims-on-the-right-only"])
+def test_matmul_rejects_shapes_the_model_does_not_use(sa, sb):
+    with pytest.raises(dc.ShapeMismatch):
+        dc.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
 
 
 def test_aliased_operands_accumulate():
@@ -659,9 +681,9 @@ def test_no_grad_records_nothing():
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     with dc.no_grad():
         out = _tanh(dc.matmul(Tensor(np.ones((4, 3))), w))
-    assert out._parents == () and out._vjp is None and not out.requires_grad
+    assert out.node._parents == () and out.node._vjp is None and not out.requires_grad
     built = _tanh(dc.matmul(Tensor(np.ones((4, 3))), w))
-    assert built.requires_grad and built._parents
+    assert built.requires_grad and built.node._parents
 
 
 def test_no_grad_restores_mode_when_body_raises():

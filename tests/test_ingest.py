@@ -16,7 +16,6 @@ from omnitft.ingest import (
     NegativeTime,
     PatientSeries,
     TooFewPatients,
-    TrainStats,
     UnknownFeature,
     UnparsableValue,
     compute_train_stats,
@@ -186,7 +185,7 @@ def test_impute_forward_fill_within_gap():
     schema = small_schema(step=60.0, E=4, H=2)  # hourly grid
     hr = [80.0, 0, 0, 0, 0, 85.0]
     obs = [True, False, False, False, False, True]
-    stats = TrainStats({"hr": 70.0, "lactate": 1.0, "race": 0.0})
+    stats = {"hr": 70.0, "lactate": 1.0, "race": 0.0}
     out = impute(grid_series(schema, hr, obs), schema, stats, max_gap_h=6.0)
     j = schema.column("hr")
     np.testing.assert_allclose(out.values[1:5, j], 80.0)  # 4-h gap forward-filled
@@ -196,7 +195,7 @@ def test_impute_median_beyond_gap():
     schema = small_schema(step=60.0, E=4, H=2)
     hr = [80.0] + [0.0] * 8 + [85.0]
     obs = [True] + [False] * 8 + [True]
-    stats = TrainStats({"hr": 70.0, "lactate": 1.0, "race": 0.0})
+    stats = {"hr": 70.0, "lactate": 1.0, "race": 0.0}
     out = impute(grid_series(schema, hr, obs), schema, stats, max_gap_h=6.0)
     j = schema.column("hr")
     np.testing.assert_allclose(out.values[1:7, j], 80.0)  # first 6 h forward
@@ -206,7 +205,7 @@ def test_impute_median_beyond_gap():
 def test_impute_fully_observed_noop():
     schema = small_schema(step=60.0, E=4, H=2)
     hr = [80.0, 81, 82, 83, 84, 85]
-    out = impute(grid_series(schema, hr, [True] * 6), schema, TrainStats({}), 6.0)
+    out = impute(grid_series(schema, hr, [True] * 6), schema, {}, 6.0)
     np.testing.assert_array_equal(out.values[:, schema.column("hr")], hr)
     assert out.trimmed_steps == 0
 
@@ -219,7 +218,7 @@ def test_impute_preserves_observed_cells_bit_exact():
     obs[0] = True
     series = grid_series(schema, hr, obs)
     before = series.values.copy()
-    stats = TrainStats({"hr": 70.0, "lactate": 1.0, "race": 0.0})
+    stats = {"hr": 70.0, "lactate": 1.0, "race": 0.0}
     out = impute(series, schema, stats, 6.0)
     j = schema.column("hr")
     np.testing.assert_array_equal(out.values[obs, j], before[obs, j])
@@ -229,7 +228,7 @@ def test_impute_leading_trim_without_median():
     schema = small_schema(step=60.0, E=4, H=2)
     hr = [0.0, 0.0, 80.0, 81.0, 82.0, 83.0]
     obs = [False, False, True, True, True, True]
-    stats = TrainStats({"lactate": 1.0, "race": 0.0})  # no hr median anywhere
+    stats = {"lactate": 1.0, "race": 0.0}  # no hr median anywhere
     out = impute(grid_series(schema, hr, obs), schema, stats, 6.0)
     assert out.trimmed_steps == 2
     assert out.n_steps == 4
@@ -240,7 +239,7 @@ def test_impute_all_missing_feature():
     series = grid_series(schema, [80.0] * 6, [True] * 6)
     series.mask[:, schema.column("lactate")] = False
     with pytest.raises(AllMissingFeature):
-        impute(series, schema, TrainStats({"hr": 70.0, "race": 0.0}), 6.0)
+        impute(series, schema, {"hr": 70.0, "race": 0.0}, 6.0)
 
 
 def trim_case(age_step=0):
@@ -261,7 +260,7 @@ def trim_case(age_step=0):
 @pytest.mark.parametrize("medians", [{"hr": 70.0, "age": 65.0}, {"hr": 70.0}])
 def test_impute_static_read_before_the_trim(medians):
     schema, series = trim_case()
-    out = impute(series, schema, TrainStats(medians), 6.0)
+    out = impute(series, schema, medians, 6.0)
     assert out.trimmed_steps == 2
     np.testing.assert_array_equal(out.values[:, schema.column("age")], [42.0] * 4)
 
@@ -269,11 +268,11 @@ def test_impute_static_read_before_the_trim(medians):
 def test_impute_forward_fill_reads_before_the_trim():
     schema, series = trim_case()
     series.mask[2, 0] = False  # hr missing at the first kept step
-    out = impute(series, schema, TrainStats({"hr": 70.0, "age": 65.0}), 6.0)
+    out = impute(series, schema, {"hr": 70.0, "age": 65.0}, 6.0)
     assert out.values[0, schema.column("hr")] == 81.0  # step 1, one hour back
     series.mask[:, 0] = False
     series.mask[[0, 5], 0] = True  # hr has no median: a fill from step 0, not a raise
-    out = impute(series, schema, TrainStats({"age": 65.0}), 6.0)
+    out = impute(series, schema, {"age": 65.0}, 6.0)
     np.testing.assert_array_equal(out.values[:, schema.column("hr")], [80.0] * 3 + [85.0])
 
 
@@ -298,22 +297,22 @@ def test_filter_thresholds():
 
 def test_split_10_patients():
     split = split_by_patient([f"p{i}" for i in range(10)], seed=1)
-    counts = {k: len(split.ids(k)) for k in ("train", "val", "test")}
+    counts = {k: len(v) for k, v in split.items()}
     assert counts == {"train": 7, "val": 2, "test": 1}
 
 
 def test_split_23_patients_floor_plus_remainder():
     split = split_by_patient([f"p{i}" for i in range(23)], seed=5)
-    counts = {k: len(split.ids(k)) for k in ("train", "val", "test")}
+    counts = {k: len(v) for k, v in split.items()}
     assert counts == {"train": 17, "val": 4, "test": 2}
 
 
 def test_split_deterministic():
     ids = [f"p{i}" for i in range(100)]
-    a = split_by_patient(ids, seed=7).assignment
-    b = split_by_patient(ids, seed=7).assignment
+    a = split_by_patient(ids, seed=7)
+    b = split_by_patient(ids, seed=7)
     assert a == b
-    c = split_by_patient(ids, seed=8).assignment
+    c = split_by_patient(ids, seed=8)
     assert a != c
 
 
@@ -321,9 +320,26 @@ def test_split_deterministic():
 def test_split_partition_property(seed):
     ids = [f"p{i}" for i in range(37)]
     split = split_by_patient(ids, seed=seed)
-    tr, va, te = (set(split.ids(k)) for k in ("train", "val", "test"))
+    tr, va, te = (set(split[k]) for k in ("train", "val", "test"))
     assert tr | va | te == set(ids)
     assert not (tr & va) and not (tr & te) and not (va & te)
+
+
+# lists from one permutation per seed, cut in train, val, test order; pinned so
+# that a rewrite of the cut cannot move a patient to another split
+@pytest.mark.parametrize("n, ratios, seed, expect", [
+    (10, (7, 2, 1), 1, {"train": ["p00", "p01", "p02", "p04", "p05", "p07", "p08"],
+                        "val": ["p06", "p09"], "test": ["p03"]}),
+    (11, (0, 1, 1), 3, {"train": ["p09"], "val": ["p00", "p01", "p02", "p04", "p07"],
+                        "test": ["p03", "p05", "p06", "p08", "p10"]}),
+    (23, (3, 3, 3), 2, {"train": ["p06", "p07", "p12", "p14", "p16", "p18", "p19", "p21", "p22"],
+                        "val": ["p00", "p02", "p10", "p11", "p13", "p15", "p17"],
+                        "test": ["p01", "p03", "p04", "p05", "p08", "p09", "p20"]}),
+    (13, (0.5, 0.25, 0.25), 4, {"train": ["p00", "p01", "p02", "p07", "p09", "p10", "p12"],
+                                "val": ["p04", "p06", "p08"], "test": ["p03", "p05", "p11"]}),
+])
+def test_split_lists_are_pinned(n, ratios, seed, expect):
+    assert split_by_patient([f"p{i:02d}" for i in range(n)], ratios, seed) == expect
 
 
 def test_split_too_few():
@@ -335,8 +351,8 @@ def test_compute_train_stats_median_and_mode():
     schema = small_schema(step=60.0, E=4, H=2)
     s1 = grid_series(schema, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0], [True] * 6)
     stats = compute_train_stats([s1], schema)
-    assert stats.medians["hr"] == 35.0
-    assert stats.medians["race"] == 1.0  # the observed static value
+    assert stats["hr"] == 35.0
+    assert stats["race"] == 1.0  # the observed static value
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +504,7 @@ def impute_cases(draw):
         if draw(st.booleans()):
             medians[spec.name] = draw(value)
     series = PatientSeries("p", np.array(columns).T, np.array(observed).T)
-    return series, TrainStats(medians), draw(st.floats(0.0, 4.0))
+    return series, medians, draw(st.floats(0.0, 4.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -497,7 +513,7 @@ def test_impute_property(case):
     series, stats, max_gap_h = case
     values, mask = series.values.copy(), series.mask.copy()
     max_steps = math.floor(max_gap_h / 0.5 + 1e-9)
-    fallback = [stats.fallback(f.name) for f in PROP_SCHEMA.features]
+    fallback = [stats.get(f.name) for f in PROP_SCHEMA.features]
     no_fallback = [j for j, fb in enumerate(fallback) if fb is None]
     if any(not mask[:, j].any() for j in no_fallback):
         with pytest.raises(AllMissingFeature):

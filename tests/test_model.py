@@ -152,7 +152,7 @@ def test_variable_select_matches_stack_then_slice(schema, batch, hidden, heads):
     results = []
     for select in (m.variable_select, lambda *a, **kw: _stacked_select(m, *a, **kw)):
         for p in m.params.values():
-            p.zero_grad()
+            p.grad = None
         c = Tensor(ctx.copy(), requires_grad=True)
         drop = np.random.default_rng(9)
         outs, loss = [], 0.0
@@ -281,7 +281,7 @@ def test_causal_attention_matches_per_head_reference(schema, hidden, heads):
     results = []
     for attend in (m.causal_attention, lambda s, rng: _per_head_attention(m, s, rng)):
         for p in m.params.values():
-            p.zero_grad()
+            p.grad = None
         seq = Tensor(seq0.copy(), requires_grad=True)
         feats, surfaces, abar = attend(seq, rng=np.random.default_rng(9))
         if isinstance(surfaces, list):

@@ -12,7 +12,6 @@ from omnitft.diffcore import Tensor
 def test_penalty_weights_defaults():
     w = pen.PenaltyWeights()
     assert (w.lambda_embed, w.lambda_group, w.lambda_shock) == (1e-3, 1e-2, 1e-1)
-    assert (w.eps_embed, w.eps_group, w.eps_std) == (1e-6, 1e-6, 1e-8)
     with pytest.raises(pen.PenaltyError):
         pen.PenaltyWeights(lambda_embed=-1.0)
 
