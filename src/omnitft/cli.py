@@ -364,6 +364,7 @@ def cmd_train(args) -> int:
     model_seed = doc.get("model_seed", 0)
 
     splits, data, ingest_report, cache = pipeline.ingest(Path(args.data), schema)
+    scalers = compute_scalers(splits["train"], schema, where=f"{data[0]}: ")
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
     val_windows = [w for wins in pools["val"].values() for w in wins]
     trainer.check_windows(pools["train"], val_windows)
@@ -377,7 +378,6 @@ def cmd_train(args) -> int:
         print(f"dry run ok: windows per split {counts}, cutoffs {deltas}")
         return EXIT_OK
 
-    scalers = compute_scalers(splits["train"], schema)
     model = Model(schema, model_cfg, seed=model_seed, scalers=scalers,
                   pipeline=asdict(pipeline))
     result = trainer.train(model, pools["train"], val_windows, train_cfg)
@@ -559,6 +559,7 @@ def cmd_label(args) -> int:
     *_, pipeline = load_train_config(args.delta_config)
     data_dir = Path(args.data)
     splits, data, _, cache = pipeline.ingest(data_dir, schema)
+    compute_scalers(splits["train"], schema, where=f"{data[0]}: ")  # refuse what train refuses
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
 
     all_series = {s.patient_id: s for name in splits for s in splits[name]}

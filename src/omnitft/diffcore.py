@@ -21,7 +21,10 @@ closure and its parents, so the arrays it saved are freed during the walk,
 not when the caller drops the graph. A second backward through any node of
 a consumed graph raises `DoubleBackward`. Leaves keep their gradients, and
 so does an interior node the caller still holds. A VJP runs at most once, so
-the fused nodes may overwrite the arrays they saved.
+the fused nodes may overwrite the arrays they saved. Nothing writes into a
+gradient: no VJP writes into the one it receives, and a second contribution
+is added out of place. So a pass-through (add, reshape, ...) hands its own
+gradient, or a view of it, on uncopied, and a preset one is never written into.
 
 The primitives fit the shapes the model uses: `matmul` takes a weight
 shared across batch dims, or two operands with equal batch dims, and each
@@ -241,25 +244,14 @@ class Tape:
                 continue
             node._vjp, node._parents, node._spent = None, (), True
             if node.grad is not None:
-                _accumulate(parents, vjp(node.grad), node.grad)
+                _accumulate(parents, vjp(node.grad))
 
 
-def _accumulate(parents, grads, own):
-    """Add a node's VJP outputs into its parents' gradients; `own` is the node's."""
-    stored = [own]
+def _accumulate(parents, grads):
+    """Store each VJP output as its parent's gradient, or add it out of place."""
     for parent, g in zip(parents, grads):
-        if g is None or not parent.requires_grad:
-            continue
-        if parent.grad is not None:
-            parent.grad += g
-            continue
-        # store g itself unless it is read-only or someone else may write
-        # into it: pass-throughs (add, reshape, ...) hand on views of `own`
-        if (not g.flags.writeable or g.dtype != np.float64
-                or any(np.may_share_memory(g, s) for s in stored)):
-            g = np.array(g, dtype=np.float64)
-        parent.grad = g
-        stored.append(g)
+        if g is not None and parent.requires_grad:
+            parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def backward(loss: Tensor):

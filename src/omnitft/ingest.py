@@ -110,6 +110,8 @@ def parse_events(csv_stream, schema: DatasetSchema) -> np.ndarray:
         if len(row) != 4:
             raise UnparsableValue(f"line {lineno}: expected 4 fields, got {len(row)}")
         pid, time_s, feat, raw = (c.strip() for c in row)
+        if not pid:
+            raise UnparsableValue(f"line {lineno}: empty patient_id")
         if feat not in names:
             raise UnknownFeature(f"line {lineno}: {feat!r}")
         try:
@@ -123,14 +125,17 @@ def parse_events(csv_stream, schema: DatasetSchema) -> np.ndarray:
         j, spec = names[feat]
         if spec.is_categorical:
             try:
-                value = float(int(float(raw)))
-                if not 0 <= value < spec.vocab_size:
-                    raise UnparsableValue(f"line {lineno}: index {raw!r} outside vocab")
-            except (ValueError, OverflowError):  # a label, or nan/inf
+                value = float(raw) + 0.0  # + 0.0: index -0 reads as 0
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):  # a label, or nan/inf
                 try:
                     value = float(spec.category_index(raw))
                 except SchemaError as e:
                     raise UnparsableValue(f"line {lineno}: {e}") from None
+            elif value != int(value) or not 0 <= value < spec.vocab_size:
+                raise UnparsableValue(f"line {lineno}: index {raw!r} is not an integer "
+                                      f"in [0, {spec.vocab_size})")
         else:
             try:
                 value = float(raw)
@@ -228,14 +233,14 @@ def impute(
     stats: dict,
     max_gap_h: float = 6.0,
 ) -> PatientSeries:
-    """Fill a resampled series; observed cells keep their values bit-exactly.
+    """Fill a resampled series; observed temporal cells keep their values
+    bit-exactly, and every cell of a static, observed or not, takes the
+    static's first observation.
 
-    Every unobserved cell copies the value at a reference step of its own
-    column: the last observed step for temporal features (if at most
-    `max_gap_h` back), the first observed step for statics. Cells without
-    one take the training fallback. The whole series is filled first, then
-    the leading steps before every fallback-less feature has been observed
-    are trimmed.
+    Every other cell copies its column's last observed step, if at most
+    `max_gap_h` back, or else takes the training fallback. The whole series
+    is filled first, then the leading steps before every fallback-less
+    feature has been observed are trimmed.
     """
     step_h = schema.grid_step_min / 60.0
     max_steps = int(math.floor(max_gap_h / step_h + 1e-9))
@@ -251,7 +256,7 @@ def impute(
     near = (ref >= 0) & (static | (steps - ref <= max_steps))
     copied = values[np.maximum(ref, 0), np.arange(len(names))]
     fill = np.array([0.0 if v is None else v for v in fallback])
-    filled = np.where(mask, values, np.where(near, copied, fill))
+    filled = np.where(mask & ~static, values, np.where(near, copied, fill))
 
     start = int(first[~has_fallback].max(initial=0))
     stuck = ~(mask | near | has_fallback)[start:]

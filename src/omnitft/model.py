@@ -297,22 +297,23 @@ def _distinct_steps(values: np.ndarray, ctx: np.ndarray):
     return items, item_ctx, slot[inverse.reshape(-1)].reshape(B, L)
 
 
-def compute_scalers(series_list: list, schema: DatasetSchema) -> dict:
-    """Per-feature (mean, std) over all steps of the given series.
+def compute_scalers(series_list: list, schema: DatasetSchema, where: str = "") -> dict:
+    """Per-feature (mean, std) over all steps of the given series; none for
+    no series.
 
     Continuous features only; stds are floored so constant features scale to
     zero rather than exploding. Computed on the training split and stored
     with the model so evaluation reuses the same affine frame. A mean or std
-    that overflows raises ModelError naming the feature.
+    that overflows raises ModelError naming the feature, after `where`.
     """
     scalers = {}
     for j, spec in enumerate(schema.features):
-        if spec.is_categorical:
+        if spec.is_categorical or not series_list:
             continue
         pool = np.concatenate([s.values[:, j] for s in series_list])
         with np.errstate(over="ignore"):  # the check below names an overflowed feature
             scalers[spec.name] = (float(pool.mean()), float(max(pool.std(), 1e-8)))
-    return check(scalers, SCALER_RULES, ModelError, prefix="scalers.")
+    return check(scalers, SCALER_RULES, ModelError, prefix=f"{where}scalers.")
 
 
 class Model:

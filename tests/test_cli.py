@@ -553,13 +553,20 @@ def _data_with(synth_dir, tmp_path, tail: bytes) -> Path:
     return data
 
 
-def test_train_overflowing_scaler_exits_2_naming_the_feature(synth_dir, tmp_path, capsys):
-    # the squares of 1e300 overflow obs_mix's std to inf, which scaled the feature to 0
-    data = _data_with(synth_dir, tmp_path, b"p0000,1.0,obs_mix,1e300\n")
-    code = run(["train", "--data", str(data), "--schema", str(synth_dir / "schema.json"),
-                "--out", str(tmp_path / "run")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["train"], ["train", "--dry-run"], ["label", "--method", "hmm"]],
+                         ids=["train", "dry-run", "label-hmm"])
+@pytest.mark.parametrize("feature,value", [("obs_mix", "1e300"), ("y", "1e200")])
+def test_train_overflowing_scaler_exits_2_naming_the_feature(synth_dir, tmp_path, capsys, argv,
+                                                           feature, value):
+    # squares this large overflow the feature's std to inf, which scaled it to 0;
+    # a dry run and label exited 0, label after overflows in the HMM
+    data = _data_with(synth_dir, tmp_path, f"p0000,1.0,{feature},{value}\n".encode())
+    code = run([argv[0], "--data", str(data), "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "run"), *argv[1:]])
     assert code == 2
-    assert "scalers.obs_mix must be a pair of finite numbers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{data / 'data.csv'}: scalers.{feature} must be a pair of finite numbers" in err
 
 
 def test_train_non_utf8_data_exits_2_naming_the_file(synth_dir, tmp_path, capsys):

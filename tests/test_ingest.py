@@ -98,6 +98,25 @@ def test_parse_non_finite_rejected(row):
         parse_events(io.StringIO(text), schema)
 
 
+@pytest.mark.parametrize("row,message", [
+    (",0,hr,88", "line 3: empty patient_id"),  # was a patient named ""
+    ("p1,0,race,1.5", "line 3: index '1.5' is not an integer in [0, 2)"),  # was index 1
+    ("p1,0,race,-0.5", "line 3: index '-0.5' is not an integer in [0, 2)"),
+    ("p1,0,race,2", "line 3: index '2' is not an integer in [0, 2)"),
+], ids=["empty-id", "fraction", "negative-fraction", "past-vocab"])
+def test_parse_empty_id_and_bad_index_rejected(row, message):
+    text = f"patient_id,time_h,feature,value\np1,0,hr,80\n{row}\n"
+    with pytest.raises(UnparsableValue) as info:
+        parse_events(io.StringIO(text), small_schema())
+    assert str(info.value) == message
+
+
+def test_parse_integer_index_forms():
+    rows = "".join(f"p1,{t},race,{v}\n" for t, v in enumerate(["1", "1.0", "-0", "1e0"]))
+    events = parse_events(io.StringIO("patient_id,time_h,feature,value\n" + rows), small_schema())
+    assert events["value"].tobytes() == np.array([1.0, 1.0, 0.0, 1.0]).tobytes()
+
+
 @pytest.mark.parametrize("row,k", [("p1,0,hr", 3), ("p1,0,hr,88,x", 5)])
 def test_parse_wrong_field_count_rejected(row, k):
     schema = small_schema()
@@ -263,6 +282,15 @@ def test_impute_static_read_before_the_trim(medians):
     out = impute(series, schema, medians, 6.0)
     assert out.trimmed_steps == 2
     np.testing.assert_array_equal(out.values[:, schema.column("age")], [42.0] * 4)
+
+
+def test_impute_static_observed_twice_keeps_its_first_value():
+    # age 42 at step 0 and 12.5 at step 3: the grid read 12.5 at step 3 only
+    schema, series = trim_case()
+    series.values[3, 2], series.mask[3, 2] = 12.5, True
+    out = impute(series, schema, {"hr": 70.0, "age": 65.0}, 6.0)
+    np.testing.assert_array_equal(out.values[:, schema.column("age")], [42.0] * 4)
+    assert out.mask[1, schema.column("age")]  # the mask still records the observation
 
 
 def test_impute_forward_fill_reads_before_the_trim():

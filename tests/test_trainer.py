@@ -233,35 +233,36 @@ def test_train_keeps_parameters_as_views_of_one_vector(tiny_setup):
     assert 0.0 <= result.clip_frac <= 1.0
 
 
-def _preset_gradient_views_train(model, windows, cfg):
-    """The trainer's epochs with every `p.grad` preset as a view of one flat
-    vector that is zeroed before each step; θ after each epoch, from epoch 0."""
+def _written_out_train(model, windows, cfg):
+    """The trainer's epochs written out: each step gathers every parameter's
+    gradient into a fresh flat vector, zeros where a parameter got none, and
+    clips views of it; θ after each epoch, from epoch 0."""
     params = list(model.params.values())
     theta = np.concatenate([p.data.reshape(-1) for p in params])
-    grad = np.zeros_like(theta)
-    i = 0
-    for p in params:
+    offsets = np.cumsum([0] + [p.size for p in params])
+    for p, i in zip(params, offsets):
         p.data = theta[i : i + p.size].reshape(p.shape)
-        p.grad = grad[i : i + p.size].reshape(p.shape)
-        i += p.size
-    grads = [p.grad for p in params]
     gmat = build_group_assignment(model.schema).matrix
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     thetas = [theta.copy()]
     for epoch in range(1, cfg.max_epochs + 1):
         for batch in tr._epoch_batches({"": windows}, epoch, cfg)[0]:
-            grad.fill(0.0)
             fp = model.forward(batch, rng=rng)
             loss, _ = total_objective(model, fp, batch, cfg.weights, gmat)
             dc.backward(loss)
-            clip_gradients(grads, cfg.clip)
+            grad = np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.reshape(-1)
+                                   for p in params])
+            for p in params:
+                p.grad = None
+            clip_gradients([grad[i : i + p.size].reshape(p.shape)
+                            for p, i in zip(params, offsets)], cfg.clip)
             adam_step(theta, grad, state, cfg.lr)
         thetas.append(theta.copy())
     return thetas
 
 
-def test_no_gradient_is_held_through_a_forward_and_updates_match_preset_views(
+def test_no_gradient_is_held_through_a_forward_and_updates_match_a_written_out_loop(
         tiny_setup, monkeypatch):
     schema, _, _, windows = tiny_setup
     mcfg = ModelConfig(hidden=8, heads=2, blocks=2, dropout=0.3)
@@ -279,7 +280,7 @@ def test_no_gradient_is_held_through_a_forward_and_updates_match_preset_views(
     assert len(held) > 3 and held == [0] * len(held)
     assert result.best_epoch >= 1
 
-    thetas = _preset_gradient_views_train(Model(schema, mcfg, seed=7), windows[:24], cfg)
+    thetas = _written_out_train(Model(schema, mcfg, seed=7), windows[:24], cfg)
     theta = np.concatenate([p.data.reshape(-1) for p in model.params.values()])
     assert theta.tobytes() == thetas[result.best_epoch].tobytes()
 
