@@ -27,14 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diffcore as dc
 from . import evalkit, ingest, labeler, sampler, trainer
 from .model import (
     MODEL_RULES,
     Model,
     ModelConfig,
     ModelError,
-    WindowBatch,
     compute_scalers,
     load_checkpoint,
     save_checkpoint,
@@ -462,13 +460,11 @@ def cmd_eval(args) -> int:
             continue
         q, abar, w_hist = [], [], []
         try:  # a forecast computed through an inf or nan is no forecast
-            for i in range(0, len(windows), 256):
-                batch = WindowBatch.from_windows(windows[i : i + 256])
-                with dc.no_grad(), np.errstate(over="raise", invalid="raise", divide="raise"):
-                    fp = model.forward(batch, rng=None)
-                q.append(fp.quantiles.data)
-                abar.append(fp.abar.data)
-                w_hist.append(fp.w_hist.data)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for _, fp in trainer.graph_free_passes(model, trainer.batches_of(windows, 256)):
+                    q.append(fp.quantiles.data)
+                    abar.append(fp.abar.data)
+                    w_hist.append(fp.w_hist.data)
             q = np.sort(np.concatenate(q), axis=-1)  # (n, H, n_q), non-crossing
             if not np.isfinite(q).all():
                 raise FloatingPointError("a forecast is not finite")
@@ -564,12 +560,14 @@ def cmd_label(args) -> int:
 
     all_series = {s.patient_id: s for name in splits for s in splits[name]}
     hmm_steps: dict = {}
+    unfitted = []  # patients whose HMM fit would overflow, labelled stable
     if args.method == "hmm":
         for t_spec in schema.target_features:
             col = schema.column(t_spec.name)
             diffs = [np.diff(s.values[:, col]) for s in all_series.values()]
             for pid, step_labels in zip(all_series, labeler.hmm_step_labels(diffs)):
                 hmm_steps[(t_spec.name, pid)] = step_labels
+            unfitted += [pid for pid, x in zip(all_series, diffs) if labeler.overflows(x)]
 
     truth_fn = _truth_window_labels(data_dir, schema)
 
@@ -614,6 +612,8 @@ def cmd_label(args) -> int:
         summary["agreement_vs_truth"] = agree_truth[0] / agree_truth[1]
     if agree_methods[1]:
         summary["agreement_threshold_vs_hmm"] = agree_methods[0] / agree_methods[1]
+    if unfitted:
+        summary["unfitted"] = sorted(set(unfitted))
     summary_path = out / "label_summary.json"
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -378,9 +378,9 @@ def relu(a) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Row-stochastic along `axis`; -inf entries map to exact zeros."""
     a = as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = a.data - np.max(a.data, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
 
     def vjp(g):
         dot = np.sum(g * out, axis=axis, keepdims=True)

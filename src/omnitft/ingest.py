@@ -467,10 +467,9 @@ def write_split_grids(out_dir, splits: dict, schema: DatasetSchema, report: dict
             gw, mw = csv.writer(gf), csv.writer(mf)
             gw.writerow(["patient_id", "step"] + names)
             mw.writerow(["patient_id", "step"] + names)
-            for s in series_list:
-                for t in range(s.n_steps):
-                    gw.writerow([s.patient_id, t] + [repr(float(v)) for v in s.values[t]])
-                    mw.writerow([s.patient_id, t] + [int(v) for v in s.mask[t]])
+            for s in series_list:  # csv writes a float as its repr
+                for w, rows in ((gw, s.values.tolist()), (mw, s.mask.astype(int).tolist())):
+                    w.writerows([s.patient_id, t, *r] for t, r in enumerate(rows))
         paths.extend([gpath, mpath])
     mpath = os.path.join(out_dir, "ingest_manifest.json")
     with open(mpath, "w") as fh:

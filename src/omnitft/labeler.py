@@ -278,19 +278,26 @@ def hmm_decode(diff_signal, params: HmmParams) -> list:
     return _decode(x.reshape(1, -1), [params])[0]
 
 
+def overflows(x: np.ndarray) -> bool:
+    """Whether a fit of x could overflow: state means lie in x's range and stds
+    are at least `_SIGMA_FLOOR`, so no square it takes exceeds this sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.isfinite(np.sum((2.0 / _SIGMA_FLOOR * x) ** 2))
+
+
 def hmm_step_labels(signals) -> list:
     """Per-step labels of every diff signal: stable for y[0], then hmm_decode's labels.
 
     Signals of one length are fitted and decoded as one (rows, steps) batch,
     never padded, so each gets the labels that hmm_fit and hmm_decode give it
-    alone. A signal that cannot be fitted (too few diffs, or a fit that
-    raises LabelerError) is stable throughout.
+    alone. A signal that cannot be fitted (too few diffs, one that `overflows`,
+    or a fit that raises LabelerError) is stable throughout.
     """
     xs = [np.asarray(s, dtype=np.float64) for s in signals]
     labels = [[STABLE] * (x.size + 1) for x in xs]
     by_len: dict = {}
     for i, x in enumerate(xs):
-        if x.size >= _MIN_DIFFS:
+        if x.size >= _MIN_DIFFS and not overflows(x):
             by_len.setdefault(x.size, []).append(i)
     for group in by_len.values():
         batch = np.stack([xs[i] for i in group])

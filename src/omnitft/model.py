@@ -506,12 +506,16 @@ class Model:
             w_k = dc.concat([self.params[f"attn/b{k}/k{h}/w"] for h in range(m)], axis=1)
             q = dc.transpose(dc.reshape(dc.matmul(x, w_q), (B, T, m, dqk)), (0, 2, 1, 3))
             k_t = dc.transpose(dc.reshape(dc.matmul(x, w_k), (B, T, m, dqk)), (0, 2, 3, 1))
-            scores = dc.mul(dc.matmul(q, k_t), 1.0 / np.sqrt(dqk))
-            heads = dc.softmax(dc.masked_fill(scores, future, -np.inf), axis=-1)
+            heads = dc.masked_fill(dc.mul(dc.matmul(q, k_t), 1.0 / np.sqrt(dqk)), future, -np.inf)
+            del q, k_t  # each value is dropped once read: a graph-free pass holds only its outputs
+            heads = dc.softmax(heads, axis=-1)
             abar = dc.reduce_mean(heads, axis=1)
-            ctx = dc.matmul(abar, dc.matmul(x, self.params[f"attn/b{k}/v/w"]))
-            out = self._dropout(self._dense(f"attn/b{k}/out", ctx), rng)
+            if k + 1 < cfg.blocks:
+                del heads  # only the final block's per-head weights are returned
+            out = dc.matmul(abar, dc.matmul(x, self.params[f"attn/b{k}/v/w"]))
+            out = self._dropout(self._dense(f"attn/b{k}/out", out), rng)
             x = self._gate_norm(f"attn/b{k}", out, x)
+            del out
             x = self.grn(f"attn/b{k}/grn", x, rng=rng)
         return x, heads, abar
 
@@ -572,8 +576,9 @@ class Model:
             fused_fut = Tensor(np.zeros((batch.size, H, self.config.hidden)))
 
         seq, enc_out, _ = self.encode_decode(fused_past, fused_fut, ctx_h, ctx_c)
-        enriched = self.grn("enrich", seq, ctx=ctx_enr, rng=rng)
-        features, heads, abar = self.causal_attention(enriched, rng=rng)
+        del fused_past, fused_fut  # nothing after the LSTM reads them
+        seq = self.grn("enrich", seq, ctx=ctx_enr, rng=rng)
+        features, heads, abar = self.causal_attention(seq, rng=rng)
         dec_repr, anchor = features[:, E:, :], features[:, E - 1, :]
 
         # a slice of its own: sharing dec_repr's node would reorder the sums

@@ -17,6 +17,7 @@ is held while a forward pass runs.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -209,23 +210,47 @@ class TrainResult:
     clip_frac: float = 0.0  # share of optimiser steps whose gradient norm exceeded clip
 
 
-def _batches(windows: list, size: int):
+def batches_of(windows: list, size: int):
     for i in range(0, len(windows), size):
         yield WindowBatch.from_windows(windows[i : i + size])
+
+
+# A graph-free call holds at most 4096 // hidden windows: 256 at desk width and
+# 32 at reference width, the activation size of a 256-window desk validation call.
+_GRAPH_FREE_CELLS = 4096
+
+
+def graph_free_passes(model: Model, batches):
+    """Yield (batch, its rows of a ForwardPass) for each WindowBatch, dropout off
+    and no graph. Consecutive whole batches share one `Model.forward` call of at
+    most `_GRAPH_FREE_CELLS // hidden` windows; a batch joins a call only after
+    batches of a multiple of 4 windows, since a GEMM with 3 or fewer output
+    columns rounds the last M mod 4 rows of a call on another path."""
+    call, cap = [], _GRAPH_FREE_CELLS // model.config.hidden
+    for batch in itertools.chain(batches, [None]):
+        if call and (batch is None or call[-1].size % 4
+                     or sum(b.size for b in call) + batch.size > cap):
+            merged = WindowBatch(*map(np.concatenate, zip(*(vars(b).values() for b in call))))
+            with dc.no_grad():
+                fp = model.forward(merged, rng=None)
+            for b, lo in zip(call, np.cumsum([0] + [b.size for b in call])):
+                rows = {k: Tensor(v.data[lo : lo + b.size]) if isinstance(v, Tensor) else v
+                        for k, v in vars(fp).items()}
+                yield b, ForwardPass(**{**rows, "category_counts": model.batch_category_counts(b)})
+            call = []
+        call.append(batch)
 
 
 def evaluate_quantile_loss(model: Model, windows: list, batch_size: int = 256) -> float:
     """Mean pinball loss over windows, dropout off."""
     if not windows:
         return float("nan")
-    total, n = 0.0, 0
+    total = 0.0
     with dc.no_grad():
-        for batch in _batches(windows, batch_size):
-            fp = model.forward(batch, rng=None)
+        for batch, fp in graph_free_passes(model, batches_of(windows, batch_size)):
             lq = quantile_loss(fp.quantiles, batch.fut_target, model.config.quantiles)
             total += float(lq.data) * batch.size
-            n += batch.size
-    return total / n
+    return total / len(windows)
 
 
 def _epoch_batches(pools: dict, epoch: int, config: TrainConfig):
@@ -237,7 +262,7 @@ def _epoch_batches(pools: dict, epoch: int, config: TrainConfig):
             continue
         sample = balanced_epoch(pools[name], seed=config.seed + 7919 * (epoch + 1) + i)
         single = single or sample.single_class
-        per_pool.append(list(_batches(sample.windows, config.batch)))
+        per_pool.append(list(batches_of(sample.windows, config.batch)))
     batches = []
     for round_idx in range(max(len(b) for b in per_pool)):
         for b in per_pool:
@@ -304,12 +329,9 @@ def train(model: Model, train_pools, val_windows: list, config: TrainConfig) -> 
 
     # epoch 0: evaluation only, the pre-training baseline
     base_batches, single0 = _epoch_batches(pools, -1, config)
-    rows = []
     with dc.no_grad():
-        for batch in base_batches:
-            fp = model.forward(batch, rng=None)
-            _, br = total_objective(model, fp, batch, config.weights, gmat)
-            rows.append(br.as_row())
+        rows = [total_objective(model, fp, batch, config.weights, gmat)[1].as_row()
+                for batch, fp in graph_free_passes(model, base_batches)]
     val0 = evaluate_quantile_loss(model, val_windows)
     record(0, rows, val0)
 

@@ -327,6 +327,29 @@ def test_train_artifacts(trained_dir):
     assert sum(ingest_manifest["split_counts"].values()) == ingest_manifest["n_retained"]
 
 
+def test_a_desk_train_forwards_its_baseline_in_256_window_calls(tmp_path, monkeypatch):
+    # one forward per batch made this 88 calls: 41 steps, 41 baseline batches
+    # of 32 and three validation calls in each of epochs 0 and 1
+    data = tmp_path / "syn"
+    assert run(["synth", "--patients", "64", "--seed", "411", "--min-steps", "72",
+                "--max-steps", "72", "--out", str(data)]) == 0
+    cfg = tmp_path / "desk.json"
+    cfg.write_text(json.dumps({"lr": 3e-3, "batch": 32, "max_epochs": 1, "patience": 1,
+                               "model": {"hidden": 16, "heads": 2, "blocks": 2}}))
+    forward, calls = Model.forward, []
+
+    def counting(model, batch, rng=None):
+        calls.append((batch.size, rng is not None))
+        return forward(model, batch, rng=rng)
+
+    monkeypatch.setattr(Model, "forward", counting)
+    assert run(["train", "--data", str(data), "--schema", str(data / "schema.json"),
+                "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert sum(step for _, step in calls) == 41
+    assert [n for n, step in calls if not step] == [256] * 5 + [30] + [256, 256, 172] * 2
+    assert len(calls) == 53
+
+
 def test_train_manifest_records_the_run_result(trained_dir):
     result = read_json(trained_dir / "manifest.json")["result"]
     assert set(result) == {"best_epoch", "best_val", "stopped_epoch", "diverged",
@@ -885,6 +908,23 @@ def test_label_hmm_reports_method_agreement(synth_dir, tmp_path):
     summary = read_json(out / "label_summary.json")
     assert "agreement_threshold_vs_hmm" in summary
     assert 0.0 <= summary["agreement_threshold_vs_hmm"] <= 1.0
+    assert "unfitted" not in summary  # written only when some fit would overflow
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_label_hmm_names_a_patient_whose_fit_would_overflow(tmp_path):
+    # a test-split value the training scaler never sees: its squared diffs
+    # overflowed in the HMM's std and emissions, with warnings, and exited 0
+    data, out = tmp_path / "syn", tmp_path / "lab"
+    assert run(["synth", "--patients", "12", "--seed", "1", "--out", str(data)]) == 0
+    with open(data / "data.csv", "a") as fh:
+        fh.write("p0001,1.0,y,1e200\n")
+    assert run(["label", "--data", str(data), "--schema", str(data / "schema.json"),
+                "--method", "hmm", "--out", str(out)]) == 0
+    assert read_json(out / "label_summary.json")["unfitted"] == ["p0001"]
+    with open(out / "window_labels.csv", newline="") as fh:
+        labels = {r["label"] for r in csv.DictReader(fh) if r["patient_id"] == "p0001"}
+    assert labels == {"stable"}
 
 
 def test_label_hmm_on_mixed_lengths_equals_per_patient_fits(tmp_path):

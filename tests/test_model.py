@@ -566,6 +566,26 @@ def test_reference_train_step_retains_only_what_backward_reads():
     assert _train_step_retained_bytes(128, 6, 4, 0.3, 64) <= 142_000_000
 
 
+def test_desk_graph_free_forward_peaks_low():
+    # a pass with no graph drops each value once read: 12.6 MB above its inputs
+    # while attention held its scores to the end of a block, softmax took three
+    # buffers and forward held the selection outputs through attention
+    schema = synthetic_schema()
+    _, wins = _cohort_windows(schema, 8)
+    m = Model(schema, ModelConfig(hidden=16, heads=2, blocks=2), seed=0)
+    batch = WindowBatch.from_windows(wins[:256])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with dc.no_grad():
+            fp = m.forward(batch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert fp.quantiles.shape[0] == 256
+    assert peak <= 8_500_000
+
+
 # ---------------------------------------------------------------------------
 # inference passes select each distinct step once
 

@@ -7,7 +7,7 @@ from omnitft import diffcore as dc
 from omnitft import trainer as tr
 from omnitft.diffcore import Tensor
 from omnitft.ingest import generate_synthetic, synthetic_schema
-from omnitft.model import Model, ModelConfig, WindowBatch
+from omnitft.model import Model, ModelConfig, WindowBatch, compute_scalers
 from omnitft.penalties import PenaltyWeights
 from omnitft.sampler import enumerate_windows
 from omnitft.schema import build_group_assignment
@@ -21,6 +21,7 @@ from omnitft.trainer import (
     total_objective,
     train,
 )
+from test_model import _two_target_schema
 
 
 def test_train_config_defaults_match_reference_setup():
@@ -400,3 +401,59 @@ def test_train_config_json_round_trip():
     doc = tr.train_config_to_dict(cfg)
     back = tr.train_config_from_dict(doc)
     assert back == cfg
+
+
+# ---------------------------------------------------------------------------
+# graph-free passes share forward calls without moving a bit
+
+
+@pytest.mark.parametrize("width,batch,targets,merges", [
+    ((16, 2, 2), 32, ("y",), True),
+    ((16, 2, 2), 5, ("y",), False),  # 5 and 30 are not multiples of 4
+    ((16, 2, 2), 30, ("y",), False),
+    ((128, 6, 4), 64, ("y",), False),  # 64 windows is more than a reference call holds
+    ((16, 2, 2), 32, ("y", "y2"), True),  # round-robin: each pool's short batch comes mid-epoch
+], ids=["desk-32", "desk-5", "desk-30", "reference-64", "two-targets-32"])
+def test_graph_free_passes_give_the_bits_of_one_forward_per_batch(width, batch, targets,
+                                                                  merges, monkeypatch):
+    hidden, heads, blocks = width
+    schema = _two_target_schema()
+    series, _ = generate_synthetic(8 if hidden == 16 else 2, schema, seed=7,
+                                   min_steps=72, max_steps=72)
+    pools = {t: [w for s in series for w in enumerate_windows(s, schema, 2.0, t)]
+             for t in targets}
+    if hidden == 128:
+        pools = {t: w[:100] for t, w in pools.items()}
+    model = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=blocks), seed=3,
+                  scalers=compute_scalers(series, schema))
+    cfg = TrainConfig(batch=batch)
+    batches = tr._epoch_batches(pools, -1, cfg)[0]
+    windows = [w for ws in pools.values() for w in ws]
+    gmat = build_group_assignment(schema).matrix
+
+    def baseline(passes):
+        with dc.no_grad():
+            return np.array([total_objective(model, fp, b, cfg.weights, gmat)[1].as_row()
+                             for b, fp in passes])
+
+    want_rows = baseline((b, model.forward(b)) for b in batches)
+    want_val = 0.0
+    with dc.no_grad():
+        for b in tr.batches_of(windows, batch):
+            lq = quantile_loss(model.forward(b).quantiles, b.fut_target, model.config.quantiles)
+            want_val += lq.item() * b.size
+    want_val /= len(windows)
+
+    forward, calls = model.forward, []
+
+    def counting(b, rng=None):
+        calls.append(b.size)
+        return forward(b, rng=rng)
+
+    monkeypatch.setattr(model, "forward", counting)
+    got_rows = baseline(tr.graph_free_passes(model, batches))
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert (len(calls) < len(batches)) == merges
+    assert max(calls) <= max(batch, 4096 // hidden)
+    got_val = tr.evaluate_quantile_loss(model, windows, batch_size=batch)
+    assert np.float64(got_val).tobytes() == np.float64(want_val).tobytes()
