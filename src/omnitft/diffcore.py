@@ -684,11 +684,16 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
     return _make(out, parents, vjp)
 
 
-def gated_add_norm(h, gate, val, skip, ln) -> Tensor:
-    """LN(GLU(h) + skip) as a single node: the gate after the LSTM and each
-    attention block. gate, val: (weight, bias) pairs; ln: (gain, bias)."""
+def gated_add_norm(h, gate, val, skip, ln, keep=None) -> Tensor:
+    """LN(GLU(keep * h) + skip) as a single node: the gate after the LSTM and
+    each attention block. gate, val: (weight, bias) pairs; ln: (gain, bias);
+    keep: a (boolean mask, scale) pair, inverted dropout on h, with the bits
+    of a `dropout` node before this one."""
     h, skip = as_tensor(h), as_tensor(skip)
     hd = h.data
+    if keep is not None:
+        hd = hd * keep[0]
+        hd *= keep[1]
     s, sig, v = _glu(hd, gate, val)
     s += skip.data
     out, normed, sigma = _layernorm(s, ln)
@@ -696,6 +701,9 @@ def gated_add_norm(h, gate, val, skip, ln) -> Tensor:
     def vjp(g):
         gs, g_lng, g_lnb = _layernorm_vjp(g, ln, normed, sigma)
         gh, *g_glu = _glu_vjp(gs, hd, gate, val, sig, v)
+        if keep is not None:
+            gh *= keep[0]
+            gh *= keep[1]
         return [gh, *g_glu, gs, g_lng, g_lnb]
 
     return _make(out, [h, *gate, *val, skip, *ln], vjp)

@@ -128,11 +128,14 @@ class ForecastBundle:
 
 @dataclass
 class ForwardPass:
-    """Batch outputs plus every internal the penalties read."""
+    """Batch outputs plus every internal the penalties read. The final
+    attention block's features exist for rows E-1..T-1 only: `encoder_anchor`
+    is row E-1 and `decoder_states` rows E..T-1, while `abar` and
+    `head_attention` cover every row."""
 
     quantiles: Tensor  # (B, H, n_q)
-    abar: Tensor  # (B, T, T)
-    head_attention: Tensor  # (B, heads, T, T), final block
+    abar: Tensor  # (B, T, T) final block, all rows
+    head_attention: Tensor  # (B, heads, T, T), final block, all rows
     w_hist: Tensor  # (B, E, n_past)
     w_fut: Tensor | None  # (B, H, n_future); None when no known covariates
     decoder_states: Tensor  # (B, H, d)
@@ -361,30 +364,28 @@ class Model:
             return None
         return rng.random(shape) >= rate, 1.0 / (1.0 - rate)
 
-    def _dropout(self, x, rng):
-        keep = self._keep(x.shape, rng)
-        return x if keep is None else dc.dropout(x, *keep)
-
     def _wb(self, name):
         return self.params[f"{name}/w"], self.params[f"{name}/b"]
 
     def _ln(self, prefix):
         return self.params[f"{prefix}/ln_g"], self.params[f"{prefix}/ln_b"]
 
-    def _gate_norm(self, prefix, h, skip):
-        """LN(GLU(h) + skip), with the gate, value and norm stored under prefix."""
+    def _gate_norm(self, prefix, h, skip, keep=None):
+        """LN(GLU(keep * h) + skip), with the gate, value and norm stored under
+        prefix; keep: a `_keep` pair or None."""
         return dc.gated_add_norm(h, self._wb(f"{prefix}/gate"), self._wb(f"{prefix}/val"),
-                                 skip, self._ln(prefix))
+                                 skip, self._ln(prefix), keep=keep)
 
-    def grn(self, prefix, x, ctx=None, rng=None):
-        """dense -> ELU -> dense -> GLU, residual-added and layer-normalized."""
+    def grn(self, prefix, x, ctx=None, rng=None, keep=None):
+        """dense -> ELU -> dense -> GLU, residual-added and layer-normalized;
+        dropout's `keep` pair is drawn from rng unless given."""
         p = self.params
         fc2 = self._wb(f"{prefix}/fc2")
         return dc.grn(
             x, self._wb(f"{prefix}/fc1"), fc2, self._wb(f"{prefix}/gate"),
             self._wb(f"{prefix}/val"), self._ln(prefix), skip=p.get(f"{prefix}/skip/w"),
             ctx=None if ctx is None else (ctx, p[f"{prefix}/ctx/w"]),
-            keep=self._keep(x.shape[:-1] + fc2[0].shape[1:], rng),
+            keep=keep or self._keep(x.shape[:-1] + fc2[0].shape[1:], rng),
         )
 
     # ------------------------------------------------------------------
@@ -493,11 +494,15 @@ class Model:
         Per block, H~ = A~ (x W_V) with A~ = (1/m) sum_h softmax(x W_Q^h
         (x W_K^h)^T / sqrt(d_qk)) under a causal mask: every head's scores
         are one batched (B, m, T, T) product, and one A~ @ V product forms
-        the context. Returns the features, the final block's per-head
-        surfaces (B, m, T, T) and their head average A~ (B, T, T).
+        the context. Returns the final block's features for rows E-1..T-1
+        alone (B, H + 1, d), the last encoder step and the horizon, which is
+        all forward reads, and its per-head surfaces (B, m, T, T) and their
+        head average A~ (B, T, T) over every row. From A~ on, that block runs
+        on those rows only; its dropout masks are still drawn over all T rows,
+        so the rng stream does not depend on the cut.
         """
         cfg = self.config
-        B, T, _ = seq.shape
+        B, T, d = seq.shape
         m, dqk = cfg.heads, cfg.head_dim
         future = np.triu(np.ones((T, T), dtype=bool), k=1)
         x = seq
@@ -510,13 +515,20 @@ class Model:
             del q, k_t  # each value is dropped once read: a graph-free pass holds only its outputs
             heads = dc.softmax(heads, axis=-1)
             abar = dc.reduce_mean(heads, axis=1)
+            value = dc.matmul(x, self.params[f"attn/b{k}/v/w"])
+            keeps = [self._keep((B, T, d), rng) for _ in range(2)]  # output dense, then GRN
+            attend, skip = abar, x
             if k + 1 < cfg.blocks:
                 del heads  # only the final block's per-head weights are returned
-            out = dc.matmul(abar, dc.matmul(x, self.params[f"attn/b{k}/v/w"]))
-            out = self._dropout(self._dense(f"attn/b{k}/out", out), rng)
-            x = self._gate_norm(f"attn/b{k}", out, x)
-            del out
-            x = self.grn(f"attn/b{k}/grn", x, rng=rng)
+            else:
+                rows = np.s_[:, self.schema.encoder_len - 1:]
+                attend, skip = abar[rows], x[rows]
+                keeps = [keep and (keep[0][rows], keep[1]) for keep in keeps]
+            out = self._dense(f"attn/b{k}/out", dc.matmul(attend, value))
+            del attend, value
+            x = self._gate_norm(f"attn/b{k}", out, skip, keeps[0])
+            del out, skip
+            x = self.grn(f"attn/b{k}/grn", x, keep=keeps[1])
         return x, heads, abar
 
     def quantile_head(self, decoder_features: Tensor) -> Tensor:
@@ -556,8 +568,6 @@ class Model:
 
     def forward(self, batch: WindowBatch, rng=None) -> ForwardPass:
         """Full pass over a window batch; rng drives dropout (None = off)."""
-        E = self.schema.encoder_len
-
         static_embs = self.embed_inputs(batch.statics, self.static_specs, "static/")
         static_embs.append(self.params["embed/target_id/table"][batch.target_idx])
         _, static_vec = self.variable_select("static", static_embs, rng=rng)
@@ -578,12 +588,9 @@ class Model:
         seq, enc_out, _ = self.encode_decode(fused_past, fused_fut, ctx_h, ctx_c)
         del fused_past, fused_fut  # nothing after the LSTM reads them
         seq = self.grn("enrich", seq, ctx=ctx_enr, rng=rng)
-        features, heads, abar = self.causal_attention(seq, rng=rng)
-        dec_repr, anchor = features[:, E:, :], features[:, E - 1, :]
-
-        # a slice of its own: sharing dec_repr's node would reorder the sums
-        # of the backward pass and change trained weights in the last bits
-        quantiles = self.quantile_head(features[:, E:, :])
+        features, heads, abar = self.causal_attention(seq, rng=rng)  # rows E-1..T-1
+        anchor, dec_repr = features[:, 0], features[:, 1:]
+        quantiles = self.quantile_head(dec_repr)
         # anchor outputs in each window's target frame
         t_names = [f.name for f in self.schema.target_features]
         mus = np.array([self.scalers.get(n, (0.0, 1.0))[0] for n in t_names])

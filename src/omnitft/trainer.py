@@ -215,34 +215,67 @@ def batches_of(windows: list, size: int):
         yield WindowBatch.from_windows(windows[i : i + size])
 
 
-# A graph-free call holds at most 4096 // hidden windows: 256 at desk width and
-# 32 at reference width, the activation size of a 256-window desk validation call.
+# A graph-free call holds at most 4096 // hidden windows, rounded down to a
+# multiple of 4: 256 at desk width and 32 at reference width, the activation
+# size of a 256-window desk validation call. It is never under 32, so a run
+# that gives 16 windows to a split's tail keeps 16.
 _GRAPH_FREE_CELLS = 4096
+
+
+def _runs(batches, cap: int):
+    """(batch, lo, hi): each batch's rows cut into runs of at most `cap`. A tail
+    of under 16 rows takes 16 from the run before it: OpenBLAS rounds a GEMM
+    with M·N·K under about 10^6 and K over about 400 on another path, as a
+    one-window call's 12 rows of the 640-wide reference past selection input
+    are. 16 windows clear that path for any selection input at hidden 128,
+    not at every width: at hidden 64 a 448-wide one takes it up to 34."""
+    for b in batches:
+        cuts = [*range(0, b.size, cap), b.size]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] < 16:
+            cuts[-2] -= 16
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield b, lo, hi
 
 
 def graph_free_passes(model: Model, batches):
     """Yield (batch, its rows of a ForwardPass) for each WindowBatch, dropout off
-    and no graph. Consecutive whole batches share one `Model.forward` call of at
-    most `_GRAPH_FREE_CELLS // hidden` windows; a batch joins a call only after
-    batches of a multiple of 4 windows, since a GEMM with 3 or fewer output
-    columns rounds the last M mod 4 rows of a call on another path."""
-    call, cap = [], _GRAPH_FREE_CELLS // model.config.hidden
-    for batch in itertools.chain(batches, [None]):
-        if call and (batch is None or call[-1].size % 4
-                     or sum(b.size for b in call) + batch.size > cap):
-            merged = WindowBatch(*map(np.concatenate, zip(*(vars(b).values() for b in call))))
+    and no graph. `Model.forward` calls hold at most the cap above: a larger
+    batch is split across calls, and consecutive runs of rows share a call, a
+    run joining only after runs of a multiple of 4 windows, since a GEMM with 3
+    or fewer output columns rounds the last M mod 4 rows of a call on another
+    path, and a one-window batch runs alone, since a one-row GEMM takes another
+    path again. Each batch's rows keep the bits of a forward call of that
+    batch, at every width where `_runs`' tails clear OpenBLAS's small-matrix
+    path."""
+    call, cap = [], max(_GRAPH_FREE_CELLS // model.config.hidden // 4 * 4, 32)
+    for run in itertools.chain(_runs(batches, cap), [None]):
+        if call and (run is None or (call[-1][2] - call[-1][1]) % 4 or run[0].size == 1
+                     or sum(hi - lo for _, lo, hi in call) + run[2] - run[1] > cap):
+            parts = ([v[lo:hi] for v in vars(b).values()] for b, lo, hi in call)
             with dc.no_grad():
-                fp = model.forward(merged, rng=None)
-            for b, lo in zip(call, np.cumsum([0] + [b.size for b in call])):
-                rows = {k: Tensor(v.data[lo : lo + b.size]) if isinstance(v, Tensor) else v
-                        for k, v in vars(fp).items()}
-                yield b, ForwardPass(**{**rows, "category_counts": model.batch_category_counts(b)})
+                fp = model.forward(WindowBatch(*map(np.concatenate, zip(*parts))), rng=None)
+            at = 0
+            for b, lo, hi in call:
+                got = {k: v.data[at : at + hi - lo] for k, v in vars(fp).items()
+                       if isinstance(v, Tensor)}
+                at += hi - lo
+                if lo == 0:  # a split batch gathers its runs' rows in arrays of its own
+                    rows = got if hi == b.size else {
+                        k: np.empty((b.size,) + v.shape[1:]) for k, v in got.items()}
+                if rows is not got:
+                    for k, v in got.items():
+                        rows[k][lo:hi] = v
+                if hi == b.size:
+                    yield b, ForwardPass(**{**vars(fp), **{k: Tensor(v) for k, v in rows.items()},
+                                            "category_counts": model.batch_category_counts(b)})
+            del fp, got
             call = []
-        call.append(batch)
+        call.append(run)
 
 
 def evaluate_quantile_loss(model: Model, windows: list, batch_size: int = 256) -> float:
-    """Mean pinball loss over windows, dropout off."""
+    """Mean pinball loss over windows, dropout off, summed per batch of
+    `batch_size`; `graph_free_passes` sizes the forward calls."""
     if not windows:
         return float("nan")
     total = 0.0

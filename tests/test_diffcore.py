@@ -524,9 +524,9 @@ def _gan_inputs(shape, seed):
     }
 
 
-def _gan_call(fn, t):
+def _gan_call(fn, t, **keep):
     return fn(t["h"], (t["gate/w"], t["gate/b"]), (t["val/w"], t["val/b"]), t["skip"],
-              (t["ln/g"], t["ln/b"]))
+              (t["ln/g"], t["ln/b"]), **keep)
 
 
 def _assert_matches_reference(fused_fn, reference_fn, arrays, seed):
@@ -585,6 +585,26 @@ def test_gated_add_norm_grad_check_every_input(shape):
     errors = _grad_check_errors(lambda t: _gan_call(dc.gated_add_norm, t),
                                 _gan_inputs(shape, seed=37), shape, 38)
     assert max(errors.values()) < 1e-6, errors
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 3, 5)], ids=["2d", "3d"])
+def test_gated_add_norm_keep_gives_the_bits_of_a_dropout_node(shape):
+    # attention's output dropout folded into its gate: the same products in the
+    # same order, so the output and every gradient keep their bits
+    arrays = _gan_inputs(shape, seed=43)
+    rng = np.random.default_rng(44)
+    keep = rng.random(shape) >= 0.3, 1.0 / 0.7
+    proj = Tensor(rng.normal(size=shape))
+    runs = []
+    for folded in (True, False):
+        t = {k: Tensor(a.copy(), requires_grad=True) for k, a in arrays.items()}
+        if folded:
+            out = _gan_call(dc.gated_add_norm, t, keep=keep)
+        else:
+            out = _gan_call(dc.gated_add_norm, {**t, "h": dc.dropout(t["h"], *keep)})
+        dc.backward(dc.reduce_sum(dc.mul(out, proj)))
+        runs.append([out.data.tobytes()] + [t[k].grad.tobytes() for k in arrays])
+    assert runs[0] == runs[1]
 
 
 def test_fused_nodes_build_no_graph_under_no_grad():

@@ -13,7 +13,7 @@ from omnitft.model import Model, ModelConfig, WindowBatch, load_checkpoint, save
 from omnitft.penalties import PenaltyWeights
 from omnitft.sampler import enumerate_windows
 from omnitft.schema import DatasetSchema, FeatureSpec, build_group_assignment, validate_schema
-from omnitft.trainer import total_objective
+from omnitft.trainer import graph_free_passes, total_objective
 from test_acceptance import tiny_model_and_batch
 
 E, H = 6, 4
@@ -241,7 +241,8 @@ def test_single_head_average_is_identity(schema, batch):
 
 def _per_head_attention(m, seq, rng=None):
     """Interpretable attention head by head, from primitives: each head's own
-    q, k, scores, mask, softmax and A_h @ V, the contexts averaged."""
+    q, k, scores, mask, softmax and A_h @ V, the contexts averaged, every
+    block over all rows; the final features are cut to rows E-1.. at the end."""
     cfg = m.config
     T = seq.shape[1]
     mask = np.triu(np.ones((T, T), dtype=bool), k=1)
@@ -258,13 +259,15 @@ def _per_head_attention(m, seq, rng=None):
             heads.append(attn)
             ctx = dc.matmul(attn, value)
             ctx_sum = ctx if ctx_sum is None else ctx_sum + ctx
-        out = m._dropout(m._dense(f"attn/b{k}/out", dc.mul(ctx_sum, 1.0 / cfg.heads)), rng)
+        out = m._dense(f"attn/b{k}/out", dc.mul(ctx_sum, 1.0 / cfg.heads))
+        keep = m._keep(out.shape, rng)
+        out = out if keep is None else dc.dropout(out, *keep)
         x = m._gate_norm(f"attn/b{k}", out, x)
         x = m.grn(f"attn/b{k}/grn", x, rng=rng)
     abar = heads[0]
     for a in heads[1:]:
         abar = abar + a
-    return x, heads, dc.mul(abar, 1.0 / cfg.heads)
+    return x[:, m.schema.encoder_len - 1:], heads, dc.mul(abar, 1.0 / cfg.heads)
 
 
 def _rel(a, b):
@@ -277,7 +280,7 @@ def test_causal_attention_matches_per_head_reference(schema, hidden, heads):
     m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=2, dropout=0.2), seed=3)
     rng = np.random.default_rng(5)
     seq0 = rng.normal(size=(3, T, hidden))
-    probes = [rng.normal(size=s) for s in ((3, T, hidden), (3, heads, T, T), (3, T, T))]
+    probes = [rng.normal(size=s) for s in ((3, H + 1, hidden), (3, heads, T, T), (3, T, T))]
     results = []
     for attend in (m.causal_attention, lambda s, rng: _per_head_attention(m, s, rng)):
         for p in m.params.values():
@@ -537,16 +540,18 @@ def test_desk_train_step_tape_stays_small():
     # each GRN and each gated add-and-norm is one node; composed from
     # primitives, this step built 1055; head by head, attention made it 535;
     # stacking the embeddings and slicing them back out in selection, 520;
-    # attention's output dropout as a product with a constant leaf, 490
-    assert _train_step_nodes(16, 2, 2, 0.1, 32) <= 488
+    # attention's output dropout as a product with a constant leaf, 490; as a
+    # node of its own, and the final block over all T rows, 488
+    assert _train_step_nodes(16, 2, 2, 0.1, 32) <= 487
 
 
 def test_reference_train_step_tape_stays_small():
     # a block's heads share one batched score product and one A~ @ V product;
     # head by head (8 nodes per head), this step built 833; the selection
     # networks' stack-then-slice of the embeddings added 30 more, for 642;
-    # attention's output dropout as a product with a constant leaf, 612
-    assert _train_step_nodes(128, 6, 4, 0.3, 64) <= 608
+    # attention's output dropout as a product with a constant leaf, 612; as a
+    # node of its own, and the final block over all T rows, 608
+    assert _train_step_nodes(128, 6, 4, 0.3, 64) <= 605
 
 
 # A value that no VJP reads (a matmul result before `+ b`, the LSTM input
@@ -556,14 +561,16 @@ def test_reference_train_step_tape_stays_small():
 
 def test_desk_train_step_retains_only_what_backward_reads():
     # 11.07 MB while graph nodes held their values; 7.32 MB with float64
-    # dropout masks; 6.75 MB with boolean ones
-    assert _train_step_retained_bytes(16, 2, 2, 0.1, 32) <= 7_090_000
+    # dropout masks; 6.75 MB with boolean ones; 6.20 MB with the final
+    # attention block on the rows forward reads
+    assert _train_step_retained_bytes(16, 2, 2, 0.1, 32) <= 6_510_000
 
 
 def test_reference_train_step_retains_only_what_backward_reads():
     # 209.1 MB while graph nodes held their values; 147.8 MB with float64
-    # dropout masks; 135.2 MB with boolean ones
-    assert _train_step_retained_bytes(128, 6, 4, 0.3, 64) <= 142_000_000
+    # dropout masks; 135.2 MB with boolean ones; 126.5 MB with the final
+    # attention block on the rows forward reads
+    assert _train_step_retained_bytes(128, 6, 4, 0.3, 64) <= 133_000_000
 
 
 def test_desk_graph_free_forward_peaks_low():
@@ -584,6 +591,85 @@ def test_desk_graph_free_forward_peaks_low():
         tracemalloc.stop()
     assert fp.quantiles.shape[0] == 256
     assert peak <= 8_500_000
+
+
+def test_reference_graph_free_pass_peaks_low():
+    # the helper runs a 256-window batch in calls of 32 and gathers its rows:
+    # 15.5 MB above its inputs, 8.3 MB of them the batch's outputs; one call
+    # of 256 windows peaked at 50.8 MB
+    schema = synthetic_schema()
+    _, wins = _cohort_windows(schema, 8)
+    m = Model(schema, ModelConfig(hidden=128, heads=6, blocks=4), seed=0)
+    batch = WindowBatch.from_windows(wins[:256])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ((_, fp),) = graph_free_passes(m, [batch])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert fp.quantiles.shape[0] == 256
+    assert peak <= 16_500_000
+
+
+# ---------------------------------------------------------------------------
+# the final attention block runs on the rows forward reads
+
+
+def _full_row_attention(m, seq, rng=None):
+    """`Model.causal_attention` with its final block run over all T rows, the
+    features cut to rows E-1.. only at the end."""
+    cfg = m.config
+    B, T, _ = seq.shape
+    future = np.triu(np.ones((T, T), dtype=bool), k=1)
+    x = seq
+    for k in range(cfg.blocks):
+        w_q = dc.concat([m.params[f"attn/b{k}/q{h}/w"] for h in range(cfg.heads)], axis=1)
+        w_k = dc.concat([m.params[f"attn/b{k}/k{h}/w"] for h in range(cfg.heads)], axis=1)
+        split = (B, T, cfg.heads, cfg.head_dim)
+        q = dc.transpose(dc.reshape(dc.matmul(x, w_q), split), (0, 2, 1, 3))
+        k_t = dc.transpose(dc.reshape(dc.matmul(x, w_k), split), (0, 2, 3, 1))
+        scores = dc.mul(dc.matmul(q, k_t), 1.0 / np.sqrt(cfg.head_dim))
+        heads = dc.softmax(dc.masked_fill(scores, future, -np.inf), axis=-1)
+        abar = dc.reduce_mean(heads, axis=1)
+        out = dc.matmul(abar, dc.matmul(x, m.params[f"attn/b{k}/v/w"]))
+        out = m._dense(f"attn/b{k}/out", out)
+        x = m._gate_norm(f"attn/b{k}", out, x, m._keep(out.shape, rng))
+        x = m.grn(f"attn/b{k}/grn", x, rng=rng)
+    return x[:, m.schema.encoder_len - 1:], heads, abar
+
+
+def _cut_and_full_row_forwards(hidden, heads, blocks, rng_seed, monkeypatch):
+    schema = synthetic_schema()
+    series, wins = _cohort_windows(schema, 8)
+    m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=blocks), seed=3,
+              scalers=mod.compute_scalers(series, schema))
+    batch = WindowBatch.from_windows(wins[:64])
+    runs = []
+    for attention in (Model.causal_attention, _full_row_attention):
+        monkeypatch.setattr(Model, "causal_attention", attention)
+        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        fp = m.forward(batch, rng=rng)
+        runs.append((fp, rng))
+    return runs
+
+
+@pytest.mark.parametrize("hidden,heads,blocks", [(16, 2, 2), (128, 6, 4)], ids=["desk", "reference"])
+def test_cut_final_block_gives_the_full_row_block_bits(hidden, heads, blocks, monkeypatch):
+    with dc.no_grad():
+        (cut, _), (full, _) = _cut_and_full_row_forwards(hidden, heads, blocks, None, monkeypatch)
+    for name in ("quantiles", "abar", "head_attention", "w_hist", "decoder_states",
+                 "encoder_anchor"):
+        assert getattr(cut, name).data.tobytes() == getattr(full, name).data.tobytes(), name
+
+
+@pytest.mark.parametrize("hidden,heads,blocks", [(16, 2, 2), (128, 6, 4)], ids=["desk", "reference"])
+def test_cut_final_block_draws_the_full_row_dropout_masks(hidden, heads, blocks, monkeypatch):
+    (cut, cut_rng), (full, full_rng) = _cut_and_full_row_forwards(hidden, heads, blocks, 11,
+                                                                  monkeypatch)
+    assert cut.quantiles.requires_grad and cut.decoder_states.shape == full.decoder_states.shape
+    assert cut_rng.bit_generator.state == full_rng.bit_generator.state
+    assert cut.quantiles.data.tobytes() == full.quantiles.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ def test_train_config_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# graph-free passes share forward calls without moving a bit
+# graph-free passes share and split forward calls without moving a bit
 
 
 @pytest.mark.parametrize("width,batch,targets,merges", [
@@ -412,18 +412,21 @@ def test_train_config_json_round_trip():
     ((16, 2, 2), 5, ("y",), False),  # 5 and 30 are not multiples of 4
     ((16, 2, 2), 30, ("y",), False),
     ((128, 6, 4), 64, ("y",), False),  # 64 windows is more than a reference call holds
+    ((128, 6, 4), 33, ("y",), False),  # 32 + 1 would leave a one-window call: 16 + 17
+    ((128, 6, 4), 256, ("y",), False),  # an eval-sized batch in calls of 32
     ((16, 2, 2), 32, ("y", "y2"), True),  # round-robin: each pool's short batch comes mid-epoch
-], ids=["desk-32", "desk-5", "desk-30", "reference-64", "two-targets-32"])
+], ids=["desk-32", "desk-5", "desk-30", "reference-64", "reference-33", "reference-256",
+        "two-targets-32"])
 def test_graph_free_passes_give_the_bits_of_one_forward_per_batch(width, batch, targets,
                                                                   merges, monkeypatch):
     hidden, heads, blocks = width
     schema = _two_target_schema()
-    series, _ = generate_synthetic(8 if hidden == 16 else 2, schema, seed=7,
-                                   min_steps=72, max_steps=72)
+    series, _ = generate_synthetic(8 if hidden == 16 else 2 + 3 * (batch > 100), schema,
+                                   seed=7, min_steps=72, max_steps=72)
     pools = {t: [w for s in series for w in enumerate_windows(s, schema, 2.0, t)]
              for t in targets}
     if hidden == 128:
-        pools = {t: w[:100] for t, w in pools.items()}
+        pools = {t: w[:max(100, batch)] for t, w in pools.items()}
     model = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=blocks), seed=3,
                   scalers=compute_scalers(series, schema))
     cfg = TrainConfig(batch=batch)
@@ -454,6 +457,38 @@ def test_graph_free_passes_give_the_bits_of_one_forward_per_batch(width, batch, 
     got_rows = baseline(tr.graph_free_passes(model, batches))
     assert got_rows.tobytes() == want_rows.tobytes()
     assert (len(calls) < len(batches)) == merges
-    assert max(calls) <= max(batch, 4096 // hidden)
+    assert max(calls) <= 4096 // hidden
+    assert min(calls) >= min(16, *(b.size for b in batches))  # no short tail
     got_val = tr.evaluate_quantile_loss(model, windows, batch_size=batch)
     assert np.float64(got_val).tobytes() == np.float64(want_val).tobytes()
+    # every output row keeps its bits, not only the sums above
+    for passes in (batches, list(tr.batches_of(windows, batch))):
+        for b, fp in tr.graph_free_passes(model, passes):
+            with dc.no_grad():
+                own = forward(b)
+            for name, value in vars(own).items():
+                if isinstance(value, Tensor):
+                    assert getattr(fp, name).data.tobytes() == value.data.tobytes(), name
+
+
+def test_a_one_window_batch_runs_alone(monkeypatch):
+    # a one-row GEMM rounds on another path, so a one-window batch merged after
+    # others would lose the bits of its own forward
+    schema = _two_target_schema()
+    series, _ = generate_synthetic(2, schema, seed=7, min_steps=72, max_steps=72)
+    windows = [w for s in series for w in enumerate_windows(s, schema, 2.0, "y")]
+    model = Model(schema, ModelConfig(hidden=16, heads=2, blocks=2), seed=3,
+                  scalers=compute_scalers(series, schema))
+    batches = [WindowBatch.from_windows(windows[:32]), WindowBatch.from_windows(windows[32:33])]
+    forward, calls = model.forward, []
+
+    def counting(b, rng=None):
+        calls.append(b.size)
+        return forward(b, rng=rng)
+
+    monkeypatch.setattr(model, "forward", counting)
+    (_, _), (_, fp) = tr.graph_free_passes(model, batches)
+    assert calls == [32, 1]
+    with dc.no_grad():
+        own = forward(batches[1])
+    assert fp.quantiles.data.tobytes() == own.quantiles.data.tobytes()
