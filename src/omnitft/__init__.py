@@ -4,17 +4,9 @@ Regime-balanced window sampling, frequency-aware embedding shrinkage,
 group-entropy variable selection, and shock-aligned attention calibration
 around a TFT-style LSTM + causal-attention quantile network, with its own
 reverse-mode autodiff core, ingestion, training, and evaluation tooling.
+
+Importing the package loads none of its modules; import them by path
+(`omnitft.model`, `omnitft.trainer`, ...).
 """
 
 __version__ = "0.1.0"
-
-from .schema import (  # noqa: F401
-    DatasetSchema,
-    FeatureSpec,
-    GroupAssignment,
-    build_group_assignment,
-    validate_schema,
-)
-from .model import Model, ModelConfig  # noqa: F401
-from .trainer import TrainConfig, train  # noqa: F401
-from .penalties import PenaltyWeights  # noqa: F401

@@ -8,6 +8,9 @@ the memory used depend on: the Python, numpy and BLAS versions, the BLAS
 thread setting, the usable cores and the process's peak RSS.
 Exit codes: 0 success, 2 configuration or input error, 3 training diverged,
 1 unexpected failure.
+
+Each command imports the modules it runs when it runs: `synth` loads no
+model, autodiff, training, sampling, labelling or evaluation code.
 """
 
 from __future__ import annotations
@@ -27,23 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evalkit, ingest, labeler, sampler, trainer
-from .model import (
-    MODEL_RULES,
-    Model,
-    ModelConfig,
-    ModelError,
-    compute_scalers,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .penalties import WEIGHT_RULES, PenaltyError
+from . import ingest
 from .schema import (
     INT_AT_LEAST_0,
     INT_AT_LEAST_1,
     NUMBER_ABOVE_0,
     NUMBER_AT_LEAST_0,
     DatasetSchema,
+    SchemaError,
     check,
     is_number,
     load_schema,
@@ -212,14 +206,6 @@ PIPELINE_RULES = {
     "missing_threshold": (False, float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
     "delta": (False, {"*": NUMBER_AT_LEAST_0}, None, None),  # target name -> cutoff
 }
-# a training config: the trainer's and the pipeline's keys, and two of its own
-CONFIG_RULES = {
-    **trainer.TRAIN_RULES,
-    **PIPELINE_RULES,
-    "weights": (False, WEIGHT_RULES, None, None),
-    "model": (False, MODEL_RULES, None, None),
-    "model_seed": INT_AT_LEAST_0,
-}
 
 
 def load_events(path: Path, schema: DatasetSchema):
@@ -240,6 +226,8 @@ def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dic
     The volatility cutoff per target comes from the override table when
     given, otherwise from the 75th percentile of training-window scores.
     """
+    from . import labeler, sampler
+
     targets = (t.name for t in schema.target_features)  # a cutoff is for a target only
     check(delta_overrides, dict.fromkeys(targets, NUMBER_AT_LEAST_0), CliError, "config key",
           "delta.")
@@ -274,20 +262,29 @@ def build_window_pools(splits: dict, schema: DatasetSchema, delta_overrides: dic
 def load_train_config(path):
     """The training config at `path` ({} for none) and the model, trainer and
     pipeline configs it sets; a bad key raises CliError naming the file."""
+    from . import model, penalties, trainer
+
     try:
         doc = {}
         if path is not None:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         return (doc, *resolve_configs(doc))
-    except (ValueError, CliError, ModelError, trainer.TrainerError, PenaltyError) as e:
+    except (ValueError, CliError, model.ModelError, trainer.TrainerError,
+            penalties.PenaltyError) as e:
         raise CliError(f"{path}: {e}") from None  # bad JSON or UTF-8 too
 
 
 def resolve_configs(doc: dict):
     """Split a training-config JSON into model, trainer and pipeline configs."""
-    check(doc, CONFIG_RULES, CliError, "config key")
-    return (ModelConfig(**doc.get("model", {})),
+    from . import model, penalties, trainer
+
+    # a training config: the trainer's and the pipeline's keys, and two of its own
+    rules = {**trainer.TRAIN_RULES, **PIPELINE_RULES, "model_seed": INT_AT_LEAST_0,
+             "weights": (False, penalties.WEIGHT_RULES, None, None),
+             "model": (False, model.MODEL_RULES, None, None)}
+    check(doc, rules, CliError, "config key")
+    return (model.ModelConfig(**doc.get("model", {})),
             trainer.train_config_from_dict({k: doc[k] for k in trainer.TRAIN_RULES if k in doc}),
             PipelineConfig.from_dict(doc))
 
@@ -333,28 +330,33 @@ def cmd_synth(args) -> int:
     with open(labels_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["patient_id", "step", "label"])
-        for s in series:
-            for step, lab in enumerate(truth[s.patient_id]):
-                w.writerow([s.patient_id, step, lab])
-    _write_manifest(
-        out,
-        "synth",
-        {
-            "patients": args.patients,
-            "shock_rate": args.shock_rate,
-            "seed": args.seed,
-            "encoder_len": args.encoder_len,
-            "horizon_len": args.horizon_len,
-            "grid_step_min": args.grid_step_min,
-        },
-        inputs=[],
-        artifacts=[data_path, schema_path, labels_path],
-    )
+        w.writerows((s.patient_id, step, lab) for s in series
+                    for step, lab in enumerate(truth[s.patient_id]))
+    params = ("patients", "shock_rate", "seed", "encoder_len", "horizon_len", "grid_step_min")
+    _write_manifest(out, "synth", {k: getattr(args, k) for k in params}, inputs=[],
+                    artifacts=[data_path, schema_path, labels_path])
     print(f"wrote {args.patients} patients to {out}")
     return EXIT_OK
 
 
+def save_checkpoint(path, model):
+    """`model.save_checkpoint`; commands call it here, where a trace wraps it."""
+    from . import model as model_module
+
+    model_module.save_checkpoint(path, model)
+
+
+def load_checkpoint(path):
+    """`model.load_checkpoint`; commands call it here, where a trace wraps it."""
+    from . import model as model_module
+
+    return model_module.load_checkpoint(path)
+
+
 def cmd_train(args) -> int:
+    from . import trainer
+    from .model import Model, compute_scalers
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schema = validate_schema(load_schema(args.schema))
@@ -428,6 +430,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evalkit, trainer
+    from .model import ModelError
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(args.checkpoint)
@@ -514,41 +519,48 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _truth_window_labels(data_dir: Path, schema: DatasetSchema):
-    """Ground-truth per-window labels from a generator truth file, if any."""
+def _truth_window_labels(data_dir: Path, schema: DatasetSchema, series: dict):
+    """Ground-truth per-window labels from a generator truth file, if any: every
+    row is checked, and kept as one label list per patient of `series` (id ->
+    series) over its raw grid, trimmed steps included; no window reads more."""
+    from . import labeler
+
     path = data_dir / "truth_labels.csv"
     if not path.exists():
         return None
-    steps: dict = {}
+    truth = {pid: [None] * (s.trimmed_steps + s.n_steps) for pid, s in series.items()}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        at = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
         columns = ("patient_id", "step", "label")
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        missing = [c for c in columns if c not in at]
         if missing:
             raise CliError(f"{path}, line 1: no column(s) {missing}")
-        for row in reader:
-            step, label = row["step"] or "", row["label"]
+        for row in filter(None, reader):  # blank lines hold no row
+            pid, step, label = (row[at[c]] if at[c] < len(row) else None for c in columns)
+            step = step or ""
             if not step.isdecimal() or label not in (labeler.STABLE, labeler.VOLATILE):
                 raise CliError(
                     f"{path}, line {reader.line_num}: need an integer step >= 0 and a label "
                     f"{labeler.STABLE} or {labeler.VOLATILE}, got {step!r}, {label!r}"
                 )
-            steps.setdefault(row["patient_id"], {})[int(step)] = label
+            if int(step) < len(truth.get(pid, ())):
+                truth[pid][int(step)] = label
     E, H = schema.encoder_len, schema.horizon_len
 
     def window_label(pid: str, start: int) -> str | None:
         """The truth label of the window whose first step is raw grid step
         `start`; None when a horizon step has no truth row."""
-        per = steps.get(pid, {})
-        window = [per.get(t) for t in range(start, start + E + H)]
-        if None in window[E:]:
-            return None
-        return labeler.hmm_window_label(window, E, 0, H)
+        future = truth[pid][start + E : start + E + H]
+        return None if None in future else labeler.hmm_window_label(future, 0, 0, H)
 
     return window_label
 
 
 def cmd_label(args) -> int:
+    from . import labeler
+    from .model import compute_scalers
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schema = validate_schema(load_schema(args.schema))
@@ -569,7 +581,7 @@ def cmd_label(args) -> int:
                 hmm_steps[(t_spec.name, pid)] = step_labels
             unfitted += [pid for pid, x in zip(all_series, diffs) if labeler.overflows(x)]
 
-    truth_fn = _truth_window_labels(data_dir, schema)
+    truth_fn = _truth_window_labels(data_dir, schema, all_series)
 
     labels_path = out / "window_labels.csv"
     counts = {"stable": 0, "volatile": 0}
@@ -686,17 +698,17 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # schema/ingest/trainer contract violations
-        from . import schema as schema_mod
+        from . import evalkit, labeler, model, penalties, sampler, trainer
 
         known = (
-            schema_mod.SchemaError,
+            SchemaError,
             ingest.IngestError,
             sampler.SamplerError,
             labeler.LabelerError,
             trainer.TrainerError,
             evalkit.EvalError,
-            ModelError,
-            PenaltyError,
+            model.ModelError,
+            penalties.PenaltyError,
         )
         if isinstance(e, known):
             print(f"error: {e}", file=sys.stderr)

@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import schema as schema_module
-from .labeler import STABLE, VOLATILE
-from .schema import DatasetSchema, FeatureSpec, SchemaError, schema_to_dict, validate_schema
+from .schema import (STABLE, VOLATILE, DatasetSchema, FeatureSpec, SchemaError, schema_to_dict,
+                     validate_schema)
 
 
 class IngestError(Exception):
@@ -343,14 +343,12 @@ def regime_transition(shock_rate: float, mean_volatile_run: float = 5.0) -> np.n
 
 def simulate_regime_chain(n: int, shock_rate: float, rng,
                           mean_volatile_run: float = 5.0) -> np.ndarray:
-    trans = regime_transition(shock_rate, mean_volatile_run)
-    states = np.zeros(n, dtype=int)
-    u = rng.random(n)
-    state = 0
-    for t in range(n):
-        state = int(u[t] < trans[state, 1])
-        states[t] = state
-    return states
+    enter_v = regime_transition(shock_rate, mean_volatile_run)[:, 1].tolist()
+    states, state = [], 0
+    for u in rng.random(n).tolist():  # Python floats: numpy scalars are slower per step
+        state = int(u < enter_v[state])
+        states.append(state)
+    return np.array(states, dtype=int)
 
 
 _AR_PHI = 0.9
@@ -385,10 +383,11 @@ def generate_synthetic(
         states = simulate_regime_chain(n, shock_rate, rng, mean_volatile_run)
         sigma = np.where(states == 1, _SIGMA_VOLATILE, _SIGMA_STABLE)
         eps = rng.standard_normal(n)
-        y = np.empty(n)
-        y[0] = _AR_MEAN + sigma[0] * eps[0]
-        for t in range(1, n):
-            y[t] = _AR_MEAN + _AR_PHI * (y[t - 1] - _AR_MEAN) + sigma[t] * eps[t]
+        shocks = (sigma * eps).tolist()
+        y = [_AR_MEAN + shocks[0]]
+        for shock in shocks[1:]:  # Python floats round as float64 scalars do
+            y.append(_AR_MEAN + _AR_PHI * (y[-1] - _AR_MEAN) + shock)
+        y = np.array(y)
 
         hours = np.arange(n) * schema.grid_step_min / 60.0
         values = np.zeros((n, len(schema.features)))
@@ -420,36 +419,35 @@ def generate_synthetic(
     return series_list, truth
 
 
-def series_to_events(series: PatientSeries, schema: DatasetSchema) -> list:
-    """Flatten a gridded series back to long-format rows for CSV export.
-
-    Statics are emitted once at time 0; categoricals round-trip through
-    their vocab names when available.
-    """
-    step_h = schema.grid_step_min / 60.0
-    rows = []
-    for j, spec in enumerate(schema.features):
-        if spec.role == "static":
-            v = series.values[0, j]
-            out = spec.vocab[int(v)] if (spec.is_categorical and spec.vocab) else repr(float(v))
-            rows.append((series.patient_id, 0.0, spec.name, out))
-            continue
-        for t in range(series.n_steps):
-            if not series.mask[t, j]:
-                continue
-            v = series.values[t, j]
-            out = spec.vocab[int(v)] if (spec.is_categorical and spec.vocab) else repr(float(v))
-            rows.append((series.patient_id, t * step_h, spec.name, out))
-    return rows
+def _csv_cell(text: str) -> str:
+    """`text` as a csv.writer field: quoted when it holds a comma, a quote or a line end."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_events_csv(path, series_list: list, schema: DatasetSchema):
+    """Write gridded series as long-format events, the bytes csv.writer writes.
+
+    Each (patient, feature) pair is one write of its observed steps; statics
+    are written once at time 0, and categoricals as their vocab names when
+    there is a vocab.
+    """
+    step_h = schema.grid_step_min / 60.0
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["patient_id", "time_h", "feature", "value"])
+        fh.write("patient_id,time_h,feature,value\r\n")
         for s in series_list:
-            for pid, t, feat, val in series_to_events(s, schema):
-                w.writerow([pid, repr(float(t)), feat, val])
+            pid = _csv_cell(s.patient_id)
+            for j, spec in enumerate(schema.features):
+                steps = np.zeros(1, int) if spec.role == "static" else np.flatnonzero(s.mask[:, j])
+                values = s.values[steps, j].tolist()
+                if spec.is_categorical and spec.vocab:
+                    values = [_csv_cell(spec.vocab[int(v)]) for v in values]
+                else:
+                    values = map(repr, values)
+                times = map(repr, (steps * step_h).tolist())
+                feature = _csv_cell(spec.name)
+                fh.write("".join([f"{pid},{t},{feature},{v}\r\n" for t, v in zip(times, values)]))
 
 
 def write_split_grids(out_dir, splits: dict, schema: DatasetSchema, report: dict):

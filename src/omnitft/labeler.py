@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STABLE = "stable"
-VOLATILE = "volatile"
+from .schema import STABLE, VOLATILE
 
 _SIGMA_FLOOR = 1e-6
 _MIN_DIFFS = 10  # shortest diff signal the HMM is fitted to

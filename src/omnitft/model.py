@@ -130,18 +130,16 @@ class ForecastBundle:
 class ForwardPass:
     """Batch outputs plus every internal the penalties read. The final
     attention block's features exist for rows E-1..T-1 only: `encoder_anchor`
-    is row E-1 and `decoder_states` rows E..T-1, while `abar` and
-    `head_attention` cover every row."""
+    is row E-1 and `decoder_states` rows E..T-1, while `abar` covers every
+    row."""
 
     quantiles: Tensor  # (B, H, n_q)
     abar: Tensor  # (B, T, T) final block, all rows
-    head_attention: Tensor  # (B, heads, T, T), final block, all rows
     w_hist: Tensor  # (B, E, n_past)
     w_fut: Tensor | None  # (B, H, n_future); None when no known covariates
     decoder_states: Tensor  # (B, H, d)
     encoder_anchor: Tensor  # (B, d) last encoder-side representation
     category_counts: dict  # table name -> per-category batch counts
-    enc_out: Tensor  # (B, E, d) LSTM-side encoder outputs
 
     def bundle(self, i: int) -> ForecastBundle:
         w_fut = (
@@ -585,10 +583,10 @@ class Model:
             w_fut = None
             fused_fut = Tensor(np.zeros((batch.size, H, self.config.hidden)))
 
-        seq, enc_out, _ = self.encode_decode(fused_past, fused_fut, ctx_h, ctx_c)
+        seq = self.encode_decode(fused_past, fused_fut, ctx_h, ctx_c)[0]
         del fused_past, fused_fut  # nothing after the LSTM reads them
         seq = self.grn("enrich", seq, ctx=ctx_enr, rng=rng)
-        features, heads, abar = self.causal_attention(seq, rng=rng)  # rows E-1..T-1
+        features, _, abar = self.causal_attention(seq, rng=rng)  # rows E-1..T-1; no head surfaces
         anchor, dec_repr = features[:, 0], features[:, 1:]
         quantiles = self.quantile_head(dec_repr)
         # anchor outputs in each window's target frame
@@ -603,13 +601,11 @@ class Model:
         return ForwardPass(
             quantiles=quantiles,
             abar=abar,
-            head_attention=heads,
             w_hist=w_hist,
             w_fut=w_fut,
             decoder_states=dec_repr,
             encoder_anchor=anchor,
             category_counts=self.batch_category_counts(batch),
-            enc_out=enc_out,
         )
 
 

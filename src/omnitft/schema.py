@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROLES = ("static", "observed_past", "known_future", "target")
+STABLE, VOLATILE = "stable", "volatile"  # regime labels of a step or window
 _ROLE_TO_GROUP = {"target": 0, "known_future": 1, "observed_past": 2}
 
 

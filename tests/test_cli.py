@@ -140,6 +140,22 @@ def test_each_command_hashes_data_csv_once(synth_dir, trained_dir, tmp_path, mon
         ], name
 
 
+def test_synth_imports_no_model_training_or_evaluation_code(tmp_path):
+    # `python -m omnitft.cli synth` as the benchmark runs it; -X importtime
+    # lists every module the process imports
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "omnitft.cli", "synth", "--patients", "12",
+         "--out", str(tmp_path / "syn")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert {"numpy", "omnitft.schema", "omnitft.ingest"} <= imported
+    heavy = {"model", "diffcore", "trainer", "penalties", "sampler", "evalkit"}
+    assert not imported & {f"omnitft.{name}" for name in heavy}
+
+
 def test_manifest_records_the_environment_of_the_run(synth_dir, tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     for threads in ("1", "2"):
@@ -898,6 +914,24 @@ def test_label_malformed_truth_file_exits_2_naming_file_and_line(synth_dir, tmp_
     assert code == 2
     err = capsys.readouterr().err
     assert f"{data / 'truth_labels.csv'}, {message}" in err
+
+
+def test_label_checks_then_ignores_truth_rows_no_window_reads(synth_dir, tmp_path):
+    # truth is kept per patient over its grid only, so a row of an unknown
+    # patient or a step far past the grid changes nothing and allocates nothing
+    data = tmp_path / "syn"
+    data.mkdir()
+    for name in ("data.csv", "schema.json", "truth_labels.csv"):
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+    with open(data / "truth_labels.csv", "a", newline="") as fh:
+        fh.write("p9999,3,volatile\r\n\r\np0000,1000000000000000,volatile\r\n")
+    summaries = []
+    for k, d in enumerate((synth_dir, data)):
+        out = tmp_path / f"lab{k}"
+        assert run(["label", "--data", str(d), "--schema", str(d / "schema.json"),
+                    "--out", str(out)]) == 0
+        summaries.append(read_json(out / "label_summary.json"))
+    assert "agreement_vs_truth" in summaries[0] and summaries[1] == summaries[0]
 
 
 def test_label_hmm_reports_method_agreement(synth_dir, tmp_path):

@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,22 @@ def small_schema(step=10.0, E=6, H=2):
 def events_table(schema, *rows):
     """The events table of (patient_id, time_h, feature name, value) rows."""
     return np.array([(p, t, schema.column(f), v) for p, t, f, v in rows], dtype=EVENT_DTYPE)
+
+
+def written_events(series, schema) -> str:
+    """The text `write_events_csv` writes for `series`."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "data.csv"
+        ingest.write_events_csv(path, series, schema)
+        with open(path, newline="") as fh:
+            return fh.read()
+
+
+def written_rows(series, schema) -> list:
+    """The (patient_id, time_h, feature, value) rows `write_events_csv` writes,
+    the time a float."""
+    rows = list(csv.reader(io.StringIO(written_events(series, schema))))[1:]
+    return [(p, float(t), f, v) for p, t, f, v in rows]
 
 
 def test_parse_direct():
@@ -402,6 +420,39 @@ def test_synthetic_deterministic():
         np.testing.assert_array_equal(sa.values, sb.values)
 
 
+def reference_chain(n, shock_rate, rng):
+    """The numpy-scalar loop `simulate_regime_chain` replaced, kept as its reference."""
+    trans = regime_transition(shock_rate)
+    states = np.zeros(n, dtype=int)
+    u = rng.random(n)
+    state = 0
+    for t in range(n):
+        state = int(u[t] < trans[state, 1])
+        states[t] = state
+    return states
+
+
+@pytest.mark.parametrize("shock_rate", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("seed", range(4))
+def test_generator_chains_keep_the_bits_of_numpy_scalar_loops(seed, shock_rate):
+    schema = synthetic_schema()
+    (first, *_), truth = generate_synthetic(2, schema, shock_rate=shock_rate, seed=seed)
+    rng = np.random.default_rng(seed)  # replay the first patient's draws
+    n = int(rng.integers(48, 97))
+    states = reference_chain(n, shock_rate, rng)
+    sigma = np.where(states == 1, ingest._SIGMA_VOLATILE, ingest._SIGMA_STABLE)
+    eps = rng.standard_normal(n)
+    y = np.empty(n)
+    y[0] = ingest._AR_MEAN + sigma[0] * eps[0]
+    for t in range(1, n):
+        y[t] = ingest._AR_MEAN + ingest._AR_PHI * (y[t - 1] - ingest._AR_MEAN) + sigma[t] * eps[t]
+    assert truth["p0000"] == [VOLATILE if s else STABLE for s in states]
+    assert first.values[:, schema.column("y")].tobytes() == y.tobytes()
+    long = [simulate_regime_chain(5000, shock_rate, np.random.default_rng(seed)),
+            reference_chain(5000, shock_rate, np.random.default_rng(seed))]
+    assert long[0].dtype == long[1].dtype and long[0].tobytes() == long[1].tobytes()
+
+
 def test_chain_stationary_fraction():
     # analytic stationary volatile mass of the two-state chain is shock_rate
     rng = np.random.default_rng(11)
@@ -461,13 +512,8 @@ def test_split_grid_files_round_trip(tmp_path):
 def test_pipeline_end_to_end():
     schema = synthetic_schema(encoder_len=6, horizon_len=2)
     series, _ = generate_synthetic(15, schema, shock_rate=0.2, seed=4, min_steps=20, max_steps=30)
-    rows = []
-    for s in series:
-        for pid, t, feat, val in ingest.series_to_events(s, schema):
-            spec = schema.feature(feat)
-            value = float(spec.category_index(val)) if spec.is_categorical else float(val)
-            rows.append((pid, t, feat, value))
-    splits, stats, report = ingest.ingest_pipeline(events_table(schema, *rows), schema, seed=0)
+    events = parse_events(io.StringIO(written_events(series, schema)), schema)
+    splits, stats, report = ingest.ingest_pipeline(events, schema, seed=0)
     assert report["split_counts"]["train"] >= report["split_counts"]["val"]
     assert sum(report["split_counts"].values()) == report["n_retained"] == 15
     for name, lst in splits.items():
@@ -479,7 +525,7 @@ def test_pipeline_end_to_end():
 def test_pipeline_grids_do_not_depend_on_row_order():
     schema = synthetic_schema(encoder_len=2, horizon_len=1)
     series, _ = generate_synthetic(10, schema, seed=3, min_steps=8, max_steps=10)
-    rows = [row for s in series for row in ingest.series_to_events(s, schema)]
+    rows = written_rows(series, schema)
     # three events in one cell at one time: their file order fixes the float sum
     at = rows.index(("p0003", 2.0, "y", repr(float(series[3].values[2, 0]))))
     rows[at:at + 1] = [("p0003", 2.0, "y", v) for v in ("0.1", "0.2", "0.3")]
@@ -579,12 +625,7 @@ def test_impute_property(case):
 def test_event_round_trip_reproduces_the_grid(seed, grid_step_min):
     schema = synthetic_schema(encoder_len=2, horizon_len=1, grid_step_min=grid_step_min)
     series, _ = generate_synthetic(3, schema, seed=seed, min_steps=4, max_steps=30)
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["patient_id", "time_h", "feature", "value"])
-    for s in series:
-        writer.writerows(ingest.series_to_events(s, schema))
-    events = parse_events(io.StringIO(text.getvalue()), schema)
+    events = parse_events(io.StringIO(written_events(series, schema)), schema)
     temporal = np.array([f.role != "static" for f in schema.features])
     for s in series:
         grid = resample_to_grid(events[events["patient_id"] == s.patient_id], schema)
@@ -593,6 +634,74 @@ def test_event_round_trip_reproduces_the_grid(seed, grid_step_min):
         assert grid.values[grid.mask].tobytes() == s.values[grid.mask].tobytes()
         filled = impute(grid, schema, compute_train_stats([grid], schema))
         assert filled.values.tobytes() == s.values.tobytes()
+
+
+def reference_events_csv(series_list, schema) -> str:
+    """The per-row csv.writer writer that `write_events_csv` replaced, kept as
+    the reference of its bytes."""
+    step_h = schema.grid_step_min / 60.0
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["patient_id", "time_h", "feature", "value"])
+    for s in series_list:
+        for j, spec in enumerate(schema.features):
+            steps = [0] if spec.role == "static" else [t for t in range(s.n_steps) if s.mask[t, j]]
+            for t in steps:
+                v = s.values[t, j]
+                out = spec.vocab[int(v)] if (spec.is_categorical and spec.vocab) else repr(float(v))
+                writer.writerow([s.patient_id, repr(float(t * step_h)), spec.name, out])
+    return text.getvalue()
+
+
+def synth_cohort(patients, seed, **steps):
+    schema = synthetic_schema()
+    return generate_synthetic(patients, schema, seed=seed, **steps)[0], schema
+
+
+def unobserved_cohort():
+    """Synthetic series with a third of their cells unobserved, statics too."""
+    schema = synthetic_schema(grid_step_min=15.0)
+    series, _ = generate_synthetic(8, schema, seed=5, min_steps=10, max_steps=30)
+    rng = np.random.default_rng(0)
+    for s in series:
+        s.mask = rng.random(s.mask.shape) > 1 / 3
+    return series, schema
+
+
+def quoted_cohort():
+    """Patient ids and vocab names holding a comma or a quote, a categorical
+    with a vocab and one without, and unobserved cells."""
+    schema = validate_schema(DatasetSchema(
+        features=(
+            FeatureSpec("hr", "target"),
+            FeatureSpec("ward", "observed_past", dtype="categorical",
+                        vocab=("icu,east", 'say "ok"', "plain")),
+            FeatureSpec("code", "observed_past", dtype="categorical", vocab_size=4),
+            FeatureSpec("site", "static", dtype="categorical", vocab=('a "b", c', "d")),
+            FeatureSpec("age", "static"),
+        ),
+        grid_step_min=7.0, encoder_len=2, horizon_len=1,
+    ))
+    rng = np.random.default_rng(1)
+    series = []
+    for k, pid in enumerate(("p,1", 'p"2"', "p3")):
+        values = np.column_stack([rng.normal(80, 5, 9), rng.integers(0, 3, 9),
+                                  rng.integers(0, 4, 9), np.full(9, k % 2), np.full(9, 61.5)])
+        series.append(PatientSeries(pid, values.astype(float), rng.random((9, 5)) > 0.25))
+    return series, schema
+
+
+@pytest.mark.parametrize("cohort", [
+    lambda: synth_cohort(50, 1),  # `synth`'s defaults: 48 to 96 steps
+    lambda: synth_cohort(50, 7),
+    *[lambda n=n: synth_cohort(n, 1, min_steps=72, max_steps=72) for n in (12, 64, 100)],
+    unobserved_cohort,
+    quoted_cohort,
+], ids=["synth-seed1", "synth-seed7", "fixed72-12", "fixed72-64", "fixed72-100", "unobserved",
+        "quoted"])
+def test_events_csv_has_the_bytes_of_the_row_writer(cohort):
+    series, schema = cohort()
+    assert written_events(series, schema) == reference_events_csv(series, schema)
 
 
 @st.composite
@@ -684,9 +793,8 @@ def test_dropping_before_allocation_keeps_whom_filter_patients_keeps(case):
 def test_split_cache_round_trip_is_bit_exact(tmp_path):
     schema = synthetic_schema(encoder_len=4, horizon_len=2)
     series, _ = generate_synthetic(12, schema, seed=2, min_steps=10, max_steps=20)
-    rows = [(pid, t, f, float(schema.feature(f).category_index(v)) if schema.feature(f).vocab
-             else float(v)) for s in series for pid, t, f, v in ingest.series_to_events(s, schema)]
-    splits, _, report = ingest.ingest_pipeline(events_table(schema, *rows), schema)
+    events = parse_events(io.StringIO(written_events(series, schema)), schema)
+    splits, _, report = ingest.ingest_pipeline(events, schema)
     path = tmp_path / "cache" / "entry.npz"
     assert ingest.load_splits(path, schema) is None
     assert ingest.save_splits(path, splits, report)

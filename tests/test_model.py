@@ -221,10 +221,23 @@ def test_encoder_causal_wrt_future_inputs(tiny_model):
     np.testing.assert_array_equal(enc1.data, enc2.data)
 
 
-def test_attention_invariants(tiny_model, batch):
+def _returns_of(monkeypatch, name):
+    """What `Model.<name>` returns from here on, one entry per call."""
+    returned, method = [], getattr(Model, name)
+
+    def recording(self, *args, **kwargs):
+        returned.append(method(self, *args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(Model, name, recording)
+    return returned
+
+
+def test_attention_invariants(tiny_model, batch, monkeypatch):
+    attended = _returns_of(monkeypatch, "causal_attention")
     fp = tiny_model.forward(batch)
     abar = fp.abar.data
-    heads = fp.head_attention.data
+    heads = attended[0][1].data
     assert heads.shape == (batch.size, tiny_model.config.heads, T, T)
     triu = np.triu_indices(T, k=1)
     assert np.all(abar[:, triu[0], triu[1]] == 0.0)
@@ -233,10 +246,11 @@ def test_attention_invariants(tiny_model, batch):
     np.testing.assert_allclose(heads.sum(-1), 1.0, atol=1e-9)
 
 
-def test_single_head_average_is_identity(schema, batch):
+def test_single_head_average_is_identity(schema, batch, monkeypatch):
     m = Model(schema, ModelConfig(hidden=8, heads=1, blocks=2, dropout=0.0), seed=0)
+    attended = _returns_of(monkeypatch, "causal_attention")
     fp = m.forward(batch)
-    np.testing.assert_array_equal(fp.abar.data, fp.head_attention.data[:, 0])
+    np.testing.assert_array_equal(fp.abar.data, attended[0][1].data[:, 0])
 
 
 def _per_head_attention(m, seq, rng=None):
@@ -345,8 +359,9 @@ def test_forward_shapes_contract(tiny_model, schema, batch):
     assert np.isfinite(fp.decoder_states.data).all()
 
 
-def test_forward_causality_in_attention_rows(tiny_model, schema, batch):
+def test_forward_causality_in_attention_rows(tiny_model, schema, batch, monkeypatch):
     m = tiny_model
+    encoded = _returns_of(monkeypatch, "encode_decode")
     fp1 = m.forward(batch)
     perturbed = WindowBatch(
         enc_past=batch.enc_past.copy(),
@@ -361,9 +376,8 @@ def test_forward_causality_in_attention_rows(tiny_model, schema, batch):
     np.testing.assert_allclose(
         fp1.abar.data[:, :s, :], fp2.abar.data[:, :s, :], atol=1e-12
     )
-    np.testing.assert_allclose(
-        fp1.enc_out.data[:, :s, :], fp2.enc_out.data[:, :s, :], atol=1e-12
-    )
+    (_, enc1, _), (_, enc2, _) = encoded
+    np.testing.assert_allclose(enc1.data[:, :s, :], enc2.data[:, :s, :], atol=1e-12)
 
 
 def test_category_counts(tiny_model, schema, batch):
@@ -574,9 +588,10 @@ def test_reference_train_step_retains_only_what_backward_reads():
 
 
 def test_desk_graph_free_forward_peaks_low():
-    # a pass with no graph drops each value once read: 12.6 MB above its inputs
-    # while attention held its scores to the end of a block, softmax took three
-    # buffers and forward held the selection outputs through attention
+    # a pass with no graph drops each value once read: 6.55 MB above its inputs
+    # (bound: that plus 5%); 12.6 MB while attention held its scores to the end
+    # of a block, softmax took three buffers and forward held the selection
+    # outputs through attention
     schema = synthetic_schema()
     _, wins = _cohort_windows(schema, 8)
     m = Model(schema, ModelConfig(hidden=16, heads=2, blocks=2), seed=0)
@@ -590,13 +605,14 @@ def test_desk_graph_free_forward_peaks_low():
     finally:
         tracemalloc.stop()
     assert fp.quantiles.shape[0] == 256
-    assert peak <= 8_500_000
+    assert peak <= 6_880_000
 
 
 def test_reference_graph_free_pass_peaks_low():
     # the helper runs a 256-window batch in calls of 32 and gathers its rows:
-    # 15.5 MB above its inputs, 8.3 MB of them the batch's outputs; one call
-    # of 256 windows peaked at 50.8 MB
+    # 8.6 MB above its inputs (bound: that plus 5%); 15.5 MB when a forward also
+    # returned the per-head surfaces and the encoder outputs, and one call of
+    # 256 windows peaked at 50.8 MB
     schema = synthetic_schema()
     _, wins = _cohort_windows(schema, 8)
     m = Model(schema, ModelConfig(hidden=128, heads=6, blocks=4), seed=0)
@@ -609,7 +625,7 @@ def test_reference_graph_free_pass_peaks_low():
     finally:
         tracemalloc.stop()
     assert fp.quantiles.shape[0] == 256
-    assert peak <= 16_500_000
+    assert peak <= 9_040_000
 
 
 # ---------------------------------------------------------------------------
@@ -648,25 +664,27 @@ def _cut_and_full_row_forwards(hidden, heads, blocks, rng_seed, monkeypatch):
     runs = []
     for attention in (Model.causal_attention, _full_row_attention):
         monkeypatch.setattr(Model, "causal_attention", attention)
+        attended = _returns_of(monkeypatch, "causal_attention")
         rng = None if rng_seed is None else np.random.default_rng(rng_seed)
         fp = m.forward(batch, rng=rng)
-        runs.append((fp, rng))
+        runs.append((fp, rng, attended[0][1]))
     return runs
 
 
 @pytest.mark.parametrize("hidden,heads,blocks", [(16, 2, 2), (128, 6, 4)], ids=["desk", "reference"])
 def test_cut_final_block_gives_the_full_row_block_bits(hidden, heads, blocks, monkeypatch):
     with dc.no_grad():
-        (cut, _), (full, _) = _cut_and_full_row_forwards(hidden, heads, blocks, None, monkeypatch)
-    for name in ("quantiles", "abar", "head_attention", "w_hist", "decoder_states",
-                 "encoder_anchor"):
+        (cut, _, cut_heads), (full, _, full_heads) = _cut_and_full_row_forwards(
+            hidden, heads, blocks, None, monkeypatch)
+    for name in ("quantiles", "abar", "w_hist", "decoder_states", "encoder_anchor"):
         assert getattr(cut, name).data.tobytes() == getattr(full, name).data.tobytes(), name
+    assert cut_heads.data.tobytes() == full_heads.data.tobytes()
 
 
 @pytest.mark.parametrize("hidden,heads,blocks", [(16, 2, 2), (128, 6, 4)], ids=["desk", "reference"])
 def test_cut_final_block_draws_the_full_row_dropout_masks(hidden, heads, blocks, monkeypatch):
-    (cut, cut_rng), (full, full_rng) = _cut_and_full_row_forwards(hidden, heads, blocks, 11,
-                                                                  monkeypatch)
+    (cut, cut_rng, _), (full, full_rng, _) = _cut_and_full_row_forwards(hidden, heads, blocks, 11,
+                                                                        monkeypatch)
     assert cut.quantiles.requires_grad and cut.decoder_states.shape == full.decoder_states.shape
     assert cut_rng.bit_generator.state == full_rng.bit_generator.state
     assert cut.quantiles.data.tobytes() == full.quantiles.data.tobytes()
