@@ -36,6 +36,8 @@ from .schema import (
     INT_AT_LEAST_1,
     NUMBER_ABOVE_0,
     NUMBER_AT_LEAST_0,
+    STABLE,
+    VOLATILE,
     DatasetSchema,
     SchemaError,
     check,
@@ -519,16 +521,16 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _truth_window_labels(data_dir: Path, schema: DatasetSchema, series: dict):
-    """Ground-truth per-window labels from a generator truth file, if any: every
-    row is checked, and kept as one label list per patient of `series` (id ->
-    series) over its raw grid, trimmed steps included; no window reads more."""
-    from . import labeler
-
+def _truth_step_flags(data_dir: Path, series: dict):
+    """Ground-truth step flags from a generator truth file, if any: every row
+    is checked, and each patient of `series` (id -> series) gets boolean
+    (volatile, known) arrays over its grid after ingest's trim, the truth
+    file counting raw grid steps; no window reads more."""
     path = data_dir / "truth_labels.csv"
     if not path.exists():
         return None
-    truth = {pid: [None] * (s.trimmed_steps + s.n_steps) for pid, s in series.items()}
+    codes = {STABLE: 1, VOLATILE: 2}  # 0: no truth row
+    truth = {pid: [0] * (s.trimmed_steps + s.n_steps) for pid, s in series.items()}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         at = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
@@ -539,22 +541,15 @@ def _truth_window_labels(data_dir: Path, schema: DatasetSchema, series: dict):
         for row in filter(None, reader):  # blank lines hold no row
             pid, step, label = (row[at[c]] if at[c] < len(row) else None for c in columns)
             step = step or ""
-            if not step.isdecimal() or label not in (labeler.STABLE, labeler.VOLATILE):
+            if not step.isdecimal() or label not in codes:
                 raise CliError(
                     f"{path}, line {reader.line_num}: need an integer step >= 0 and a label "
-                    f"{labeler.STABLE} or {labeler.VOLATILE}, got {step!r}, {label!r}"
+                    f"{STABLE} or {VOLATILE}, got {step!r}, {label!r}"
                 )
             if int(step) < len(truth.get(pid, ())):
-                truth[pid][int(step)] = label
-    E, H = schema.encoder_len, schema.horizon_len
-
-    def window_label(pid: str, start: int) -> str | None:
-        """The truth label of the window whose first step is raw grid step
-        `start`; None when a horizon step has no truth row."""
-        future = truth[pid][start + E : start + E + H]
-        return None if None in future else labeler.hmm_window_label(future, 0, 0, H)
-
-    return window_label
+                truth[pid][int(step)] = codes[label]
+    steps = {pid: np.array(truth[pid][s.trimmed_steps:]) for pid, s in series.items()}
+    return {pid: (c == 2, c > 0) for pid, c in steps.items()}
 
 
 def cmd_label(args) -> int:
@@ -570,18 +565,25 @@ def cmd_label(args) -> int:
     compute_scalers(splits["train"], schema, where=f"{data[0]}: ")  # refuse what train refuses
     pools, deltas = build_window_pools(splits, schema, pipeline.delta)
 
+    E, H = schema.encoder_len, schema.horizon_len
     all_series = {s.patient_id: s for name in splits for s in splits[name]}
-    hmm_steps: dict = {}
-    unfitted = []  # patients whose HMM fit would overflow, labelled stable
+    pids = list(all_series)
+    hmm_steps: dict = {}  # (target, patient) -> volatile flag per step
+    unfitted = set()  # patients whose HMM fit would overflow, labelled stable
     if args.method == "hmm":
         for t_spec in schema.target_features:
             col = schema.column(t_spec.name)
-            diffs = [np.diff(s.values[:, col]) for s in all_series.values()]
-            for pid, step_labels in zip(all_series, labeler.hmm_step_labels(diffs)):
-                hmm_steps[(t_spec.name, pid)] = step_labels
-            unfitted += [pid for pid, x in zip(all_series, diffs) if labeler.overflows(x)]
+            steps, over = labeler.hmm_step_flags(
+                [np.diff(s.values[:, col]) for s in all_series.values()])
+            hmm_steps.update({(t_spec.name, pid): f for pid, f in zip(pids, steps)})
+            unfitted.update(pids[i] for i in over)
+    truth = _truth_step_flags(data_dir, all_series)
 
-    truth_fn = _truth_window_labels(data_dir, schema, all_series)
+    def any_in_horizon(split: str, step_flags) -> np.ndarray:
+        """Whether `step_flags(patient_id)` flags a horizon step, per window of a
+        pool of `split`: it holds each series' windows by start, in split order."""
+        return np.concatenate([np.zeros(0, dtype=bool)] + [
+            labeler.horizon_flags(step_flags(s.patient_id), E, H) for s in splits[split]])
 
     labels_path = out / "window_labels.csv"
     counts = {"stable": 0, "volatile": 0}
@@ -590,29 +592,24 @@ def cmd_label(args) -> int:
     with open(labels_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["patient_id", "target", "start", "score", "label"])
-        for split_pools in pools.values():
+        for split, split_pools in pools.items():
             for tname, wins in split_pools.items():
-                for win in wins:
-                    if args.method == "hmm":
-                        label = labeler.hmm_window_label(
-                            hmm_steps[(tname, win.patient_id)],
-                            schema.encoder_len, win.start, schema.horizon_len,
-                        )
-                        thr_label = win.label
-                        agree_methods[0] += int(label == thr_label)
-                        agree_methods[1] += 1
-                    else:
-                        label = win.label
-                    counts[label] += 1
-                    if truth_fn is not None:
-                        # the truth counts raw grid steps; the series lost its
-                        # trimmed leading steps at ingest
-                        trim = all_series[win.patient_id].trimmed_steps
-                        t = truth_fn(win.patient_id, win.start + trim)
-                        if t is not None:
-                            agree_truth[0] += int(label == t)
-                            agree_truth[1] += 1
-                    w.writerow([win.patient_id, tname, win.start, repr(win.score), label])
+                volatile = np.array([win.is_volatile for win in wins], dtype=bool)
+                if args.method == "hmm":
+                    threshold = volatile
+                    volatile = any_in_horizon(split, lambda pid: hmm_steps[(tname, pid)])
+                    agree_methods[0] += int((volatile == threshold).sum())
+                    agree_methods[1] += len(wins)
+                counts["volatile"] += int(volatile.sum())
+                counts["stable"] += int((~volatile).sum())
+                if truth is not None:  # a window is scored only when its whole horizon has truth
+                    complete = ~any_in_horizon(split, lambda pid: ~truth[pid][1])
+                    agree = volatile == any_in_horizon(split, lambda pid: truth[pid][0])
+                    agree_truth[0] += int((agree & complete).sum())
+                    agree_truth[1] += int(complete.sum())
+                labels = np.where(volatile, VOLATILE, STABLE).tolist()
+                w.writerows([win.patient_id, tname, win.start, repr(win.score), label]
+                            for win, label in zip(wins, labels))
 
     summary = {
         "method": args.method,
@@ -625,7 +622,7 @@ def cmd_label(args) -> int:
     if agree_methods[1]:
         summary["agreement_threshold_vs_hmm"] = agree_methods[0] / agree_methods[1]
     if unfitted:
-        summary["unfitted"] = sorted(set(unfitted))
+        summary["unfitted"] = sorted(unfitted)
     summary_path = out / "label_summary.json"
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -8,11 +8,12 @@ volatile.
 
 The HMM code is one batched core over a (rows, steps) array: Baum-Welch and
 Viterbi step through time once for all rows, and each row stops at its own
-convergence. `hmm_step_labels` labels a cohort by grouping its signals by
-length and running each group as one batch; rows are never padded, because
-numpy's pairwise sums block by row length and a padded row would round
+convergence. `hmm_step_flags` flags a cohort's volatile steps, grouping its
+signals by length and running each group as one batch; rows are never padded,
+because numpy's pairwise sums block by row length and a padded row would round
 differently. `hmm_fit` and `hmm_decode` are one-row calls into the same core,
 and a row's result is the same bits whichever rows share its batch.
+`horizon_flags` turns per-step flags into per-window ones with one cumulative sum.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
     A collapsed state (no expected transition leaves it, or its std hits the
     floor) stops the fit, flagged degenerate, with the parameters scored last.
 
-    This is a one-row call into the batched core that `hmm_step_labels` runs
+    This is a one-row call into the batched core that `hmm_step_flags` runs
     over each group of equal-length signals; the result is the same bits as
     that row's result in any batch.
     """
@@ -230,16 +231,16 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
     return HmmParams(**_baum_welch(x.reshape(1, -1), max_iter, tol)[0])
 
 
-def _decode(x: np.ndarray, params: list) -> list:
-    """Per-step labels of every row of x (rows, n), each under its own HmmParams.
+def _decode(x: np.ndarray, params: list) -> np.ndarray:
+    """Per-step volatile flags of every row of x (rows, n), each under its own HmmParams.
 
     The max-product recursion runs over all rows together; a degenerate fit
-    labels its row stable throughout.
+    flags no step of its row.
     """
-    labels = [[STABLE] * x.shape[1] for _ in params]
+    flags = np.zeros(x.shape, dtype=bool)
     live = [i for i, p in enumerate(params) if not p.degenerate]
     if not live:
-        return labels
+        return flags
     rows, n = len(live), x.shape[1]
     fits = [params[i] for i in live]
     log_b = _log_emissions(x[live], np.array([p.means for p in fits]),
@@ -261,10 +262,8 @@ def _decode(x: np.ndarray, params: list) -> list:
     for t in range(n - 2, -1, -1):  # each step takes the best predecessor of the next
         path[:, t] = back[r, t + 1, path[:, t + 1]]
 
-    for i, p, states in zip(live, fits, path):
-        vol = p.volatile_state
-        labels[i] = [VOLATILE if s == vol else STABLE for s in states]
-    return labels
+    flags[live] = path == np.array([[p.volatile_state] for p in fits])
+    return flags
 
 
 def hmm_decode(diff_signal, params: HmmParams) -> list:
@@ -274,7 +273,7 @@ def hmm_decode(diff_signal, params: HmmParams) -> list:
     compares y[t+1] to y[t]); callers prepend a stable label for y[0].
     """
     x = np.asarray(diff_signal, dtype=np.float64)
-    return _decode(x.reshape(1, -1), [params])[0]
+    return np.where(_decode(x.reshape(1, -1), [params])[0], VOLATILE, STABLE).tolist()
 
 
 def overflows(x: np.ndarray) -> bool:
@@ -284,38 +283,41 @@ def overflows(x: np.ndarray) -> bool:
         return not np.isfinite(np.sum((2.0 / _SIGMA_FLOOR * x) ** 2))
 
 
-def hmm_step_labels(signals) -> list:
-    """Per-step labels of every diff signal: stable for y[0], then hmm_decode's labels.
+def hmm_step_flags(signals):
+    """Per-step volatile flags of every diff signal, False for y[0] and then the
+    decoded path, and the indices of the signals that `overflows`.
 
     Signals of one length are fitted and decoded as one (rows, steps) batch,
-    never padded, so each gets the labels that hmm_fit and hmm_decode give it
-    alone. A signal that cannot be fitted (too few diffs, one that `overflows`,
-    or a fit that raises LabelerError) is stable throughout.
+    never padded, so each gets the path that hmm_fit and hmm_decode give it
+    alone. A signal that cannot be fitted (too few diffs, one that overflows,
+    or a fit that raises LabelerError) is flagged at no step.
     """
     xs = [np.asarray(s, dtype=np.float64) for s in signals]
-    labels = [[STABLE] * (x.size + 1) for x in xs]
+    flags = [np.zeros(x.size + 1, dtype=bool) for x in xs]
+    over = [overflows(x) for x in xs]
     by_len: dict = {}
     for i, x in enumerate(xs):
-        if x.size >= _MIN_DIFFS and not overflows(x):
+        if x.size >= _MIN_DIFFS and not over[i]:
             by_len.setdefault(x.size, []).append(i)
     for group in by_len.values():
-        batch = np.stack([xs[i] for i in group])
-        fitted = []
-        for i, fields in zip(group, _baum_welch(batch)):
+        fitted = {}
+        for i, fields in zip(group, _baum_welch(np.stack([xs[i] for i in group]))):
             try:
-                fitted.append((i, HmmParams(**fields)))
+                fitted[i] = HmmParams(**fields)
             except LabelerError:
                 continue
-        if not fitted:
-            continue
-        idx = [i for i, _ in fitted]
-        steps = _decode(np.stack([xs[i] for i in idx]), [p for _, p in fitted])
-        for i, path in zip(idx, steps):
-            labels[i] = [STABLE] + path
-    return labels
+        if fitted:
+            paths = _decode(np.stack([xs[i] for i in fitted]), list(fitted.values()))
+            for i, path in zip(fitted, paths):
+                flags[i][1:] = path
+    return flags, [i for i, o in enumerate(over) if o]
 
 
-def hmm_window_label(step_labels, enc_len: int, start: int, horizon: int) -> str:
-    """A window is volatile iff any of its horizon steps decodes volatile."""
-    future = step_labels[start + enc_len : start + enc_len + horizon]
-    return VOLATILE if VOLATILE in future else STABLE
+def horizon_flags(step_flags, enc_len: int, horizon: int) -> np.ndarray:
+    """Whether any horizon step of each window is flagged: per-step flags (n,)
+    -> one per window start (n - enc_len - horizon + 1,), empty for a series
+    shorter than one window. One cumulative sum counts the flags of every
+    horizon at once."""
+    n_windows = max(len(step_flags) - enc_len - horizon + 1, 0)
+    seen = np.concatenate(([0], np.cumsum(step_flags, dtype=np.int64)))[enc_len:]
+    return seen[horizon : horizon + n_windows] > seen[:n_windows]

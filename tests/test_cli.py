@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _hmm_oracle import oracle_step_labels
-from omnitft import cli, labeler
+from omnitft import cli
 from omnitft.cli import PipelineConfig, main, resolve_configs
 from omnitft.ingest import read_split_grids, synthetic_schema
 from omnitft.model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -934,6 +934,46 @@ def test_label_checks_then_ignores_truth_rows_no_window_reads(synth_dir, tmp_pat
     assert "agreement_vs_truth" in summaries[0] and summaries[1] == summaries[0]
 
 
+def test_label_scores_only_windows_whose_horizon_truth_is_complete(synth_dir, tmp_path):
+    # truth rows of a few steps are missing: the windows whose horizon covers
+    # one leave agreement_vs_truth, and a missing encoder-only step removes none
+    data = tmp_path / "syn"
+    data.mkdir()
+    for name in ("data.csv", "schema.json"):
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+    dropped = {("p0000", 10), ("p0003", 15), ("p0003", 16), ("p0005", 0)}
+    with open(synth_dir / "truth_labels.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    kept = [r for r in rows if (r["patient_id"], int(r["step"])) not in dropped]
+    assert len(rows) - len(kept) == len(dropped)
+    with open(data / "truth_labels.csv", "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=["patient_id", "step", "label"])
+        w.writeheader()
+        w.writerows(kept)
+    truth = {(r["patient_id"], int(r["step"])): r["label"] for r in kept}
+    schema = load_schema(data / "schema.json")
+    splits, *_ = PipelineConfig().ingest(data, schema)
+    trims = {s.patient_id: s.trimmed_steps for name in splits for s in splits[name]}
+    E, H = schema.encoder_len, schema.horizon_len
+    for method in ("threshold", "hmm"):
+        out = tmp_path / method
+        assert run(["label", "--data", str(data), "--schema", str(data / "schema.json"),
+                    "--method", method, "--out", str(out)]) == 0
+        agree, left_out = [], 0
+        with open(out / "window_labels.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                first = int(r["start"]) + trims[r["patient_id"]] + E  # raw grid step
+                future = [truth.get((r["patient_id"], t)) for t in range(first, first + H)]
+                if None in future:
+                    left_out += 1
+                else:
+                    agree.append(r["label"] == ("volatile" if "volatile" in future else "stable"))
+        assert left_out == 3 + 4  # p0000's step 10 is in 3 horizons, p0003's 15 and 16 in 4
+        summary = read_json(out / "label_summary.json")
+        assert summary["total_windows"] == len(agree) + left_out
+        assert summary["agreement_vs_truth"] == sum(agree) / len(agree)
+
+
 def test_label_hmm_reports_method_agreement(synth_dir, tmp_path):
     out = tmp_path / "labhmm"
     code = run(["label", "--data", str(synth_dir), "--schema",
@@ -979,10 +1019,54 @@ def test_label_hmm_on_mixed_lengths_equals_per_patient_fits(tmp_path):
     lengths = {len(steps[r["patient_id"]]) for r in rows}
     assert min(lengths) < 11 and len(lengths) > 5
     assert {r["label"] for r in rows} == {"stable", "volatile"}
+    E, H = schema.encoder_len, schema.horizon_len
     for r in rows:
-        want = labeler.hmm_window_label(steps[r["patient_id"]], schema.encoder_len,
-                                        int(r["start"]), schema.horizon_len)
-        assert r["label"] == want, r
+        future = steps[r["patient_id"]][int(r["start"]) + E : int(r["start"]) + E + H]
+        assert r["label"] == ("volatile" if "volatile" in future else "stable"), r
+
+
+def test_label_labels_every_window_of_two_targets(tmp_path):
+    # obs_lag becomes a second target: every window of both is labelled, and
+    # each target's HMM labels are its own per-patient fits
+    data = tmp_path / "syn"
+    assert run(["synth", "--patients", "50", "--seed", "7", "--out", str(data)]) == 0
+    doc = read_json(data / "schema.json")
+    for f in doc["features"]:
+        if f["name"] == "obs_lag":
+            f["role"] = "target"
+    (data / "schema.json").write_text(json.dumps(doc, indent=2))
+    argv = ["--data", str(data), "--schema", str(data / "schema.json")]
+    assert run(["train", *argv, "--out", str(tmp_path / "dry"), "--dry-run"]) == 0
+    windows = read_json(tmp_path / "dry" / "manifest.json")["result"]["windows"]
+    assert sum(windows.values()) == 2 * 2993
+    schema = load_schema(data / "schema.json")
+    splits, *_ = PipelineConfig().ingest(data, schema)
+    series = {s.patient_id: s for name in splits for s in splits[name]}
+    E, H = schema.encoder_len, schema.horizon_len
+    for method in ("threshold", "hmm"):
+        out = tmp_path / method
+        assert run(["label", *argv, "--method", method, "--out", str(out)]) == 0
+        summary = read_json(out / "label_summary.json")
+        with open(out / "window_labels.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert summary["total_windows"] == len(rows) == sum(windows.values())
+        by_target = {t: [r for r in rows if r["target"] == t] for t in ("y", "obs_lag")}
+        assert [len(r) for r in by_target.values()] == [2993, 2993]
+        for t, t_rows in by_target.items():
+            if method == "threshold":
+                want = ["volatile" if float(r["score"]) > summary["deltas"][t] else "stable"
+                        for r in t_rows]
+            else:
+                col = schema.column(t)
+                steps = {pid: oracle_step_labels(np.diff(s.values[:, col]))
+                         for pid, s in series.items()}
+                want = []
+                for r in t_rows:
+                    first = int(r["start"]) + E
+                    future = steps[r["patient_id"]][first : first + H]
+                    want.append("volatile" if "volatile" in future else "stable")
+            assert [r["label"] for r in t_rows] == want, (method, t)
+            assert {r["label"] for r in t_rows} == {"stable", "volatile"}
 
 
 def test_label_delta_override_honored(synth_dir, tmp_path):

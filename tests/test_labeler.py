@@ -195,8 +195,10 @@ def test_decoded_path_is_the_viterbi_optimum():
                                   rng.uniform(0.3, 2.0, size=2), rng.dirichlet(np.ones(2)), [])
                 for _ in xs]
         batched = labeler._decode(xs, fits)
-        for x, params, labels in zip(xs, fits, batched):
-            assert hmm_decode(x, params) == labels
+        assert batched.shape == xs.shape and batched.dtype == bool
+        for x, params, flags in zip(xs, fits, batched):
+            labels = hmm_decode(x, params)
+            assert labels == [VOLATILE if f else STABLE for f in flags]
             vol = params.volatile_state
             states = [vol if lab == VOLATILE else 1 - vol for lab in labels]
             best = max(_joint_log_prob(x, params, p) for p in itertools.product((0, 1), repeat=n))
@@ -216,10 +218,27 @@ def test_transition_rows_stochastic():
     assert np.all(params.stds > 0)
 
 
-def test_hmm_window_label():
-    steps = [STABLE] * 10 + [VOLATILE] + [STABLE] * 10
-    assert labeler.hmm_window_label(steps, enc_len=6, start=2, horizon=4) == VOLATILE
-    assert labeler.hmm_window_label(steps, enc_len=6, start=9, horizon=4) == STABLE
+def test_horizon_flags_equal_a_per_window_loop():
+    def per_window(flags, enc_len, horizon):
+        n_windows = len(flags) - enc_len - horizon + 1
+        return [any(flags[s + enc_len : s + enc_len + horizon]) for s in range(max(n_windows, 0))]
+
+    steps = np.zeros(21, dtype=bool)
+    steps[10] = True  # one volatile step
+    got = labeler.horizon_flags(steps, enc_len=6, horizon=4)
+    assert got.dtype == bool and got.shape == (12,)
+    assert got[2] and not got[9]  # horizons 8..11 and 15..18
+    assert np.flatnonzero(got).tolist() == [1, 2, 3, 4]
+
+    rng = np.random.default_rng(3)
+    for enc_len, horizon in ((1, 1), (6, 1), (6, 3), (12, 4), (3, 9)):
+        for n in (0, 1, enc_len + horizon - 1, enc_len + horizon, enc_len + horizon + 1, 40, 97):
+            for p in (0.0, 0.05, 0.5, 1.0):
+                flags = rng.random(n) < p
+                got = labeler.horizon_flags(flags, enc_len, horizon)
+                assert got.tolist() == per_window(flags, enc_len, horizon), (enc_len, horizon, n)
+                if n < enc_len + horizon:  # shorter than one window
+                    assert got.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +300,25 @@ def test_batched_fit_equals_per_patient_fit_bit_for_bit(mixed_signals):
 
 
 def test_step_labels_equal_per_patient_labels(mixed_signals):
-    got = labeler.hmm_step_labels(mixed_signals)
+    flags, unfitted = labeler.hmm_step_flags(mixed_signals)
+    assert unfitted == []
+    assert all(f.dtype == bool and f.size == x.size + 1 for f, x in zip(flags, mixed_signals))
+    got = [[VOLATILE if v else STABLE for v in f] for f in flags]
     assert got == [oracle_step_labels(x) for x in mixed_signals]
     assert got[5] == [STABLE] * 7  # too short to fit
     assert any(VOLATILE in labels for labels in got)
+
+
+def test_step_flags_leave_overflowing_signals_unfitted(mixed_signals):
+    # one overflowing signal of each kind: long enough to fit, and too short
+    huge = [mixed_signals[0].copy(), mixed_signals[5].copy()]
+    huge[0][3] = huge[1][2] = 1e200
+    signals = [huge[0], mixed_signals[1], huge[1], mixed_signals[4]]
+    flags, unfitted = labeler.hmm_step_flags(signals)
+    assert unfitted == [0, 2]
+    assert not flags[0].any() and not flags[2].any()
+    whole, _ = labeler.hmm_step_flags(mixed_signals)
+    assert flags[1].tolist() == whole[1].tolist() and flags[3].tolist() == whole[4].tolist()
 
 
 def test_row_result_does_not_depend_on_its_batch(mixed_signals):
@@ -293,7 +327,7 @@ def test_row_result_does_not_depend_on_its_batch(mixed_signals):
     for fits in (labeler._baum_welch(group), labeler._baum_welch(group[::-1])[::-1]):
         for got, want in zip(fits, alone):
             _assert_same_bits(labeler.HmmParams(**got), labeler.HmmParams(**want))
-    whole = labeler.hmm_step_labels(mixed_signals)
+    whole = [f.tolist() for f in labeler.hmm_step_flags(mixed_signals)[0]]
     for i in range(len(mixed_signals)):
-        assert labeler.hmm_step_labels([mixed_signals[i]]) == [whole[i]]
-    assert labeler.hmm_step_labels(mixed_signals[::-1]) == whole[::-1]
+        assert [f.tolist() for f in labeler.hmm_step_flags([mixed_signals[i]])[0]] == [whole[i]]
+    assert [f.tolist() for f in labeler.hmm_step_flags(mixed_signals[::-1])[0]] == whole[::-1]
