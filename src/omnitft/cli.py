@@ -586,41 +586,41 @@ def cmd_label(args) -> int:
             labeler.horizon_flags(step_flags(s.patient_id), E, H) for s in splits[split]])
 
     labels_path = out / "window_labels.csv"
-    counts = {"stable": 0, "volatile": 0}
-    agree_truth = [0, 0]
-    agree_methods = [0, 0]
+    # per target: windows, volatile ones, truth agreements and windows scored,
+    # method agreements and windows compared
+    tallies = {t.name: np.zeros(6, dtype=int) for t in schema.target_features}
     with open(labels_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["patient_id", "target", "start", "score", "label"])
         for split, split_pools in pools.items():
             for tname, wins in split_pools.items():
                 volatile = np.array([win.is_volatile for win in wins], dtype=bool)
+                tally = tallies[tname]
                 if args.method == "hmm":
                     threshold = volatile
                     volatile = any_in_horizon(split, lambda pid: hmm_steps[(tname, pid)])
-                    agree_methods[0] += int((volatile == threshold).sum())
-                    agree_methods[1] += len(wins)
-                counts["volatile"] += int(volatile.sum())
-                counts["stable"] += int((~volatile).sum())
+                    tally[4:] += (volatile == threshold).sum(), len(wins)
+                tally[:2] += len(wins), volatile.sum()
                 if truth is not None:  # a window is scored only when its whole horizon has truth
                     complete = ~any_in_horizon(split, lambda pid: ~truth[pid][1])
                     agree = volatile == any_in_horizon(split, lambda pid: truth[pid][0])
-                    agree_truth[0] += int((agree & complete).sum())
-                    agree_truth[1] += int(complete.sum())
+                    tally[2:4] += (agree & complete).sum(), complete.sum()
                 labels = np.where(volatile, VOLATILE, STABLE).tolist()
                 w.writerows([win.patient_id, tname, win.start, repr(win.score), label]
                             for win, label in zip(wins, labels))
 
-    summary = {
-        "method": args.method,
-        "deltas": deltas,
-        "counts": counts,
-        "total_windows": counts["stable"] + counts["volatile"],
-    }
-    if agree_truth[1]:
-        summary["agreement_vs_truth"] = agree_truth[0] / agree_truth[1]
-    if agree_methods[1]:
-        summary["agreement_threshold_vs_hmm"] = agree_methods[0] / agree_methods[1]
+    def figures(tally) -> dict:
+        n, n_volatile, truth_agree, scored, methods_agree, compared = map(int, tally)
+        block = {"counts": {"stable": n - n_volatile, "volatile": n_volatile},
+                 "total_windows": n}
+        if scored:
+            block["agreement_vs_truth"] = truth_agree / scored
+        if compared:
+            block["agreement_threshold_vs_hmm"] = methods_agree / compared
+        return block
+
+    summary = {"method": args.method, "deltas": deltas, **figures(sum(tallies.values())),
+               "targets": {name: figures(tally) for name, tally in tallies.items()}}
     if unfitted:
         summary["unfitted"] = sorted(unfitted)
     summary_path = out / "label_summary.json"

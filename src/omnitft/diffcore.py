@@ -32,7 +32,10 @@ operand's gradient is one GEMM; `lstm_layer` runs a whole LSTM
 layer as one node, and `grn` and `gated_add_norm` run a gated residual
 network and a gated add-and-norm as one node each (hand-written VJPs; the
 forward repeats the composed primitives' numpy ops in order, so values are
-bit-identical). The relu subgradient at 0 is 0, for determinism.
+bit-identical). A `grn` whose input is a list of `Embedding`s folds them into
+its first layer instead: it never forms their concatenation, and its sums
+round differently from the composed GEMM. The relu subgradient at 0 is 0,
+for determinism.
 
 Inference passes run under `no_grad()`, which records no parents and no
 closures, so nothing is kept alive for a backward pass that never comes.
@@ -573,6 +576,86 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+class Embedding:
+    """A variable's linear embedding xi (..., d), kept as its factors: xi =
+    x ⊗ w + b for scaled values x (...,) and vectors w, b (d,), or xi =
+    table[x] for category indices x (...,) and a table (V, d), bias None.
+
+    Written xi = A F, the factors stacked as rows F (k, d) and A = [x, 1] or
+    x one-hot, a product xi @ W is A (F W): `times` forms it without forming
+    xi, and `_times_vjp` takes its gradient g to F as A^T g W^T and to W as
+    F^T A^T g."""
+
+    __slots__ = ("x", "weight", "bias")
+
+    def __init__(self, x, weight: Tensor, bias: Tensor | None = None):
+        self.x, self.weight, self.bias = np.asarray(x), weight, bias
+
+    @property
+    def factors(self) -> tuple:
+        return (self.weight,) if self.bias is None else (self.weight, self.bias)
+
+    @property
+    def shape(self) -> tuple:
+        return self.x.shape + self.weight.shape[-1:]
+
+    @property
+    def data(self) -> np.ndarray:
+        """xi itself."""
+        if self.bias is None:
+            return self.weight.data[self.x]
+        out = self.x[..., None] * self.weight.data
+        out += self.bias.data
+        return out
+
+    def times(self, w: np.ndarray) -> np.ndarray:
+        """xi @ w (..., n) for a (d, n) weight."""
+        if self.bias is None:
+            return (self.weight.data @ w)[self.x]
+        out = self.x[..., None] * (self.weight.data @ w)
+        out += self.bias.data @ w
+        return out
+
+    def rows(self, g: np.ndarray) -> np.ndarray:
+        """A^T g (k, n) for g (rows, n)."""
+        if self.bias is None:
+            out = np.zeros((self.weight.shape[0], g.shape[-1]))
+            np.add.at(out, self.x.reshape(-1), g)
+            return out
+        out = np.empty((2, g.shape[-1]))
+        np.matmul(self.x.reshape(-1), g, out=out[0])
+        g.sum(axis=0, out=out[1])
+        return out
+
+
+def _times(embs: list, w: np.ndarray) -> np.ndarray:
+    """concat(xi^(1), ..., xi^(N)) @ w, summed over each embedding's product
+    with the rows of w that its columns meet."""
+    d = w.shape[0] // len(embs)
+    out = embs[0].times(w[:d])
+    for j, e in enumerate(embs[1:], 1):
+        out += e.times(w[j * d : (j + 1) * d])
+    return out
+
+
+def _times_vjp(embs: list, w: np.ndarray, g: np.ndarray, g_xi: np.ndarray | None):
+    """Gradients of `_times(embs, w)` for every embedding factor, in order, and
+    for w, given g (rows, n); g_xi (rows, N d), when given, is a gradient of
+    the concatenation itself, which reaches the factors too."""
+    d = w.shape[0] // len(embs)
+    gw, grads = np.empty_like(w), []
+    for j, e in enumerate(embs):
+        cols = slice(j * d, (j + 1) * d)
+        r = e.rows(g)
+        f = e.weight.data if e.bias is None else np.array([e.weight.data, e.bias.data])
+        gw[cols] = f.T @ r
+        gf = r @ w[cols].T
+        if g_xi is not None:
+            gf += e.rows(g_xi[:, cols])
+        grads += [gf] if e.bias is None else [gf[0], gf[1]]
+    return grads, gw
+
+
 def _glu(h, gate, val):
     """sigmoid(h @ Wg + bg) * (h @ Wv + bv); returns the product and its factors."""
     sig = h @ gate[0].data
@@ -629,19 +712,39 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
     """A gated residual network (Lim et al., TFT) as a single node:
     LN(x' + GLU(keep * (ELU(x @ W1 + b1 + c @ Wc) @ W2 + b2))), x' = x or x @ skip.
 
+    x: a tensor, or an `Embedding` or a list of them standing for their
+    concatenation, which is never formed: x @ W1 and x @ skip are summed from
+    each embedding's factors, and their gradients go to the factors;
     fc1, fc2, gate, val: (weight, bias) pairs; ln: (gain, bias); skip: a
     projection weight when the output width differs from x's; ctx: a
     (context (B, d), weight) pair, its term shared by every step of a 3-D x;
     keep: a (boolean mask, scale) pair, inverted dropout on the second dense
     layer's output.
     """
-    x = as_tensor(x)
-    xd = x.data
-    h1 = xd @ fc1[0].data
-    h1 += fc1[1].data
+    embs = [x] if isinstance(x, Embedding) else x if isinstance(x, list) else None
+    if embs is None:
+        x = as_tensor(x)
+        xd = x.data
+        h1 = xd @ fc1[0].data
+        h1 += fc1[1].data
+        inputs = [x]
+    else:  # x @ [W1 | skip] in one pass over the factors
+        d = fc1[0].shape[1]
+
+        def w_in():  # formed again in the VJP, rather than held until it runs
+            return fc1[0].data if skip is None else np.concatenate([fc1[0].data, skip.data], 1)
+
+        h1 = _times(embs, w_in())
+        if skip is None:
+            res = embs[0].data if len(embs) == 1 else np.concatenate([e.data for e in embs], -1)
+            h1 += fc1[1].data
+        else:
+            res = h1[..., d:]
+            h1 = h1[..., :d] + fc1[1].data
+        inputs = [f for e in embs for f in e.factors]
     if ctx is not None:
         c = ctx[0].data @ ctx[1].data
-        h1 += c[:, None, :] if xd.ndim == 3 else c
+        h1 += c[:, None, :] if h1.ndim == 3 else c
     neg = np.minimum(h1, 0.0)
     np.exp(neg, out=neg)
     neg -= 1.0
@@ -654,9 +757,14 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
         h2 *= keep[0]
         h2 *= keep[1]
     s, sig, v = _glu(h2, gate, val)
-    s += xd if skip is None else xd @ skip.data
+    if embs is None:
+        s += xd if skip is None else xd @ skip.data
+    else:
+        s += res
+        del res
     out, normed, sigma = _layernorm(s, ln)
-    parents = [x, *fc1, *fc2, *gate, *val, *ln, *([] if skip is None else [skip]), *(ctx or ())]
+    parents = [*inputs, *fc1, *fc2, *gate, *val, *ln, *([] if skip is None else [skip]),
+               *(ctx or ())]
 
     def vjp(g):
         gs, g_lng, g_lnb = _layernorm_vjp(g, ln, normed, sigma)
@@ -664,20 +772,27 @@ def grn(x, fc1, fc2, gate, val, ln, skip=None, ctx=None, keep=None) -> Tensor:
         if keep is not None:
             gh2 *= keep[0]
             gh2 *= keep[1]
-        gh2, af, xf = _flat(gh2), _flat(a), _flat(xd)
+        gh2, af = _flat(gh2), _flat(a)
         gh1 = gh2 @ fc2[0].data.T
         elu_d = np.minimum(af, 0.0)
         elu_d += 1.0  # ELU': exactly 1 where h1 > 0, neg + 1 elsewhere
         gh1 *= elu_d
         gsf = _flat(gs)
-        gx = gh1 @ fc1[0].data.T
-        gx += gsf if skip is None else gsf @ skip.data.T
-        grads = [gx.reshape(xd.shape), xf.T @ gh1, gh1.sum(axis=0),
-                 af.T @ gh2, gh2.sum(axis=0), *g_glu, g_lng, g_lnb]
-        grads += [] if skip is None else [xf.T @ gsf]
+        if embs is None:
+            xf = _flat(xd)
+            gx = gh1 @ fc1[0].data.T
+            gx += gsf if skip is None else gsf @ skip.data.T
+            grads = [gx.reshape(xd.shape), xf.T @ gh1]
+            g_skip = [] if skip is None else [xf.T @ gsf]
+        else:
+            g_in = gh1 if skip is None else np.concatenate([gh1, gsf], axis=1)
+            grads, gw = _times_vjp(embs, w_in(), g_in, gsf if skip is None else None)
+            grads.append(gw[:, :d])
+            g_skip = [] if skip is None else [gw[:, d:]]
+        grads += [gh1.sum(axis=0), af.T @ gh2, gh2.sum(axis=0), *g_glu, g_lng, g_lnb, *g_skip]
         if ctx is not None:
             gc = gh1.reshape(a.shape)
-            gc = gc.sum(axis=1) if xd.ndim == 3 else gc
+            gc = gc.sum(axis=1) if a.ndim == 3 else gc
             grads += [gc @ ctx[1].data.T, ctx[0].data.T @ gc]
         return grads
 

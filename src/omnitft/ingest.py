@@ -454,20 +454,23 @@ def write_split_grids(out_dir, splits: dict, schema: DatasetSchema, report: dict
     """Materialize imputed grids per split plus the ingest manifest.
 
     grid_<split>.csv holds one row per (patient, step) with a column per
-    feature; mask_<split>.csv mirrors it with 0/1 observation flags.
+    feature; mask_<split>.csv mirrors it with 0/1 observation flags. Each
+    series' rows are one write, the bytes csv.writer writes: floats as their
+    repr, fields quoted by `_csv_cell`, `\r\n` line ends.
     """
-    names = [f.name for f in schema.features]
+    header = ",".join(map(_csv_cell, ["patient_id", "step", *(f.name for f in schema.features)]))
     paths = []
     for split, series_list in splits.items():
         gpath = os.path.join(out_dir, f"grid_{split}.csv")
         mpath = os.path.join(out_dir, f"mask_{split}.csv")
         with open(gpath, "w", newline="") as gf, open(mpath, "w", newline="") as mf:
-            gw, mw = csv.writer(gf), csv.writer(mf)
-            gw.writerow(["patient_id", "step"] + names)
-            mw.writerow(["patient_id", "step"] + names)
-            for s in series_list:  # csv writes a float as its repr
-                for w, rows in ((gw, s.values.tolist()), (mw, s.mask.astype(int).tolist())):
-                    w.writerows([s.patient_id, t, *r] for t, r in enumerate(rows))
+            for fh in (gf, mf):
+                fh.write(header + "\r\n")
+            for s in series_list:
+                pid = _csv_cell(s.patient_id)
+                for fh, rows in ((gf, s.values.tolist()), (mf, s.mask.astype(int).tolist())):
+                    fh.write("".join([f"{pid},{t},{','.join(map(repr, r))}\r\n"
+                                      for t, r in enumerate(rows)]))
         paths.extend([gpath, mpath])
     mpath = os.path.join(out_dir, "ingest_manifest.json")
     with open(mpath, "w") as fh:

@@ -3,13 +3,17 @@
 Per-variable embeddings xi^(j) feed variable-selection networks (encoder
 side, known-future side, statics): v = softmax(GRN_v(Xi, c_s)) over
 Xi = concat(xi^(1), ..., xi^(N)) weighs the variables, and the selected
-input is sum_j v_j GRN_j(xi^(j)). A static covariate encoder conditions
-everything, a 2-layer LSTM encoder/decoder captures local dynamics, and a
-stack of causal interpretable multi-head attention blocks models long-range
-structure: H~ = A~ V W_V, where A~ is the mean over heads of
+input is sum_j v_j GRN_j(xi^(j)). The embeddings are linear (x w + b, or a
+table row), so the GRNs' first layers take them as factors: Xi @ W is the
+sum over j of x_j (w_j W_j) + b_j W_j or (table_j W_j)[x_j], and Xi is
+never formed. A static covariate encoder conditions everything, a 2-layer
+LSTM encoder/decoder captures local dynamics, and a stack of causal
+interpretable multi-head attention blocks models long-range structure:
+H~ = A~ V W_V, where A~ is the mean over heads of
 softmax(Q W_Q^h (K W_K^h)^T / sqrt(d_qk)). The heads share one value
-projection, so A~ is a meaningful attention map, and one A~ @ V product per
-block forms the context. A shared dense head emits the P10/P50/P90 trajectory.
+projection, so A~ is a meaningful attention map, and each block computes its
+output A~ (x W_V W_O) + b_O with the two projections multiplied once. A
+shared dense head emits the P10/P50/P90 trajectory.
 
 Everything runs on diffcore tensors; a forward pass exposes every internal
 the regularizers consume: per-head attention, selection weights, decoder
@@ -379,11 +383,12 @@ class Model:
         dropout's `keep` pair is drawn from rng unless given."""
         p = self.params
         fc2 = self._wb(f"{prefix}/fc2")
+        lead = (x[0] if isinstance(x, list) else x).shape[:-1]
         return dc.grn(
             x, self._wb(f"{prefix}/fc1"), fc2, self._wb(f"{prefix}/gate"),
             self._wb(f"{prefix}/val"), self._ln(prefix), skip=p.get(f"{prefix}/skip/w"),
             ctx=None if ctx is None else (ctx, p[f"{prefix}/ctx/w"]),
-            keep=keep or self._keep(x.shape[:-1] + fc2[0].shape[1:], rng),
+            keep=keep or self._keep(lead + fc2[0].shape[1:], rng),
         )
 
     # ------------------------------------------------------------------
@@ -393,18 +398,18 @@ class Model:
         mu, sd = self.scalers.get(name, (0.0, 1.0))
         return (col - mu) / sd
 
-    def _embed_feature(self, key, spec: FeatureSpec, col: np.ndarray) -> Tensor:
-        """col: (...,) raw values -> (..., d) embedding."""
+    def _embed_feature(self, key, spec: FeatureSpec, col: np.ndarray) -> dc.Embedding:
+        """col: (...,) raw values -> their (..., d) embedding, as its factors."""
         if spec.is_categorical:
             idx = col.astype(int)
             if idx.min() < 0 or idx.max() >= spec.vocab_size:
                 raise CategoryOutOfVocab(f"{spec.name}: index outside [0, {spec.vocab_size})")
-            return self.params[f"embed/{key}/table"][idx]
-        v = Tensor(self._scale(spec.name, col)[..., None])
-        return dc.mul(v, self.params[f"embed/{key}/w"]) + self.params[f"embed/{key}/b"]
+            return dc.Embedding(idx, self.params[f"embed/{key}/table"])
+        return dc.Embedding(self._scale(spec.name, col), *self._wb(f"embed/{key}"))
 
     def embed_inputs(self, values: np.ndarray, specs, key_prefix: str = "") -> list:
-        """One (..., d) embedding per variable, in spec order."""
+        """One (..., d) embedding per variable, in spec order; the selection
+        networks fold each into their first layers."""
         return [self._embed_feature(f"{key_prefix}{spec.name}", spec, values[..., j])
                 for j, spec in enumerate(specs)]
 
@@ -414,8 +419,10 @@ class Model:
     def variable_select(self, side: str, embs: list, ctx=None, rng=None):
         """Simplex weights v over the N (..., d) embeddings xi^(j) in `embs`,
         plus the fused sum_j v_j GRN_j(xi^(j)): (weights (..., N), fused (..., d)).
+        GRN_v reads Xi = concat(xi^(1), ..., xi^(N)) as the list itself, so Xi
+        is never formed.
         """
-        logits = self.grn(f"vsn/{side}/sel", dc.concat(embs, axis=-1), ctx=ctx, rng=rng)
+        logits = self.grn(f"vsn/{side}/sel", embs, ctx=ctx, rng=rng)
         weights = dc.softmax(logits, axis=-1)
         processed = [self.grn(f"vsn/{side}/var{j}", e, rng=rng) for j, e in enumerate(embs)]
         stacked = dc.reshape(dc.concat(processed, axis=-1), weights.shape + (-1,))  # (..., N, d)
@@ -491,8 +498,10 @@ class Model:
 
         Per block, H~ = A~ (x W_V) with A~ = (1/m) sum_h softmax(x W_Q^h
         (x W_K^h)^T / sqrt(d_qk)) under a causal mask: every head's scores
-        are one batched (B, m, T, T) product, and one A~ @ V product forms
-        the context. Returns the final block's features for rows E-1..T-1
+        are one batched (B, m, T, T) product. Nothing nonlinear lies between
+        the value and output projections, so the block forms W_V W_O once
+        and its output H~ W_O + b_O as A~ (x (W_V W_O)) + b_O, one GEMM over
+        the rows fewer. Returns the final block's features for rows E-1..T-1
         alone (B, H + 1, d), the last encoder step and the horizon, which is
         all forward reads, and its per-head surfaces (B, m, T, T) and their
         head average A~ (B, T, T) over every row. From A~ on, that block runs
@@ -513,8 +522,9 @@ class Model:
             del q, k_t  # each value is dropped once read: a graph-free pass holds only its outputs
             heads = dc.softmax(heads, axis=-1)
             abar = dc.reduce_mean(heads, axis=1)
-            value = dc.matmul(x, self.params[f"attn/b{k}/v/w"])
-            keeps = [self._keep((B, T, d), rng) for _ in range(2)]  # output dense, then GRN
+            w_vo = dc.matmul(self.params[f"attn/b{k}/v/w"], self.params[f"attn/b{k}/out/w"])
+            value = dc.matmul(x, w_vo)  # x W_V W_O: the output projection folded in
+            keeps = [self._keep((B, T, d), rng) for _ in range(2)]  # output projection, then GRN
             attend, skip = abar, x
             if k + 1 < cfg.blocks:
                 del heads  # only the final block's per-head weights are returned
@@ -522,7 +532,7 @@ class Model:
                 rows = np.s_[:, self.schema.encoder_len - 1:]
                 attend, skip = abar[rows], x[rows]
                 keeps = [keep and (keep[0][rows], keep[1]) for keep in keeps]
-            out = self._dense(f"attn/b{k}/out", dc.matmul(attend, value))
+            out = dc.matmul(attend, value) + self.params[f"attn/b{k}/out/b"]
             del attend, value
             x = self._gate_norm(f"attn/b{k}", out, skip, keeps[0])
             del out, skip
@@ -567,7 +577,7 @@ class Model:
     def forward(self, batch: WindowBatch, rng=None) -> ForwardPass:
         """Full pass over a window batch; rng drives dropout (None = off)."""
         static_embs = self.embed_inputs(batch.statics, self.static_specs, "static/")
-        static_embs.append(self.params["embed/target_id/table"][batch.target_idx])
+        static_embs.append(dc.Embedding(batch.target_idx, self.params["embed/target_id/table"]))
         _, static_vec = self.variable_select("static", static_embs, rng=rng)
         ctx_sel = self.grn("static_ctx/select", static_vec, rng=rng)
         ctx_enr = self.grn("static_ctx/enrich", static_vec, rng=rng)

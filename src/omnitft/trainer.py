@@ -217,22 +217,23 @@ def batches_of(windows: list, size: int):
 
 # A graph-free call holds at most 4096 // hidden windows, rounded down to a
 # multiple of 4: 256 at desk width and 32 at reference width, the activation
-# size of a 256-window desk validation call. It is never under 32, so a run
-# that gives 16 windows to a split's tail keeps 16.
+# size of a 256-window desk validation call. It is never under 32.
 _GRAPH_FREE_CELLS = 4096
 
 
 def _runs(batches, cap: int):
-    """(batch, lo, hi): each batch's rows cut into runs of at most `cap`. A tail
-    of under 16 rows takes 16 from the run before it: OpenBLAS rounds a GEMM
-    with M·N·K under about 10^6 and K over about 400 on another path, as a
-    one-window call's 12 rows of the 640-wide reference past selection input
-    are. 16 windows clear that path for any selection input at hidden 128,
-    not at every width: at hidden 64 a 448-wide one takes it up to 34."""
+    """(batch, lo, hi): each batch's rows cut into runs of at most `cap`. A
+    one-window tail takes 4 windows from the run before it, since a one-row
+    GEMM rounds on another path; runs before the tail stay multiples of 4.
+    Longer tails keep their bits: with the embeddings folded into the
+    selection networks' first layers, no GEMM of a forward has an inner
+    dimension wider than the hidden width or the window, so none takes
+    OpenBLAS's small-matrix path (inner dimension over about 400) at the
+    widths checked, hidden 16 to 128 with one to six statics."""
     for b in batches:
         cuts = [*range(0, b.size, cap), b.size]
-        if len(cuts) > 2 and cuts[-1] - cuts[-2] < 16:
-            cuts[-2] -= 16
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+            cuts[-2] -= 4
         for lo, hi in zip(cuts, cuts[1:]):
             yield b, lo, hi
 
@@ -245,8 +246,8 @@ def graph_free_passes(model: Model, batches):
     or fewer output columns rounds the last M mod 4 rows of a call on another
     path, and a one-window batch runs alone, since a one-row GEMM takes another
     path again. Each batch's rows keep the bits of a forward call of that
-    batch, at every width where `_runs`' tails clear OpenBLAS's small-matrix
-    path."""
+    batch, at every width where no GEMM takes OpenBLAS's small-matrix path
+    (see `_runs`)."""
     call, cap = [], max(_GRAPH_FREE_CELLS // model.config.hidden // 4 * 4, 32)
     for run in itertools.chain(_runs(batches, cap), [None]):
         if call and (run is None or (call[-1][2] - call[-1][1]) % 4 or run[0].size == 1

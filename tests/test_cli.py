@@ -1069,6 +1069,56 @@ def test_label_labels_every_window_of_two_targets(tmp_path):
             assert {r["label"] for r in t_rows} == {"stable", "volatile"}
 
 
+def test_label_summary_gives_each_targets_figures(tmp_path):
+    # obs_lag becomes a second target: the summary keeps the pooled figures
+    # and adds each target's, computed here from the written labels and truth
+    data = tmp_path / "syn"
+    assert run(["synth", "--patients", "50", "--seed", "7", "--out", str(data)]) == 0
+    doc = read_json(data / "schema.json")
+    for f in doc["features"]:
+        if f["name"] == "obs_lag":
+            f["role"] = "target"
+    (data / "schema.json").write_text(json.dumps(doc, indent=2))
+    argv = ["--data", str(data), "--schema", str(data / "schema.json")]
+    labels, summaries = {}, {}
+    for method in ("threshold", "hmm"):
+        out = tmp_path / method
+        assert run(["label", *argv, "--method", method, "--out", str(out)]) == 0
+        summaries[method] = read_json(out / "label_summary.json")
+        with open(out / "window_labels.csv", newline="") as fh:
+            labels[method] = {(r["target"], r["patient_id"], int(r["start"])): r["label"]
+                              for r in csv.DictReader(fh)}
+    with open(data / "truth_labels.csv", newline="") as fh:
+        truth = {(r["patient_id"], int(r["step"])): r["label"] for r in csv.DictReader(fh)}
+    schema = load_schema(data / "schema.json")
+    splits, *_ = PipelineConfig().ingest(data, schema)
+    trims = {s.patient_id: s.trimmed_steps for name in splits for s in splits[name]}
+    E, H = schema.encoder_len, schema.horizon_len
+    for method, summary in summaries.items():
+        assert set(summary["targets"]) == {"y", "obs_lag"}
+        for kind in ("stable", "volatile"):
+            assert summary["counts"][kind] == sum(
+                t["counts"][kind] for t in summary["targets"].values())
+        for target, figures in summary["targets"].items():
+            rows = {k[1:]: v for k, v in labels[method].items() if k[0] == target}
+            volatile = sum(v == "volatile" for v in rows.values())
+            assert figures["counts"] == {"stable": len(rows) - volatile, "volatile": volatile}
+            assert figures["total_windows"] == len(rows) == 2993
+            agree = []
+            for (pid, start), label in rows.items():
+                first = start + trims[pid] + E
+                future = [truth[(pid, t)] for t in range(first, first + H)]
+                agree.append(label == ("volatile" if "volatile" in future else "stable"))
+            assert figures["agreement_vs_truth"] == sum(agree) / len(agree)
+            if method == "hmm":
+                same = [label == labels["threshold"][(target, *k)] for k, label in rows.items()]
+                assert figures["agreement_threshold_vs_hmm"] == sum(same) / len(same)
+            else:
+                assert "agreement_threshold_vs_hmm" not in figures
+        by_target = [t["agreement_vs_truth"] for t in summary["targets"].values()]
+        assert min(by_target) < summary["agreement_vs_truth"] < max(by_target)
+
+
 def test_label_delta_override_honored(synth_dir, tmp_path):
     cfg = tmp_path / "delta.json"
     cfg.write_text(json.dumps({"delta": {"y": 1e9}}))

@@ -607,6 +607,104 @@ def test_gated_add_norm_keep_gives_the_bits_of_a_dropout_node(shape):
     assert runs[0] == runs[1]
 
 
+# A GRN whose input is the embedding layer: (lead shape, each variable
+# continuous or categorical, output width, with skip projection, with
+# context, with dropout mask). The selection networks' GRN_v reads every
+# variable and projects to one logit each; GRN_j reads one and keeps d.
+EMBED_CASES = {
+    "selection-3d": ((2, 3), ("cont", "cat", "cont"), 3, True, True, True),
+    "static-selection": ((5,), ("cat", "cont", "cat"), 3, True, False, True),
+    "single-variable-selection": ((2, 3), ("cont",), 1, True, True, False),  # output constant
+    "one-variable-skip": ((2, 3), ("cat",), 3, True, True, True),
+    "variable-continuous": ((2, 3), ("cont",), 4, False, False, True),
+    "variable-categorical": ((5,), ("cat",), 4, False, False, False),
+}
+
+
+def _embed_grn_inputs(case, seed, d=4, vocab=3):
+    """Named arrays of a GRN over embeddings: each variable's factors (x, and
+    w and b or a table), and the GRN's own weights; plus its keep pair."""
+    lead, kinds, d_out, with_skip, with_ctx, with_keep = EMBED_CASES[case]
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for j, kind in enumerate(kinds):
+        if kind == "cont":
+            arrays[f"e{j}/x"] = rng.normal(size=lead)
+            arrays[f"e{j}/w"] = rng.normal(size=d) * 0.7
+            arrays[f"e{j}/b"] = rng.normal(size=d) * 0.3
+        else:  # every category met, some more than once
+            arrays[f"e{j}/x"] = rng.permutation(np.arange(np.prod(lead)) % vocab).reshape(lead)
+            arrays[f"e{j}/table"] = rng.normal(size=(vocab, d)) * 0.7
+    d_in = len(kinds) * d
+    for name, n_in, n_out in (("fc1", d_in, d), ("fc2", d, d_out),
+                              ("gate", d_out, d_out), ("val", d_out, d_out)):
+        arrays[f"{name}/w"] = rng.normal(size=(n_in, n_out)) * 0.7
+        arrays[f"{name}/b"] = rng.normal(size=n_out) * 0.3
+    arrays["ln/g"] = 1.0 + 0.3 * rng.normal(size=d_out)
+    arrays["ln/b"] = 0.3 * rng.normal(size=d_out)
+    if with_skip:
+        arrays["skip/w"] = rng.normal(size=(d_in, d_out)) * 0.7
+    if with_ctx:
+        arrays["ctx"] = rng.normal(size=(lead[0], d))
+        arrays["ctx/w"] = rng.normal(size=(d, d)) * 0.7
+    keep = (rng.random(lead + (d_out,)) >= 0.3, 1.0 / 0.7) if with_keep else None
+    return arrays, keep
+
+
+def _embeddings(t, n):
+    """The n embeddings of a dict of named tensors; indices stay arrays."""
+    return [dc.Embedding(t[f"e{j}/x"].data.astype(int), t[f"e{j}/table"]) if f"e{j}/table" in t
+            else dc.Embedding(t[f"e{j}/x"].data, t[f"e{j}/w"], t[f"e{j}/b"]) for j in range(n)]
+
+
+def _unfolded(embs):
+    """concat(xi^(1), ..., xi^(N)) formed from primitives: table[x], x * w + b."""
+    return dc.concat([e.weight[e.x] if e.bias is None
+                      else dc.mul(Tensor(e.x[..., None]), e.weight) + e.bias for e in embs],
+                     axis=-1)
+
+
+def _embed_grn_out_shape(case):
+    lead, _, d_out, *_ = EMBED_CASES[case]
+    return lead + (d_out,)
+
+
+def _embed_grn_call(t, case, keep, folded=True):
+    embs = _embeddings(t, len(EMBED_CASES[case][1]))
+    return _grn_call(dc.grn, {**t, "x": embs if folded else _unfolded(embs)}, keep)
+
+
+def _rel(a, b):
+    """Largest difference over the largest reference entry; 0 for two zero arrays."""
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("case", list(EMBED_CASES))
+def test_grn_over_embeddings_matches_the_unfolded_composition(case):
+    # the folded first layer sums x (w W1) + b W1 per variable, where the
+    # composition multiplies Xi out and runs one GEMM: equal to rounding
+    arrays, keep = _embed_grn_inputs(case, seed=51)
+    proj = Tensor(np.random.default_rng(52).normal(size=_embed_grn_out_shape(case)))
+    runs = []
+    for folded in (True, False):
+        t = {k: Tensor(a.copy(), requires_grad=not k.endswith("/x")) for k, a in arrays.items()}
+        out = _embed_grn_call(t, case, keep, folded)
+        dc.backward(dc.reduce_sum(dc.mul(out, proj)))
+        runs.append([out.data] + [t[k].grad for k in arrays if not k.endswith("/x")])
+    for name, got, want in zip(["out", *(k for k in arrays if not k.endswith("/x"))], *runs):
+        assert got.shape == want.shape and _rel(got, want) < 1e-12, name
+
+
+@pytest.mark.parametrize("case", list(EMBED_CASES))
+def test_grn_over_embeddings_grad_check(case):
+    arrays, keep = _embed_grn_inputs(case, seed=53)
+    values = {k: a for k, a in arrays.items() if not k.endswith("/x")}
+    indices = {k: Tensor(a) for k, a in arrays.items() if k.endswith("/x")}
+    errors = _grad_check_errors(lambda t: _embed_grn_call({**t, **indices}, case, keep),
+                                values, _embed_grn_out_shape(case), 54)
+    assert max(errors.values()) < 1e-6, errors
+
+
 def test_fused_nodes_build_no_graph_under_no_grad():
     arrays, keep = _grn_inputs("3d-skip-ctx", seed=39)
     t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}

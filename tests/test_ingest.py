@@ -704,6 +704,34 @@ def test_events_csv_has_the_bytes_of_the_row_writer(cohort):
     assert written_events(series, schema) == reference_events_csv(series, schema)
 
 
+def reference_split_grid(series_list, schema, mask: bool) -> str:
+    """The per-row csv.writer writer that `write_split_grids` replaced, kept
+    as the reference of its grid and mask bytes."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["patient_id", "step"] + [f.name for f in schema.features])
+    for s in series_list:
+        rows = s.mask.astype(int).tolist() if mask else s.values.tolist()
+        writer.writerows([s.patient_id, t, *r] for t, r in enumerate(rows))
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("cohort", [
+    lambda: synth_cohort(50, 1),
+    *[lambda n=n: synth_cohort(n, 1, min_steps=72, max_steps=72) for n in (12, 100)],
+    unobserved_cohort,
+    quoted_cohort,
+], ids=["synth-seed1", "fixed72-12", "fixed72-100", "unobserved", "quoted"])
+def test_split_grids_have_the_bytes_of_the_row_writer(cohort, tmp_path):
+    series, schema = cohort()
+    splits = {"train": series[1:], "val": series[:1], "test": []}
+    ingest.write_split_grids(tmp_path, splits, schema, {})
+    for name, part in splits.items():
+        for kind in ("grid", "mask"):
+            got = (tmp_path / f"{kind}_{name}.csv").read_bytes().decode()
+            assert got == reference_split_grid(part, schema, kind == "mask"), (name, kind)
+
+
 @st.composite
 def binned_events(draw):
     rows = []

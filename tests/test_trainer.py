@@ -10,7 +10,7 @@ from omnitft.ingest import generate_synthetic, synthetic_schema
 from omnitft.model import Model, ModelConfig, WindowBatch, compute_scalers
 from omnitft.penalties import PenaltyWeights
 from omnitft.sampler import enumerate_windows
-from omnitft.schema import build_group_assignment
+from omnitft.schema import DatasetSchema, FeatureSpec, build_group_assignment, validate_schema
 from omnitft.trainer import (
     AdamState,
     AllMasked,
@@ -407,20 +407,34 @@ def test_train_config_json_round_trip():
 # graph-free passes share and split forward calls without moving a bit
 
 
+def _six_static_schema():
+    # seven static variables with the target id: a 448-wide static selection
+    # input at hidden 64, which a split batch's tail of 17-33 windows ran
+    # through OpenBLAS's small-matrix GEMM path before the embeddings were
+    # folded into the selection networks' first layers
+    base = _two_target_schema()
+    statics = tuple(FeatureSpec(f"s{i}", "static") for i in range(5))
+    return validate_schema(DatasetSchema(features=base.features + statics, grid_step_min=60.0,
+                                         encoder_len=12, horizon_len=4))
+
+
 @pytest.mark.parametrize("width,batch,targets,merges", [
     ((16, 2, 2), 32, ("y",), True),
     ((16, 2, 2), 5, ("y",), False),  # 5 and 30 are not multiples of 4
     ((16, 2, 2), 30, ("y",), False),
     ((128, 6, 4), 64, ("y",), False),  # 64 windows is more than a reference call holds
-    ((128, 6, 4), 33, ("y",), False),  # 32 + 1 would leave a one-window call: 16 + 17
+    ((128, 6, 4), 33, ("y",), False),  # 32 + 1 would leave a one-window call: 28 + 5
     ((128, 6, 4), 256, ("y",), False),  # an eval-sized batch in calls of 32
     ((16, 2, 2), 32, ("y", "y2"), True),  # round-robin: each pool's short batch comes mid-epoch
+    ((64, 4, 2), 65, ("y",), False),  # six statics, calls of 64: 60 + 5
+    ((64, 4, 2), 81, ("y",), False),  # 64 + 17
+    ((64, 4, 2), 97, ("y",), False),  # 64 + 33
 ], ids=["desk-32", "desk-5", "desk-30", "reference-64", "reference-33", "reference-256",
-        "two-targets-32"])
+        "two-targets-32", "six-statics-65", "six-statics-81", "six-statics-97"])
 def test_graph_free_passes_give_the_bits_of_one_forward_per_batch(width, batch, targets,
                                                                   merges, monkeypatch):
     hidden, heads, blocks = width
-    schema = _two_target_schema()
+    schema = _six_static_schema() if hidden == 64 else _two_target_schema()
     series, _ = generate_synthetic(8 if hidden == 16 else 2 + 3 * (batch > 100), schema,
                                    seed=7, min_steps=72, max_steps=72)
     pools = {t: [w for s in series for w in enumerate_windows(s, schema, 2.0, t)]
@@ -458,7 +472,7 @@ def test_graph_free_passes_give_the_bits_of_one_forward_per_batch(width, batch, 
     assert got_rows.tobytes() == want_rows.tobytes()
     assert (len(calls) < len(batches)) == merges
     assert max(calls) <= 4096 // hidden
-    assert min(calls) >= min(16, *(b.size for b in batches))  # no short tail
+    assert min(calls) >= min(2, *(b.size for b in batches))  # no one-window tail
     got_val = tr.evaluate_quantile_loss(model, windows, batch_size=batch)
     assert np.float64(got_val).tobytes() == np.float64(want_val).tobytes()
     # every output row keeps its bits, not only the sums above
