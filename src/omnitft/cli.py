@@ -531,23 +531,26 @@ def _truth_step_flags(data_dir: Path, series: dict):
         return None
     codes = {STABLE: 1, VOLATILE: 2}  # 0: no truth row
     truth = {pid: [0] * (s.trimmed_steps + s.n_steps) for pid, s in series.items()}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        at = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
-        columns = ("patient_id", "step", "label")
-        missing = [c for c in columns if c not in at]
-        if missing:
-            raise CliError(f"{path}, line 1: no column(s) {missing}")
-        for row in filter(None, reader):  # blank lines hold no row
-            pid, step, label = (row[at[c]] if at[c] < len(row) else None for c in columns)
-            step = step or ""
-            if not step.isdecimal() or label not in codes:
-                raise CliError(
-                    f"{path}, line {reader.line_num}: need an integer step >= 0 and a label "
-                    f"{STABLE} or {VOLATILE}, got {step!r}, {label!r}"
-                )
-            if int(step) < len(truth.get(pid, ())):
-                truth[pid][int(step)] = codes[label]
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.reader(fh)
+            at = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
+            columns = ("patient_id", "step", "label")
+            missing = [c for c in columns if c not in at]
+            if missing:
+                raise CliError(f"{path}, line 1: no column(s) {missing}")
+            for row in filter(None, reader):  # blank lines hold no row
+                pid, step, label = (row[at[c]] if at[c] < len(row) else None for c in columns)
+                step = step or ""
+                if not step.isdecimal() or label not in codes:
+                    raise CliError(
+                        f"{path}, line {reader.line_num}: need an integer step >= 0 and a label "
+                        f"{STABLE} or {VOLATILE}, got {step!r}, {label!r}"
+                    )
+                if int(step) < len(truth.get(pid, ())):
+                    truth[pid][int(step)] = codes[label]
+        except UnicodeDecodeError as e:
+            raise CliError(f"{path} is not UTF-8 text: {e.reason}") from None
     steps = {pid: np.array(truth[pid][s.trimmed_steps:]) for pid, s in series.items()}
     return {pid: (c == 2, c > 0) for pid, c in steps.items()}
 
@@ -691,7 +694,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (CliError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+            PermissionError, json.JSONDecodeError) as e:  # an OSError names its path
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # schema/ingest/trainer contract violations

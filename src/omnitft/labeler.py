@@ -91,14 +91,20 @@ class HmmParams:
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
         self.initial = np.asarray(self.initial, dtype=np.float64)
-        if not np.all(np.abs(self.transition.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails too
+        bad_transition, bad_stds = _invalid(self.transition, self.stds)
+        if bad_transition:
             raise LabelerError("transition rows must be finite and sum to 1")
-        if np.any(self.stds <= 0):
+        if bad_stds:
             raise LabelerError("emission stds must be positive")
 
     @property
     def volatile_state(self) -> int:
         return int(np.argmax(self.stds))
+
+
+def _invalid(trans: np.ndarray, stds: np.ndarray):
+    """Per fit of stacked fields: (a transition row misses 1 or is NaN, a std is not positive)."""
+    return ~np.all(np.abs(trans.sum(axis=-1) - 1.0) <= 1e-9, axis=-1), np.any(stds <= 0, axis=-1)
 
 
 def _log_emissions(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
@@ -121,8 +127,8 @@ def _median_split(x: np.ndarray, spread: float):
     return means, stds
 
 
-def _baum_welch(x: np.ndarray, max_iter: int = 50, tol: float = 1e-6) -> list:
-    """Baum-Welch EM on every row of x (rows, n) at once; HmmParams fields per row.
+def _baum_welch(x: np.ndarray, max_iter: int = 50, tol: float = 1e-6):
+    """Baum-Welch EM on every row of x (rows, n) at once; the HmmParams fields stacked by row.
 
     Each E step runs scaled forward-backward (Rabiner 1989) over all active
     rows together. A row leaves the active set on its own: once its
@@ -205,11 +211,7 @@ def _baum_welch(x: np.ndarray, max_iter: int = 50, tol: float = 1e-6) -> list:
         active = np.array([r for r in upd if len(lls[r]) < 2 or lls[r][-1] - lls[r][-2] >= tol],
                           dtype=int)
 
-    return [
-        dict(transition=trans[r], means=means[r], stds=stds[r], initial=init[r],
-             log_likelihoods=lls[r], degenerate=bool(degenerate[r]))
-        for r in range(rows)
-    ]
+    return trans, means, stds, init, lls, degenerate
 
 
 def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -> HmmParams:
@@ -228,25 +230,22 @@ def hmm_fit(diff_signal, max_iter: int = 50, tol: float = 1e-6, seed: int = 0) -
     x = np.asarray(diff_signal, dtype=np.float64)
     if x.size < _MIN_DIFFS:
         raise LabelerError(f"need at least {_MIN_DIFFS} diff samples, got {x.size}")
-    return HmmParams(**_baum_welch(x.reshape(1, -1), max_iter, tol)[0])
+    trans, means, stds, init, lls, degenerate = _baum_welch(x.reshape(1, -1), max_iter, tol)
+    return HmmParams(trans[0], means[0], stds[0], init[0], lls[0], bool(degenerate[0]))
 
 
-def _decode(x: np.ndarray, params: list) -> np.ndarray:
-    """Per-step volatile flags of every row of x (rows, n), each under its own HmmParams.
+def _decode(x, trans, means, stds, init, degenerate) -> np.ndarray:
+    """Per-step volatile flags of every row of x (rows, n) under the stacked HmmParams fields.
 
-    The max-product recursion runs over all rows together; a degenerate fit
-    flags no step of its row.
+    The max-product recursion runs over all rows together; a degenerate fit,
+    or one HmmParams rejects, flags no step of its row.
     """
     flags = np.zeros(x.shape, dtype=bool)
-    live = [i for i, p in enumerate(params) if not p.degenerate]
-    if not live:
-        return flags
-    rows, n = len(live), x.shape[1]
-    fits = [params[i] for i in live]
-    log_b = _log_emissions(x[live], np.array([p.means for p in fits]),
-                           np.array([p.stds for p in fits]))
-    log_t = np.log(np.maximum(np.array([p.transition for p in fits]), 1e-300))
-    log_pi = np.log(np.maximum(np.array([p.initial for p in fits]), 1e-300))
+    live = np.flatnonzero(~np.logical_or.reduce([degenerate, *_invalid(trans, stds)]))
+    rows, n = live.size, x.shape[1]
+    log_b = _log_emissions(x[live], means[live], stds[live])
+    log_t = np.log(np.maximum(trans[live], 1e-300))
+    log_pi = np.log(np.maximum(init[live], 1e-300))
 
     delta = np.zeros((rows, n, 2))
     back = np.zeros((rows, n, 2), dtype=int)
@@ -262,7 +261,7 @@ def _decode(x: np.ndarray, params: list) -> np.ndarray:
     for t in range(n - 2, -1, -1):  # each step takes the best predecessor of the next
         path[:, t] = back[r, t + 1, path[:, t + 1]]
 
-    flags[live] = path == np.array([[p.volatile_state] for p in fits])
+    flags[live] = path == stds[live].argmax(axis=1)[:, None]
     return flags
 
 
@@ -273,7 +272,9 @@ def hmm_decode(diff_signal, params: HmmParams) -> list:
     compares y[t+1] to y[t]); callers prepend a stable label for y[0].
     """
     x = np.asarray(diff_signal, dtype=np.float64)
-    return np.where(_decode(x.reshape(1, -1), [params])[0], VOLATILE, STABLE).tolist()
+    flags = _decode(x.reshape(1, -1), params.transition[None], params.means[None],
+                    params.stds[None], params.initial[None], [params.degenerate])
+    return np.where(flags[0], VOLATILE, STABLE).tolist()
 
 
 def overflows(x: np.ndarray) -> bool:
@@ -290,7 +291,7 @@ def hmm_step_flags(signals):
     Signals of one length are fitted and decoded as one (rows, steps) batch,
     never padded, so each gets the path that hmm_fit and hmm_decode give it
     alone. A signal that cannot be fitted (too few diffs, one that overflows,
-    or a fit that raises LabelerError) is flagged at no step.
+    or a fit that HmmParams rejects) is flagged at no step.
     """
     xs = [np.asarray(s, dtype=np.float64) for s in signals]
     flags = [np.zeros(x.size + 1, dtype=bool) for x in xs]
@@ -300,16 +301,10 @@ def hmm_step_flags(signals):
         if x.size >= _MIN_DIFFS and not over[i]:
             by_len.setdefault(x.size, []).append(i)
     for group in by_len.values():
-        fitted = {}
-        for i, fields in zip(group, _baum_welch(np.stack([xs[i] for i in group]))):
-            try:
-                fitted[i] = HmmParams(**fields)
-            except LabelerError:
-                continue
-        if fitted:
-            paths = _decode(np.stack([xs[i] for i in fitted]), list(fitted.values()))
-            for i, path in zip(fitted, paths):
-                flags[i][1:] = path
+        x = np.stack([xs[i] for i in group])
+        trans, means, stds, init, _, degenerate = _baum_welch(x)
+        for i, path in zip(group, _decode(x, trans, means, stds, init, degenerate)):
+            flags[i][1:] = path
     return flags, [i for i, o in enumerate(over) if o]
 
 

@@ -257,8 +257,7 @@ def param_layout(schema: DatasetSchema, config: ModelConfig):
 
 
 def _row_keys(*arrays) -> np.ndarray:
-    """One key per row of side-by-side 2-D arrays: the rows' bytes, so 0.0
-    and -0.0 stay apart. Keys sort bytewise, leading array first."""
+    """One key per row of side-by-side 2-D arrays: its bytes, so 0.0 and -0.0 stay apart."""
     raw = np.concatenate(
         [np.ascontiguousarray(a).view(np.uint8).reshape(len(a), -1) for a in arrays], axis=1
     )
@@ -266,40 +265,20 @@ def _row_keys(*arrays) -> np.ndarray:
 
 
 def _distinct_steps(values: np.ndarray, ctx: np.ndarray):
-    """Lay out each distinct (context row, step row) pair of a batch once.
+    """Each distinct (context row, step row) pair of a batch, once.
 
     values: (B, L, n) step rows; ctx: (B, d) each window's context row.
-    Returns items (m, L, n), their context rows (m, d) and, for every
-    window step, the flat index (B, L) of its row in items.reshape(-1, n).
-
-    A GEMM row's bits can depend on the call's row count but not on the
-    row's place in it, so the rows stay in 3-D items of L rows, as windows
-    are laid out: each item holds rows of one context group, and a short
-    item is padded by repeating one of its rows. A batch of two or more
-    windows always yields two or more items, so the context product never
-    takes the one-row path that a lone window takes.
+    Returns the distinct step rows (m, n), padded to a multiple of 4 by
+    repeating the last so that no GEMM over them has a tail row, their
+    context rows (m, d), and each window step's row index (B, L).
     """
     B, L, n = values.shape
-    _, ctx_first, group = np.unique(_row_keys(ctx), return_index=True, return_inverse=True)
     steps = values.reshape(B * L, n)
-    # big-endian group ids lead the keys, so distinct rows come out sorted by group
-    step_group = np.repeat(group.reshape(-1), L).astype(">i8")[:, None]
-    _, first, inverse = np.unique(_row_keys(step_group, steps), return_index=True,
-                                  return_inverse=True)
-    row_group = step_group[first, 0].astype(int)
-    counts = np.bincount(row_group)  # distinct rows per group
-    per_group = -(-counts // L)  # items per group
-    row_end = np.cumsum(counts)
-    # a group's distinct rows fill its items in order; the last row pads the last item
-    shift = (np.cumsum(per_group) - per_group) * L - (row_end - counts)
-    slot = np.arange(len(first)) + shift[row_group]
-    fill = np.repeat(row_end - 1, per_group * L)
-    fill[slot] = np.arange(len(first))
-    items = steps[first[fill]].reshape(-1, L, n)
-    item_ctx = np.repeat(ctx[ctx_first], per_group, axis=0)
-    if B > 1 and len(items) == 1:
-        items, item_ctx = np.concatenate([items, items]), np.concatenate([item_ctx, item_ctx])
-    return items, item_ctx, slot[inverse.reshape(-1)].reshape(B, L)
+    _, group = np.unique(_row_keys(ctx), return_inverse=True)  # short keys for the pairs
+    _, first, where = np.unique(_row_keys(np.repeat(group.reshape(-1), L)[:, None], steps),
+                                return_index=True, return_inverse=True)
+    first = np.concatenate([first, np.repeat(first[-1:], -len(first) % 4)])
+    return steps[first], ctx[first // L], where.reshape(B, L)
 
 
 def compute_scalers(series_list: list, schema: DatasetSchema, where: str = "") -> dict:
@@ -437,18 +416,20 @@ class Model:
 
         Embeddings and selection are position-wise, so on a pass with no
         dropout and no graph a step's output depends only on its input row
-        and its window's context row. Such a pass embeds and selects each
-        distinct (context row, step row) pair once, in items of L rows as
-        windows are laid out, and gathers the results back per window.
+        and its window's context row. Such a pass over two or more windows
+        selects each distinct (context row, step row) pair once as flat rows
+        and gathers the results back per window. A side whose windows have
+        GEMM tail rows (L not a multiple of 4, and a GEMM of at most 3
+        columns: N variables or d) stays per window, so bits match.
         """
         specs = self.past_specs if side == "past" else self.future_specs
-        if rng is not None or dc.grad_enabled():
+        tail = values.shape[1] % 4 and min(len(specs), self.config.hidden) <= 3
+        if rng is not None or dc.grad_enabled() or len(values) < 2 or tail:
             return self.variable_select(side, self.embed_inputs(values, specs), ctx=ctx, rng=rng)
-        items, item_ctx, where = _distinct_steps(values, ctx.data)
-        weights, fused = self.variable_select(side, self.embed_inputs(items, specs),
-                                              ctx=Tensor(item_ctx))
-        return (Tensor(weights.data.reshape(-1, weights.shape[-1])[where]),
-                Tensor(fused.data.reshape(-1, fused.shape[-1])[where]))
+        rows, row_ctx, where = _distinct_steps(values, ctx.data)
+        weights, fused = self.variable_select(side, self.embed_inputs(rows, specs),
+                                              ctx=Tensor(row_ctx))
+        return Tensor(weights.data[where]), Tensor(fused.data[where])
 
     # ------------------------------------------------------------------
     # recurrent encoder/decoder

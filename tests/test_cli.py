@@ -735,6 +735,62 @@ def test_train_header_only_or_wrong_header_exits_2(synth_dir, tmp_path, capsys, 
     assert message.replace("data.csv", str(data / "data.csv")) in capsys.readouterr().err
 
 
+def _inputs(command, synth_dir, trained_dir):
+    """Each command's input flags, on the synthetic cohort and its trained run."""
+    data_schema = ["--data", str(synth_dir), "--schema", str(synth_dir / "schema.json")]
+    return {
+        "synth": [],
+        "train": [*data_schema, "--config", str(trained_dir / "config.json"), "--dry-run"],
+        "eval": ["--checkpoint", str(trained_dir / "checkpoint.bin"), "--data", str(synth_dir)],
+        "label": data_schema,
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "label"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_out_that_is_not_a_directory_exits_2_naming_it(synth_dir, trained_dir, tmp_path, capsys,
+                                                       command, where):
+    # exited 1 with a FileExistsError or NotADirectoryError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if where == "file" else taken / "run"
+    assert run([command, *_inputs(command, synth_dir, trained_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out if where == "file" else taken) in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--config"), ("train", "--schema"), ("label", "--schema"),
+    ("label", "--delta-config"), ("eval", "--checkpoint"),
+])
+def test_input_file_naming_a_directory_exits_2_naming_it(synth_dir, trained_dir, tmp_path, capsys,
+                                                         command, flag):
+    # exited 1 with an IsADirectoryError traceback; a PermissionError, which
+    # exits 2 too, cannot be provoked in a test that may run as root
+    argv = _inputs(command, synth_dir, trained_dir)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(tmp_path)
+    else:
+        argv += [flag, str(tmp_path)]
+    assert run([command, *argv, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and str(tmp_path) in err
+
+
+def test_label_non_utf8_truth_file_exits_2_naming_it(synth_dir, tmp_path, capsys):
+    # exited 1 with a UnicodeDecodeError traceback
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("data.csv", "schema.json"):
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+    truth = data / "truth_labels.csv"
+    truth.write_bytes((synth_dir / "truth_labels.csv").read_bytes() + b"p0000,3,\xff\xfe\n")
+    code = run(["label", "--data", str(data), "--schema", str(data / "schema.json"),
+                "--method", "hmm", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{truth} is not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["version", "truncated"])
 def test_eval_bad_checkpoint_exits_2(synth_dir, trained_dir, tmp_path, capsys, damage):
     raw = bytearray((trained_dir / "checkpoint.bin").read_bytes())

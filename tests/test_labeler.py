@@ -184,6 +184,18 @@ def _joint_log_prob(x, params, states):
     return total
 
 
+def _stacked(fits):
+    """The fields of a list of HmmParams stacked by row, as `_decode` takes them."""
+    return [np.array([getattr(p, name) for p in fits])
+            for name in ("transition", "means", "stds", "initial", "degenerate")]
+
+
+def _row(fit, r):
+    """Row r of a `_baum_welch` result as HmmParams."""
+    trans, means, stds, init, lls, degenerate = fit
+    return labeler.HmmParams(trans[r], means[r], stds[r], init[r], lls[r], bool(degenerate[r]))
+
+
 def test_decoded_path_is_the_viterbi_optimum():
     # every path of short signals, brute force; rows decoded together and alone
     import itertools
@@ -194,7 +206,7 @@ def test_decoded_path_is_the_viterbi_optimum():
         fits = [labeler.HmmParams(rng.dirichlet(np.ones(2), size=2), rng.normal(size=2),
                                   rng.uniform(0.3, 2.0, size=2), rng.dirichlet(np.ones(2)), [])
                 for _ in xs]
-        batched = labeler._decode(xs, fits)
+        batched = labeler._decode(xs, *_stacked(fits))
         assert batched.shape == xs.shape and batched.dtype == bool
         for x, params, flags in zip(xs, fits, batched):
             labels = hmm_decode(x, params)
@@ -291,10 +303,10 @@ def test_batched_fit_equals_per_patient_fit_bit_for_bit(mixed_signals):
         if x.size >= 10:
             by_len.setdefault(x.size, []).append(x)
     for group in by_len.values():
-        fits = labeler._baum_welch(np.stack(group))
-        for x, fields in zip(group, fits):
+        fit = labeler._baum_welch(np.stack(group))
+        for r, x in enumerate(group):
             want = oracle_fit(x)
-            _assert_same_bits(labeler.HmmParams(**fields), want)
+            _assert_same_bits(_row(fit, r), want)
             _assert_same_bits(hmm_fit(x, seed=0), want)
             assert hmm_decode(x, want) == oracle_decode(x, want)
 
@@ -323,10 +335,12 @@ def test_step_flags_leave_overflowing_signals_unfitted(mixed_signals):
 
 def test_row_result_does_not_depend_on_its_batch(mixed_signals):
     group = np.stack([x for x in mixed_signals if x.size == 71])
-    alone = [labeler._baum_welch(row[None])[0] for row in group]
-    for fits in (labeler._baum_welch(group), labeler._baum_welch(group[::-1])[::-1]):
-        for got, want in zip(fits, alone):
-            _assert_same_bits(labeler.HmmParams(**got), labeler.HmmParams(**want))
+    alone = [_row(labeler._baum_welch(row[None]), 0) for row in group]
+    rows = np.arange(len(group))
+    for fit, order in ((labeler._baum_welch(group), rows),
+                       (labeler._baum_welch(group[::-1]), rows[::-1])):
+        for r, want in zip(order, alone):
+            _assert_same_bits(_row(fit, r), want)
     whole = [f.tolist() for f in labeler.hmm_step_flags(mixed_signals)[0]]
     for i in range(len(mixed_signals)):
         assert [f.tolist() for f in labeler.hmm_step_flags([mixed_signals[i]])[0]] == [whole[i]]

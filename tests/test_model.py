@@ -744,7 +744,7 @@ def test_cut_final_block_draws_the_full_row_dropout_masks(hidden, heads, blocks,
 # inference passes select each distinct step once
 
 
-def _two_target_schema():
+def _two_target_schema(encoder_len=12, horizon_len=4):
     return validate_schema(DatasetSchema(
         features=(
             FeatureSpec("y", "target"),
@@ -753,7 +753,7 @@ def _two_target_schema():
             FeatureSpec("kf", "known_future"),
             FeatureSpec("age", "static"),
         ),
-        grid_step_min=60.0, encoder_len=12, horizon_len=4,
+        grid_step_min=60.0, encoder_len=encoder_len, horizon_len=horizon_len,
     ))
 
 
@@ -774,26 +774,7 @@ _SHARED_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_SHARED_CASES) + ["two-targets"])
-@pytest.mark.parametrize("hidden,heads,blocks", [(16, 2, 2), (128, 6, 4)], ids=["desk", "reference"])
-def test_no_grad_forward_equals_graph_forward(case, hidden, heads, blocks):
-    # an inference pass selects each distinct (context row, step row) once and
-    # gathers the results back; every output keeps the per-window path's bits
-    if case == "two-targets":
-        schema = _two_target_schema()
-        series, wins = _cohort_windows(schema, 3, targets=("y", "y2"))
-        picked = wins[:40] + wins[171:211]  # one patient's steps under each target
-    else:
-        schema = synthetic_schema()
-        series, wins = _cohort_windows(schema, 8)
-        picked = _SHARED_CASES[case](wins)
-    m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=blocks),
-              seed=3, scalers=mod.compute_scalers(series, schema))
-    batch = WindowBatch.from_windows(picked)
-    graph = m.forward(batch)
-    assert graph.quantiles.requires_grad
-    with dc.no_grad():
-        shared = m.forward(batch)
+def _assert_same_outputs(graph, shared):
     for name, value in vars(graph).items():
         if isinstance(value, Tensor):
             assert np.array_equal(value.data, getattr(shared, name).data), name
@@ -804,8 +785,42 @@ def test_no_grad_forward_equals_graph_forward(case, hidden, heads, blocks):
                 assert np.array_equal(value[key], shared.category_counts[key]), key
 
 
+_CASES = sorted(_SHARED_CASES) + ["two-targets"]
+
+
+# (E, H) = (12, 4) keeps the ids the cases had before other window shapes were added
+@pytest.mark.parametrize("case,shape", [pytest.param(c, (12, 4), id=c) for c in _CASES] + [
+    pytest.param(c, shape, id=f"E{shape[0]}H{shape[1]}-{c}") for shape in ((6, 3), (7, 5))
+    for c in _CASES])
+@pytest.mark.parametrize("hidden,heads,blocks", [(16, 2, 2), (128, 6, 4)], ids=["desk", "reference"])
+def test_no_grad_forward_equals_graph_forward(case, shape, hidden, heads, blocks):
+    # an inference pass selects each distinct (context row, step row) once and
+    # gathers the results back; every output keeps the per-window path's bits
+    # at every window shape ((7, 5) at desk width once differed in the last bits)
+    E, H = shape
+    if case == "two-targets":
+        schema = _two_target_schema(E, H)
+        series, wins = _cohort_windows(schema, 3, targets=("y", "y2"))
+        picked = wins[:40] + wins[171:211]  # one patient's steps under each target
+    else:
+        schema = synthetic_schema(encoder_len=E, horizon_len=H)
+        series, wins = _cohort_windows(schema, 8)
+        picked = _SHARED_CASES[case](wins)
+    m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=blocks),
+              seed=3, scalers=mod.compute_scalers(series, schema))
+    batch = WindowBatch.from_windows(picked)
+    graph = m.forward(batch)
+    assert graph.quantiles.requires_grad
+    with dc.no_grad():
+        shared = m.forward(batch)
+    _assert_same_outputs(graph, shared)
+
+
 def test_inference_pass_selects_each_distinct_step_once(monkeypatch):
-    schema = synthetic_schema()
+    # encoder steps (E = 12) as flat rows; horizon steps (H = 6, not a multiple
+    # of 4, under a 2-variable selection) and a lone window's steps per window
+    E, H = 12, 6
+    schema = synthetic_schema(encoder_len=E, horizon_len=H)
     series, wins = _cohort_windows(schema, 8)
     m = Model(schema, ModelConfig(hidden=16, heads=2, blocks=2), seed=3,
               scalers=mod.compute_scalers(series, schema))
@@ -814,20 +829,58 @@ def test_inference_pass_selects_each_distinct_step_once(monkeypatch):
     for w in picked:  # a window's context depends on its statics and target alone
         group = steps.setdefault((w.statics.tobytes(), w.target_idx), set())
         group.update(row.tobytes() for row in w.enc_past)
-    E = schema.encoder_len
-    want = sum(-(-len(rows) // E) for rows in steps.values())
-    assert len(steps) == 5 and want < 40
+    distinct = sum(len(rows) for rows in steps.values())
+    want = -(-distinct // 4) * 4  # padded to a multiple of 4 rows
+    assert len(steps) == 5 and distinct % 4 and want < 256 * E // 8
 
-    items = []
+    calls = []
     select = Model.variable_select
 
     def counting(self, side, embs, ctx=None, rng=None):
-        if side == "past":
-            items.append(embs[0].shape[:-1])
+        if side != "static":
+            calls.append((side, embs[0].shape[:-1]))
         return select(self, side, embs, ctx=ctx, rng=rng)
 
     monkeypatch.setattr(Model, "variable_select", counting)
+    batch = WindowBatch.from_windows(picked)
     with dc.no_grad():
-        m.forward(WindowBatch.from_windows(picked))
-    m.forward(WindowBatch.from_windows(picked))  # a graph-building pass keeps one per window
-    assert items == [(want, E), (256, E)]
+        shared = m.forward(batch)
+        m.forward(WindowBatch.from_windows(picked[:1]))
+    graph = m.forward(batch)  # a graph-building pass keeps one per window
+    assert calls == [("past", (want,)), ("future", (256, H)), ("past", (1, E)),
+                     ("future", (1, H)), ("past", (256, E)), ("future", (256, H))]
+    _assert_same_outputs(graph, shared)
+
+
+@pytest.mark.parametrize("E,H,hidden,heads,flat", [
+    (6, 3, 16, 2, ("past",)),  # the 2-variable future side alone has a GEMM tail
+    (7, 5, 16, 2, ("past",)),
+    (6, 3, 3, 1, ()),  # d = 3: both sides have one
+    (8, 4, 3, 1, ("past", "future")),  # L a multiple of 4: no side has one
+])
+def test_inference_pass_keeps_windows_where_a_gemm_tail_can_occur(monkeypatch, E, H, hidden,
+                                                                  heads, flat):
+    # a side takes the per-window path only where L is not a multiple of 4 and
+    # a selection GEMM has at most 3 output columns (N variables or d)
+    schema = synthetic_schema(encoder_len=E, horizon_len=H)
+    series, wins = _cohort_windows(schema, 3)
+    m = Model(schema, ModelConfig(hidden=hidden, heads=heads, blocks=2), seed=3,
+              scalers=mod.compute_scalers(series, schema))
+    calls = {}
+    select = Model.variable_select
+
+    def recording(self, side, embs, ctx=None, rng=None):
+        calls[side] = embs[0].shape[:-1]
+        return select(self, side, embs, ctx=ctx, rng=rng)
+
+    monkeypatch.setattr(Model, "variable_select", recording)
+    batch = WindowBatch.from_windows(wins[:101])
+    with dc.no_grad():
+        shared = m.forward(batch)
+    for side, L in (("past", E), ("future", H)):
+        if side in flat:
+            assert len(calls[side]) == 1 and calls[side][0] % 4 == 0, side
+        else:
+            assert calls[side] == (101, L), side
+    monkeypatch.undo()
+    _assert_same_outputs(m.forward(batch), shared)
